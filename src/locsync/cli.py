@@ -226,11 +226,6 @@ def load_config(data: dict) -> RunConfig:
     )
 
 
-def load_config_file(path: str | Path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return load_config(json.load(fh))
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -401,8 +396,15 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
     re_checks = []
     for i in sample_idx:
         state = rows[i]["state"]
-        tight = continuation.newton_correct(system, state, tol=1e-13, max_iter=20)
-        re_checks.append(_relative_equilibrium_check(rc, tight))
+        try:
+            tight = continuation.newton_correct(system, state, tol=1e-13, max_iter=20)
+        except (continuation.NoConvergence, continuation.SingularJacobian) as err:
+            cause = f"{type(err).__name__}: {err}"
+            print(f"row {i} at mu={state.mu!r}: re-tightening failed: {cause}",
+                  file=sys.stderr)
+            re_checks.append({"row": i, "mu": state.mu, "pass": False, "error": cause})
+            continue
+        re_checks.append({"row": i, **_relative_equilibrium_check(rc, tight)})
 
     fold_rows = [row for row in rows if row["is_fold"]]
     mu1_pred = asymptotics.fold_prediction_mu1(rc.eps)
@@ -445,7 +447,7 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
     ok = report["residual_check"]["pass"] and report["relative_equilibrium"]["pass"]
     print(f"{rc.run_id}: verify {'PASS' if ok else 'FAIL'} "
           f"(max residual {max_res:.3e})")
-    return 0
+    return 0 if ok else 1
 
 
 MISMATCH_EPS_SWEEP = (1e-2, 1e-3, 1e-4)

@@ -3,9 +3,9 @@
 The predictor steps along the null vector of the equilibrated (2N) x (2N+1)
 Jacobian; the corrector solves the bordered system with the hyperplane
 constraint <x - x_prev, tangent> = ds.  Folds are turning points of mu,
-detected from sign changes of the tangent's mu component and refined by
-bisection in arclength.  The engine contains no randomness: identical
-inputs give bitwise-identical branches.
+detected from sign changes of the tangent's mu component and refined by a
+safeguarded secant (Illinois regula falsi) in arclength.  The engine
+contains no randomness: identical inputs give bitwise-identical branches.
 """
 from __future__ import annotations
 
@@ -185,6 +185,17 @@ def _solid_mask(state: PolarState) -> np.ndarray:
     return mask
 
 
+class _PackedView:
+    """(r, phi, rho, mu) read through a packed vector, neither copied nor
+    validated; the Newton loop builds a PolarState only for its result."""
+
+    __slots__ = ("r", "phi", "rho", "mu", "n")
+
+    def __init__(self, x: np.ndarray, n: int):
+        self.r, self.phi, self.n = x[:n], x[n: 2 * n - 1], n
+        self.rho, self.mu = float(x[2 * n - 1]), float(x[2 * n])
+
+
 def _newton_solve(
     system: LatticeSystem,
     state: PolarState,
@@ -203,7 +214,7 @@ def _newton_solve(
     # state back above the tolerance.
     conv_tol = 0.45 * tol
     for it in range(max_iter + 1):
-        current = PolarState.unpack(x, n)
+        current = _PackedView(x, n)
         f = system.residual(current)
         if bordered:
             cons = float(np.dot(x - mode.x_prev, mode.tangent)) - mode.ds
@@ -211,7 +222,7 @@ def _newton_solve(
         else:
             converged = np.max(np.abs(f)) <= conv_tol
         if converged:
-            out = _pin_dead_phases(current, system.eps, tol)
+            out = _pin_dead_phases(PolarState.unpack(x, n), system.eps, tol)
             if np.min(out.r) < -1e-9:
                 # Exact only for r-even nonlinearities; keep the raw state if
                 # an odd omega part would push the residual back over tol.
@@ -514,12 +525,13 @@ def detect_folds(
     system: LatticeSystem,
     config: ContinuationConfig | None = None,
 ) -> list[FoldRecord]:
-    """Locate folds by bisection on arclength between sign-change brackets.
+    """Locate folds by regula falsi on arclength between sign-change brackets.
 
-    Each trial re-corrects a bordered step from the left bracket point and
-    evaluates the tangent there; the bracket shrinks until the tangent's mu
-    component drops below fold_refine_tol.  Non-convergent refinements are
-    recorded unrefined.
+    Each trial re-corrects a bordered step from the left bracket point, at
+    the secant root of the tangent's mu component (the midpoint if that
+    leaves the bracket), and evaluates the tangent there; the bracket shrinks
+    until the mu component drops below fold_refine_tol.  Non-convergent or
+    capped refinements are recorded unrefined at the best trial.
     """
     if config is None:
         config = ContinuationConfig()
@@ -535,27 +547,34 @@ def detect_folds(
         x_left = left.state.pack()
         sign_left = np.sign(left.tangent[-1])
 
-        ds_lo, ds_hi = 0.0, ds_total
-        best_state, best_tmu, best_ds = right.state, float(right.tangent[-1]), ds_total
-        refined = False
+        # Illinois regula falsi on t_mu(ds): t_mu changes sign linearly
+        # through a quadratic fold, so the secant converges superlinearly;
+        # halving t_mu at an end kept twice in a row stops it from stalling.
+        lo = [0.0, float(left.tangent[-1])]
+        hi = [ds_total, float(right.tangent[-1])]
+        best_state, best_tmu, best_ds = right.state, hi[1], ds_total
+        refined, kept = False, None
         for _ in range(100):
-            mid = 0.5 * (ds_lo + ds_hi)
+            trial = hi[0] - hi[1] * (hi[0] - lo[0]) / (hi[1] - lo[1])
+            if not lo[0] < trial < hi[0]:
+                trial = 0.5 * (lo[0] + hi[0])
             try:
-                outcome = _attempt_step(system, config, x_left, left.tangent, mid)
-                t_mid = branch_tangent(system, outcome.state,
-                                       prev_tangent=left.tangent)
+                outcome = _attempt_step(system, config, x_left, left.tangent, trial)
+                t_trial = branch_tangent(system, outcome.state,
+                                         prev_tangent=left.tangent)
             except (NoConvergence, SingularJacobian):
                 break
-            tmu = float(t_mid[-1])
+            tmu = float(t_trial[-1])
             if abs(tmu) < abs(best_tmu):
-                best_state, best_tmu, best_ds = outcome.state, tmu, mid
+                best_state, best_tmu, best_ds = outcome.state, tmu, trial
             if abs(tmu) <= config.fold_refine_tol:
                 refined = True
                 break
-            if np.sign(tmu) == sign_left:
-                ds_lo = mid
-            else:
-                ds_hi = mid
+            moved, other = (lo, hi) if np.sign(tmu) == sign_left else (hi, lo)
+            moved[:] = trial, tmu
+            if other is kept:
+                other[1] *= 0.5
+            kept = other
         records.append(FoldRecord(
             mu=best_state.mu,
             state=best_state,

@@ -213,71 +213,47 @@ def jacobian(
     r, mu, rho = state.r, state.mu, state.rho
     cre, cim = c.c_re, c.c_im
 
-    lam = np.asarray(spec.lam(r, mu))
-    lam_r = np.asarray(spec.lam_r(r, mu))
-    lam_mu = np.asarray(spec.lam_mu(r, mu))
-    om = np.asarray(spec.omega(r, mu, eps))
-    om_r = np.asarray(spec.omega_r(r, mu, eps))
-    om_mu = np.asarray(spec.omega_mu(r, mu, eps))
+    lam, lam_r, lam_mu = spec.lam(r, mu), spec.lam_r(r, mu), spec.lam_mu(r, mu)
+    om, om_r = spec.omega(r, mu, eps), spec.omega_r(r, mu, eps)
+    om_mu = spec.omega_mu(r, mu, eps)
 
     J = np.zeros((2 * n, 2 * n + 1))
-    col_rho = 2 * n - 1
-    col_mu = 2 * n
+    node = np.arange(n)
+    ra, pa = 2 * node, 2 * node + 1  # amplitude and phase rows
 
-    def col_r(idx: int) -> int | None:
-        # lattice index (0..N+1) of the extended array -> unknown column
-        if idx == 0:
-            if bc is BoundaryKind.OFF_SITE:
-                return 0
-            return 1 if n >= 2 else None
-        if idx == n + 1:
-            return n - 1
-        return idx - 1
+    # Each (row, column) pair occurs at most once per statement, and no entry
+    # takes more than two terms, so the fancy-indexed sums below equal those
+    # of a per-node loop bit for bit (the walk's branch.csv rides on that).
+    J[ra, node] += lam + r * lam_r - 2.0 * eps * cre
+    J[pa, node] += (om - rho) + r * om_r - 2.0 * eps * cim
+    J[pa, 2 * n - 1] = -r
+    J[ra, 2 * n] = lam_mu * r
+    J[pa, 2 * n] = om_mu * r
 
-    def col_phi(idx: int):
-        # interface index (0..N) -> (column, chain factor)
-        if idx == 0:
-            if bc is BoundaryKind.ON_SITE:
-                return n, -1.0  # phi0 = -phi1
-            return None, 0.0    # phi0 = 0 constant
-        if idx == n:
-            return None, 0.0    # phi_N = 0 constant
-        return n + idx - 1, 1.0
+    # right neighbor (r_{n+1}, phi_n): the ghost r_{N+1} = r_N folds into the
+    # diagonal, and phi_N = 0 is constant
+    cn, sn = cosp[1:], sinp[1:]
+    right = np.minimum(node + 1, n - 1)
+    J[ra, right] += eps * (cre * cn - cim * sn)
+    J[pa, right] += eps * (cre * sn + cim * cn)
+    rr, cn, sn = r[1:], cn[:-1], sn[:-1]
+    J[ra[:-1], n + node[:-1]] += eps * rr * (-cre * sn - cim * cn)
+    J[pa[:-1], n + node[:-1]] += eps * rr * (cre * cn - cim * sn)
 
-    for i in range(n):
-        node = i + 1  # lattice index
-        ra, pa = 2 * i, 2 * i + 1
-
-        # diagonal terms
-        J[ra, i] += lam[i] + r[i] * lam_r[i] - 2.0 * eps * cre
-        J[pa, i] += (om[i] - rho) + r[i] * om_r[i] - 2.0 * eps * cim
-        J[pa, col_rho] = -r[i]
-        J[ra, col_mu] = lam_mu[i] * r[i]
-        J[pa, col_mu] = om_mu[i] * r[i]
-
-        # right neighbor (r_{n+1}, phi_n)
-        jr = col_r(node + 1)
-        cn, sn = cosp[node], sinp[node]
-        if jr is not None:
-            J[ra, jr] += eps * (cre * cn - cim * sn)
-            J[pa, jr] += eps * (cre * sn + cim * cn)
-        jphi, fac = col_phi(node)
-        if jphi is not None:
-            rr = r_ext[node + 1]
-            J[ra, jphi] += fac * eps * rr * (-cre * sn - cim * cn)
-            J[pa, jphi] += fac * eps * rr * (cre * cn - cim * sn)
-
-        # left neighbor (r_{n-1}, phi_{n-1})
-        jl = col_r(node - 1)
-        cm, sm = cosp[node - 1], sinp[node - 1]
-        if jl is not None:
-            J[ra, jl] += eps * (cre * cm + cim * sm)
-            J[pa, jl] += eps * (-cre * sm + cim * cm)
-        jphi, fac = col_phi(node - 1)
-        if jphi is not None:
-            rl = r_ext[node - 1]
-            J[ra, jphi] += fac * eps * rl * (-cre * sm + cim * cm)
-            J[pa, jphi] += fac * eps * rl * (-cre * cm - cim * sm)
+    # left neighbor (r_{n-1}, phi_{n-1}): the ghost r0 is r1 off-site and r2
+    # on-site; phi0 = -phi1 on-site (column n, factor -1), 0 off-site
+    cm, sm = cosp[:-1], sinp[:-1]
+    on_site = bc is BoundaryKind.ON_SITE
+    left = node - 1
+    left[0] = 1 if on_site else 0
+    J[ra, left] += eps * (cre * cm + cim * sm)
+    J[pa, left] += eps * (-cre * sm + cim * cm)
+    keep = slice(0 if on_site else 1, None)
+    col = (n + np.maximum(node - 1, 0))[keep]
+    rl = (np.where(node == 0, -eps, eps) * r_ext[:-2])[keep]
+    cm, sm = cm[keep], sm[keep]
+    J[ra[keep], col] += rl * (-cre * sm + cim * cm)
+    J[pa[keep], col] += rl * (-cre * cm - cim * sm)
 
     return J
 

@@ -156,6 +156,38 @@ def test_exit_code_bad_config(tmp_path):
     assert main(["continue", "--config", str(notjson)]) == 2
 
 
+def test_verify_exit_code_follows_the_verdict(tmp_path):
+    path = write_config(tmp_path, base_config(tmp_path, N=10))
+    assert main(["continue", "--config", path]) == 0
+    csv_path = tmp_path / "out" / "test-run" / "branch.csv"
+    assert main(["verify", "--config", path, str(csv_path)]) == 0
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    col = lines[0].split(",").index("r_3")
+    cells = lines[101].split(",")
+    cells[col] = repr(float(cells[col]) + 1e-6)
+    lines[101] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify", "--config", path, str(csv_path)]) == 1
+    report = json.loads((csv_path.parent / "verify.json").read_text())
+    assert not report["residual_check"]["pass"]
+
+
+def test_verify_reports_newton_failure_at_eps_zero(tmp_path, capsys):
+    root = Path(__file__).resolve().parents[1] / "configs"
+    cfg = json.loads((root / "snaking_offsite.json").read_text(encoding="utf-8"))
+    cfg.update(eps=0.0, output_dir=str(tmp_path / "out"))
+    path = write_config(tmp_path, cfg)
+    assert main(["continue", "--config", path]) == 0
+    csv_path = tmp_path / "out" / cfg["run_id"] / "branch.csv"
+    assert main(["verify", "--config", path, str(csv_path)]) == 1
+    report = json.loads((csv_path.parent / "verify.json").read_text())
+    failed = [s for s in report["relative_equilibrium"]["samples"] if "error" in s]
+    assert failed and not report["relative_equilibrium"]["pass"]
+    assert {"row", "mu", "error"} <= set(failed[0])
+    assert failed[0]["error"].startswith("SingularJacobian")
+    assert f"row {failed[0]['row']} at mu=" in capsys.readouterr().err
+
+
 def test_exit_code_missing_branch_file(tmp_path):
     path = write_config(tmp_path, base_config(tmp_path))
     assert main(["verify", "--config", path, str(tmp_path / "nope.csv")]) == 2

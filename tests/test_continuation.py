@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from locsync import continuation
 from locsync.asymptotics import SeedAnsatz, build_seed
 from locsync.continuation import (
     CLOSED_ISOLA,
@@ -247,6 +248,21 @@ def test_fold_refinement_tangent_tolerance(small_snake, dissipative_system, quin
         t = branch_tangent(dissipative_system, rec.state,
                            prev_tangent=nearest.tangent)
         assert abs(t[-1]) <= 10 * cfg.fold_refine_tol
+
+
+def test_fold_refinement_cost(small_snake, dissipative_system, monkeypatch):
+    branch, cfg, _ = small_snake
+    trials = []
+    real = continuation.branch_tangent
+
+    def counted(*args, **kwargs):
+        trials.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "branch_tangent", counted)
+    folds = detect_folds(branch, dissipative_system, cfg)
+    assert len(folds) == 6 and all(f.refined for f in folds)
+    assert len(trials) <= 8 * len(folds)
 
 
 def test_closed_isola(small_isola):

@@ -201,14 +201,87 @@ def fd_jacobian(spec, c, state, eps, bc):
     return out
 
 
+def loop_jacobian(spec, c, state, eps, bc):
+    """Per-node reference assembly of the analytic Jacobian.
+
+    Adds each node's terms in the order diagonal, right r, right phi, left
+    r, left phi; ``jacobian`` must reproduce it bit for bit.
+    """
+    n, r, mu, rho = state.n, state.r, state.mu, state.rho
+    on_site = bc is BoundaryKind.ON_SITE
+    r0, phi0, r_right, _ = ghost_values(state, bc)
+    r_ext = np.concatenate([[r0], r, [r_right]])
+    phi_ext = np.concatenate([[phi0], state.phi, [0.0]])
+    cosp, sinp = np.cos(phi_ext), np.sin(phi_ext)
+    cre, cim = c.c_re, c.c_im
+    lam, lam_r, lam_mu = spec.lam(r, mu), spec.lam_r(r, mu), spec.lam_mu(r, mu)
+    om, om_r = spec.omega(r, mu, eps), spec.omega_r(r, mu, eps)
+    om_mu = spec.omega_mu(r, mu, eps)
+
+    def col_r(idx):  # extended lattice index -> amplitude column
+        if idx == 0:
+            return 1 if on_site else 0
+        return n - 1 if idx == n + 1 else idx - 1
+
+    def col_phi(idx):  # interface index -> (phase column, chain factor)
+        if idx == 0:
+            return (n, -1.0) if on_site else (None, 0.0)
+        return (None, 0.0) if idx == n else (n + idx - 1, 1.0)
+
+    J = np.zeros((2 * n, 2 * n + 1))
+    for i in range(n):
+        node, ra, pa = i + 1, 2 * i, 2 * i + 1
+        J[ra, i] += lam[i] + r[i] * lam_r[i] - 2.0 * eps * cre
+        J[pa, i] += (om[i] - rho) + r[i] * om_r[i] - 2.0 * eps * cim
+        J[pa, 2 * n - 1] = -r[i]
+        J[ra, 2 * n] = lam_mu[i] * r[i]
+        J[pa, 2 * n] = om_mu[i] * r[i]
+        cn, sn = cosp[node], sinp[node]
+        jr = col_r(node + 1)
+        J[ra, jr] += eps * (cre * cn - cim * sn)
+        J[pa, jr] += eps * (cre * sn + cim * cn)
+        jphi, fac = col_phi(node)
+        if jphi is not None:
+            rr = r_ext[node + 1]
+            J[ra, jphi] += fac * eps * rr * (-cre * sn - cim * cn)
+            J[pa, jphi] += fac * eps * rr * (cre * cn - cim * sn)
+        cm, sm = cosp[node - 1], sinp[node - 1]
+        jl = col_r(node - 1)
+        J[ra, jl] += eps * (cre * cm + cim * sm)
+        J[pa, jl] += eps * (-cre * sm + cim * cm)
+        jphi, fac = col_phi(node - 1)
+        if jphi is not None:
+            rl = r_ext[node - 1]
+            J[ra, jphi] += fac * eps * rl * (-cre * sm + cim * cm)
+            J[pa, jphi] += fac * eps * rl * (-cre * cm - cim * sm)
+    return J
+
+
+MIXED = CouplingKind(np.cos(0.7), np.sin(0.7))  # c = e^{0.7i}: both parts nonzero
+
+
+def test_jacobian_bitwise_equal_to_loop_reference(quintic_rotating, couplings, boundaries):
+    spec = rich_spec(quintic_rotating)
+    rng = np.random.default_rng(15)
+    for n in (2, 3, 5, 10, 32) * 4:
+        st = rand_state(rng, n)
+        if n == 5:
+            st.phi[:] = 0.0  # exact zeros exercise signed-zero sums
+        eps = rng.uniform(0.0, 0.05)
+        for c in couplings + (MIXED,):
+            for bc in boundaries:
+                got = jacobian(spec, c, st, eps, bc)
+                assert got.tobytes() == loop_jacobian(spec, c, st, eps, bc).tobytes()
+
+
 def test_jacobian_vs_finite_differences(quintic_rotating, couplings, boundaries):
     spec = rich_spec(quintic_rotating)
     rng = np.random.default_rng(11)
     worst = 0.0
-    for _ in range(25):
-        st = rand_state(rng, int(rng.integers(2, 9)))
+    for n in (2, 3, *rng.integers(2, 9, 25)):
+        st = rand_state(rng, int(n))
         eps = rng.uniform(0.0, 0.05)
-        for c in couplings:
+        for c in couplings + (MIXED,):
             for bc in boundaries:
                 diff = jacobian(spec, c, st, eps, bc) - fd_jacobian(spec, c, st, eps, bc)
                 worst = max(worst, float(np.max(np.abs(diff))))

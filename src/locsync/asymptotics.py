@@ -18,7 +18,6 @@ __all__ = [
     "AsymptoticsError",
     "DegenerateDenominatorError",
     "SeedAnsatz",
-    "ChartPrediction",
     "FoldPrediction",
     "MismatchReport",
     "RecruitmentPrediction",
@@ -30,15 +29,9 @@ __all__ = [
     "isola_curve",
     "fold_prediction_mu1",
     "fold_prediction_mu0",
-    "mu0_eps_chart",
-    "mu0_mu_chart",
-    "mu1_eps_chart",
-    "mu1_mu_chart",
-    "mu0_chart_overlap_roots",
     "mu0_normalization",
     "mismatch_bound",
     "conservative_recruitment",
-    "phase_block_determinant",
     "core_phase_block",
 ]
 
@@ -101,27 +94,21 @@ def _left_ghost_root(r0: np.ndarray, bc: BoundaryKind) -> float:
     return float(r0[1]) if r0.size >= 2 else 0.0
 
 
-def core_correction(spec: NonlinearitySpec, mu: float, pattern, bc: BoundaryKind) -> np.ndarray:
-    """First-order core amplitude corrections for the in-phase pattern.
-
-    sigma_n = (2 r0_n - r0_{n+1} - r0_{n-1}) / (lambda + r0_n lambda_r) with
-    the far-field neighbor of the last core node set to zero and the left
-    ghost taken from the boundary kind.
-    """
-    pattern = tuple(pattern)
-    r0 = _core_roots(spec, mu, pattern)
-    d = _core_denominators(spec, mu, r0)
-    ext = np.concatenate([[_left_ghost_root(r0, bc)], r0, [0.0]])
-    num = 2.0 * ext[1:-1] - ext[2:] - ext[:-2]
-    return num / d
-
-
-def _general_core_correction(spec, mu, r0, phi, bc, coupling) -> np.ndarray:
-    """Leading core correction for arbitrary coupling and seed phases.
+def core_correction(
+    spec: NonlinearitySpec,
+    mu: float,
+    r0: np.ndarray,
+    phi: np.ndarray,
+    bc: BoundaryKind,
+    coupling: CouplingKind,
+) -> np.ndarray:
+    """First-order core amplitude corrections sigma_n for the core roots r0.
 
     sigma_n = -(c_re A0_n - c_im B0_n) / (lambda + r0_n lambda_r) evaluated
-    on the uncoupled core state; reduces to ``core_correction`` for the
-    dissipative in-phase template.
+    on the uncoupled core state, with the far-field neighbor of the last
+    core node set to zero and the left ghost taken from the boundary kind.
+    For dissipative coupling and zero phases this is
+    (2 r0_n - r0_{n+1} - r0_{n-1}) / (lambda + r0_n lambda_r).
     """
     k = r0.size
     d = _core_denominators(spec, mu, r0)
@@ -171,7 +158,7 @@ def build_seed(
         if k - 1 < n - 1:
             phi[k - 1] = np.pi / 2.0
 
-    sigma = _general_core_correction(spec, mu, r0, phi, ansatz.bc, coupling)
+    sigma = core_correction(spec, mu, r0, phi, ansatz.bc, coupling)
     r = np.empty(n)
     r[:k] = r0 + eps * sigma
     r[k:] = farfield_tail(spec, mu, eps, k, float(r0[-1]), n)
@@ -278,54 +265,6 @@ def fold_prediction_mu0(eps: float) -> FoldPrediction:
     )
 
 
-@dataclass(frozen=True)
-class ChartPrediction:
-    chart: Literal["eps_chart", "mu_chart"]
-    s: float
-    mu: float | None
-    eps: float | None
-    fold_flag: bool
-
-
-def mu0_eps_chart(s: float) -> ChartPrediction:
-    """Recruitment family in the chart eps~ = 1: mu~ = (1 + s^3)/s, s > 0."""
-    if s <= 0.0:
-        raise AsymptoticsError("chart parameter must be positive")
-    return ChartPrediction(
-        chart="eps_chart",
-        s=s,
-        mu=(1.0 + s**3) / s,
-        eps=None,
-        fold_flag=abs(s - MU0_FOLD_AMPLITUDE) < 1e-12,
-    )
-
-
-def mu0_mu_chart(s: float) -> ChartPrediction:
-    """Recruitment family in the chart mu~ = 2: eps~ = s (2 - s^2)."""
-    return ChartPrediction(chart="mu_chart", s=s, mu=None, eps=s * (2.0 - s**2),
-                           fold_flag=False)
-
-
-def mu1_eps_chart(s: float) -> ChartPrediction:
-    """Fold family near mu = 1 in the chart eps~ = 1: mu~ = 1 + s^2, |s| <= 1."""
-    return ChartPrediction(chart="eps_chart", s=s, mu=1.0 + s**2, eps=None,
-                           fold_flag=s == 0.0)
-
-
-def mu1_mu_chart(s: float) -> ChartPrediction:
-    """Fold family near mu = 1 in the chart mu~ = 2: eps~ = 2 - s^2, |s| <= 2."""
-    return ChartPrediction(chart="mu_chart", s=s, mu=None, eps=2.0 - s**2,
-                           fold_flag=False)
-
-
-def mu0_chart_overlap_roots() -> tuple[float, float]:
-    """Parameters where the eps~=1 recruitment family reaches mu~ = 2.
-
-    Roots of s^3 - 2 s + 1: s_- = (sqrt(5) - 1)/2 and s_+ = 1.
-    """
-    return ((np.sqrt(5.0) - 1.0) / 2.0, 1.0)
-
-
 def mu0_normalization(spec: NonlinearitySpec) -> float:
     """Unit conversion for the mu=0 fold constant from normal-form variables.
 
@@ -407,34 +346,6 @@ def conservative_recruitment(kappa: int, k: int) -> RecruitmentPrediction:
     recruited = k if kappa == 1 else k + 1
     return RecruitmentPrediction(kappa=kappa, k=k, fold_node_mu1=fold_node,
                                  recruited_node_mu0=recruited)
-
-
-@dataclass(frozen=True)
-class PhaseBlockDeterminant:
-    value: float
-    nonsingular: bool
-
-
-def phase_block_determinant(r0, bc: BoundaryKind) -> PhaseBlockDeterminant:
-    """Closed-form reference determinant of the core phase block.
-
-    det(A_off) = (-1)^(k+1) (prod_{n=1}^{k-1} r0_n) sum_{n=0}^{k} r0_n^2 and
-    det(A_on) = (-1)^(k+1) (r0_0^2 + 2 sum_{n=1}^{k} r0_n^2) prod r0_n, with
-    the ghost r0_0 from the boundary kind.  These reference formulas differ
-    from the directly assembled block (see ``core_phase_block``) by a
-    normalization of the underlying matrices; the nonsingularity verdict
-    (all roots nonzero) is the operative content.
-    """
-    r0 = np.asarray(r0, dtype=float)
-    k = r0.size
-    ghost = _left_ghost_root(r0, bc)
-    sign = (-1.0) ** (k + 1)
-    prod = float(np.prod(r0[: k - 1])) if k >= 2 else 1.0
-    if bc is BoundaryKind.OFF_SITE:
-        value = sign * prod * (ghost**2 + float(np.sum(r0**2)))
-    else:
-        value = sign * (ghost**2 + 2.0 * float(np.sum(r0**2))) * prod
-    return PhaseBlockDeterminant(value=value, nonsingular=bool(np.all(r0 != 0.0)))
 
 
 def core_phase_block(r0, bc: BoundaryKind) -> np.ndarray:

@@ -338,6 +338,10 @@ def cmd_continue(rc: RunConfig) -> int:
     _write_json(summary, out / "summary.json")
     print(f"{rc.run_id}: closure={branch.closure} folds={len(branch.folds)} "
           f"points={len(branch.points)}")
+    if branch.closure == continuation.OPEN:
+        print(f"{rc.run_id}: branch ended open at mu={branch.points[-1].state.mu!r}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -9,8 +9,6 @@ contains no randomness: identical inputs give bitwise-identical branches.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,7 +39,6 @@ __all__ = [
     "branch_tangent",
     "continue_branch",
     "detect_folds",
-    "classify_closure",
     "merge_branches",
 ]
 
@@ -103,15 +100,6 @@ class ContinuationConfig:
             raise ValueError("tolerances must be positive")
         if self.mu_window[0] >= self.mu_window[1]:
             raise ValueError("empty mu window")
-
-    def digest(self) -> str:
-        payload = json.dumps(
-            {k: getattr(self, k) for k in (
-                "ds_init", "ds_min", "ds_max", "newton_tol", "newton_max_iter",
-                "max_steps", "mu_window", "closure_tol", "fold_refine_tol")},
-            sort_keys=True, default=list,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -356,17 +344,10 @@ class Branch:
     points: list[BranchPoint]
     folds: list[FoldRecord] = field(default_factory=list)
     closure: str = OPEN
-    provenance: dict = field(default_factory=dict)
 
     @property
     def mu_values(self) -> np.ndarray:
         return np.array([p.state.mu for p in self.points])
-
-    def amplitude_norms(self) -> np.ndarray:
-        return np.array([float(np.linalg.norm(p.state.r)) for p in self.points])
-
-    def arclengths(self) -> np.ndarray:
-        return np.array([p.arclength for p in self.points])
 
 
 def _attempt_step(system, config, x_prev, tangent, ds):
@@ -474,17 +455,7 @@ def continue_branch(
                     termination = CLOSED_ISOLA
                     break
 
-    branch = Branch(
-        points=points,
-        closure=termination or OPEN,
-        provenance={
-            "direction": direction,
-            "config_hash": config.digest(),
-            "seed_mu": seed.mu,
-            "seed_r": seed.r.tolist(),
-            "termination": termination or OPEN,
-        },
-    )
+    branch = Branch(points=points, closure=termination or OPEN)
     branch.folds = detect_folds(branch, system, config)
     _insert_fold_points(branch)
     return branch
@@ -600,20 +571,6 @@ def _insert_fold_points(branch: Branch) -> None:
     branch.points.sort(key=lambda p: (p.arclength, not p.is_fold))
 
 
-def classify_closure(branch: Branch, config: ContinuationConfig) -> str:
-    """closed_isola iff the branch returns to its start; else the recorded reason."""
-    if len(branch.points) < 2:
-        return branch.closure
-    solid = _solid_mask(branch.points[0].state)
-    start = branch.points[0].state.pack()
-    end = branch.points[-1].state.pack()
-    total = branch.points[-1].arclength
-    if total > 10.0 * config.ds_init and \
-            float(np.linalg.norm((end - start)[solid])) < config.closure_tol:
-        return CLOSED_ISOLA
-    return branch.closure
-
-
 def merge_branches(minus: Branch, plus: Branch) -> Branch:
     """Join the two directional runs from a common seed into one branch.
 
@@ -642,13 +599,4 @@ def merge_branches(minus: Branch, plus: Branch) -> Branch:
         closure = STEP_LIMIT
     else:
         closure = OPEN
-    return Branch(
-        points=points,
-        folds=folds,
-        closure=closure,
-        provenance={
-            "merged": True,
-            "minus": minus.provenance,
-            "plus": plus.provenance,
-        },
-    )
+    return Branch(points=points, folds=folds, closure=closure)

@@ -15,19 +15,13 @@ from .lattice import BoundaryKind, CouplingKind, PolarState, polar_to_complex
 from .model import NonlinearitySpec
 
 __all__ = [
-    "PeriodUndefined",
     "Trajectory",
     "chain_rhs",
     "integrate",
     "unfold_state",
-    "verify_relative_equilibrium",
     "rigid_rotation_deviation",
     "linearization_spectrum",
 ]
-
-
-class PeriodUndefined(ValueError):
-    pass
 
 
 @dataclass
@@ -35,8 +29,6 @@ class Trajectory:
     times: np.ndarray
     z: np.ndarray          # shape (len(times), n_nodes), complex
     dt: float
-    method: str = "rk4"
-    order: int = 4
     completed: bool = True
 
     def __post_init__(self):
@@ -114,17 +106,8 @@ def unfold_state(state: PolarState, bc: BoundaryKind) -> np.ndarray:
     return np.concatenate([z[:0:-1], z])
 
 
-def verify_relative_equilibrium(traj: Trajectory, z0: np.ndarray, rho: float) -> float:
-    """max_t || Z(t) - exp(i rho t) z0 ||_inf over the trajectory samples."""
-    if abs(rho) < 1e-6:
-        raise PeriodUndefined(
-            f"|rho| = {abs(rho):.2e} defines no usable period; verify over a "
-            "fixed horizon instead"
-        )
-    return rigid_rotation_deviation(traj, z0, rho)
-
-
 def rigid_rotation_deviation(traj: Trajectory, z0: np.ndarray, rho: float) -> float:
+    """max_t || Z(t) - exp(i rho t) z0 ||_inf over the trajectory samples."""
     z0 = np.asarray(z0, dtype=complex)
     rot = np.exp(1j * rho * traj.times)[:, None] * z0[None, :]
     return float(np.max(np.abs(traj.z - rot)))

@@ -4,7 +4,7 @@ A node of the chain carries the complex vector field f(|Z|, mu, eps) * Z with
 f = lambda + i*omega.  The real part lambda(r, mu) controls the amplitude
 dynamics and is assumed even in r with two positive roots r_-(mu) < r_+(mu)
 on the unit parameter interval; the imaginary part is split into
-omega = omega0(mu) + eps*omega1(r, mu, eps) + eps^2*omega2(r, mu, eps).
+omega = omega0(mu) + eps*omega1(r, mu, eps).
 """
 from __future__ import annotations
 
@@ -43,7 +43,9 @@ class UnknownSpecError(ModelError):
 
 
 class NotBistableError(ModelError):
-    pass
+    def __init__(self, message: str, root_count: int):
+        super().__init__(message)
+        self.root_count = root_count
 
 
 class ParameterRangeError(ModelError):
@@ -80,26 +82,15 @@ class NonlinearitySpec:
     omega1: Callable = _zero_rmueps    # omega1(r, mu, eps)
     omega1_r: Callable = _zero_rmueps
     omega1_mu: Callable = _zero_rmueps
-    omega2: Callable = _zero_rmueps
-    omega2_r: Callable = _zero_rmueps
-    omega2_mu: Callable = _zero_rmueps
 
     def omega(self, r, mu, eps):
-        return (
-            self.omega0(mu)
-            + eps * self.omega1(r, mu, eps)
-            + eps**2 * self.omega2(r, mu, eps)
-        )
+        return self.omega0(mu) + eps * self.omega1(r, mu, eps)
 
     def omega_r(self, r, mu, eps):
-        return eps * self.omega1_r(r, mu, eps) + eps**2 * self.omega2_r(r, mu, eps)
+        return eps * self.omega1_r(r, mu, eps)
 
     def omega_mu(self, r, mu, eps):
-        return (
-            self.omega0_mu(mu)
-            + eps * self.omega1_mu(r, mu, eps)
-            + eps**2 * self.omega2_mu(r, mu, eps)
-        )
+        return self.omega0_mu(mu) + eps * self.omega1_mu(r, mu, eps)
 
     def with_omega1(self, omega1, omega1_r, omega1_mu=None, name=None) -> "NonlinearitySpec":
         """Return a copy with an O(eps) frequency part attached."""
@@ -290,11 +281,12 @@ def bistable_roots(spec: NonlinearitySpec, mu: float) -> BistabilityProfile:
     elif len(roots) < 2:
         raise NotBistableError(
             f"not bistable at mu={mu}: "
-            + ("one positive root" if len(roots) == 1 else "no positive roots")
+            + ("one positive root" if len(roots) == 1 else "no positive roots"),
+            len(roots),
         )
     else:
         raise NotBistableError(
-            f"not bistable at mu={mu}: {len(roots)} positive roots"
+            f"not bistable at mu={mu}: {len(roots)} positive roots", len(roots)
         )
 
     return BistabilityProfile(
@@ -320,7 +312,7 @@ def rest_state_roots(spec: NonlinearitySpec, window=ROOT_WINDOW) -> tuple[float,
     roots, doubles = _positive_roots(f, fr, window=window)
     candidates = [x for x in roots + doubles if x > 1e-4]
     if not candidates:
-        raise NotBistableError("no positive root of lambda(., 0) found")
+        raise NotBistableError("no positive root of lambda(., 0) found", 0)
     return 0.0, max(candidates)
 
 
@@ -361,7 +353,7 @@ def verify_hypotheses(spec: NonlinearitySpec, mu_grid) -> HypothesisReport:
         try:
             prof = bistable_roots(spec, mu)
         except ModelError as err:
-            entries.append(GridCheck(mu=mu, root_count=_root_count_from_error(err),
+            entries.append(GridCheck(mu=mu, root_count=getattr(err, "root_count", -1),
                                      signs_ok=False, message=str(err)))
             continue
         signs_ok = (
@@ -402,15 +394,3 @@ def verify_hypotheses(spec: NonlinearitySpec, mu_grid) -> HypothesisReport:
         fold_trend_ok=fold_ok,
         admissible=admissible,
     )
-
-
-def _root_count_from_error(err: ModelError) -> int:
-    text = str(err)
-    if "one positive root" in text:
-        return 1
-    if "no positive roots" in text:
-        return 0
-    for tok in text.split():
-        if tok.isdigit():
-            return int(tok)
-    return -1

@@ -6,6 +6,7 @@ from locsync.asymptotics import (
     AsymptoticsError,
     DegenerateDenominatorError,
     SeedAnsatz,
+    _core_roots,
     build_seed,
     conservative_recruitment,
     core_correction,
@@ -15,12 +16,7 @@ from locsync.asymptotics import (
     fold_prediction_mu1,
     isola_curve,
     mismatch_bound,
-    mu0_chart_overlap_roots,
-    mu0_eps_chart,
-    mu0_mu_chart,
     mu0_normalization,
-    mu1_eps_chart,
-    phase_block_determinant,
     snaking_curve,
     snaking_domain,
 )
@@ -40,15 +36,21 @@ def test_ansatz_validation():
         SeedAnsatz(2, ("plus", "zero"), "in_phase", BoundaryKind.OFF_SITE, 5)
 
 
+def in_phase_correction(spec, mu, pattern, bc):
+    """core_correction for dissipative coupling and zero phases."""
+    return core_correction(spec, mu, _core_roots(spec, mu, pattern),
+                           np.zeros(len(pattern)), bc, CouplingKind.dissipative())
+
+
 def test_core_correction_all_plus_interior_zero(quintic):
-    sigma = core_correction(quintic, 0.75, ("plus",) * 4, BoundaryKind.OFF_SITE)
+    sigma = in_phase_correction(quintic, 0.75, ("plus",) * 4, BoundaryKind.OFF_SITE)
     assert np.max(np.abs(sigma[:-1])) == 0.0
 
 
 def test_core_correction_last_node(quintic):
     # sigma_k = r+/(r+ lambda_r) = 1/lambda_r(r+) since lambda(r+) = 0
     prof = bistable_roots(quintic, 0.75)
-    sigma = core_correction(quintic, 0.75, ("plus",) * 4, BoundaryKind.OFF_SITE)
+    sigma = in_phase_correction(quintic, 0.75, ("plus",) * 4, BoundaryKind.OFF_SITE)
     assert sigma[-1] == pytest.approx(1.0 / prof.lambda_r_plus, rel=1e-10)
     assert sigma[-1] == pytest.approx(-0.408248290463863, abs=1e-9)
 
@@ -56,7 +58,7 @@ def test_core_correction_last_node(quintic):
 def test_core_correction_mixed_pattern(quintic):
     rm, rp = quintic_roots(0.75)
     lam_r_p = 4 * rp - 4 * rp**3
-    sigma = core_correction(quintic, 0.75, ("plus", "minus"), BoundaryKind.OFF_SITE)
+    sigma = in_phase_correction(quintic, 0.75, ("plus", "minus"), BoundaryKind.OFF_SITE)
     num = 2 * rp - rm - rp  # ghost r0 = r1 = r+
     den = rp * lam_r_p      # lambda(r+) = 0
     assert num == pytest.approx(0.5176380902050415, abs=1e-9)
@@ -66,7 +68,7 @@ def test_core_correction_mixed_pattern(quintic):
 
 def test_core_correction_on_site_ghost(quintic):
     rm, rp = quintic_roots(0.6)
-    sigma = core_correction(quintic, 0.6, ("minus", "plus"), BoundaryKind.ON_SITE)
+    sigma = in_phase_correction(quintic, 0.6, ("minus", "plus"), BoundaryKind.ON_SITE)
     lam = lambda r: -0.6 + 2 * r**2 - r**4
     lam_r = lambda r: 4 * r - 4 * r**3
     num0 = 2 * rm - rp - rp  # on-site ghost r0 = r2 = r+
@@ -77,7 +79,7 @@ def test_core_correction_degenerate_guard(quintic):
     fold = bistable_roots(quintic, 1.0)
     assert fold.near_fold
     with pytest.raises(DegenerateDenominatorError):
-        core_correction(quintic, 1.0, ("plus", "plus"), BoundaryKind.OFF_SITE)
+        in_phase_correction(quintic, 1.0, ("plus", "plus"), BoundaryKind.OFF_SITE)
 
 
 def test_farfield_tail_values(quintic):
@@ -244,24 +246,6 @@ def test_fold_prediction_mu0():
     assert all(a < b for a, b in zip(mus[:-1], mus[1:]))
 
 
-def test_mu0_chart_overlap():
-    s_minus, s_plus = mu0_chart_overlap_roots()
-    assert s_minus == pytest.approx((np.sqrt(5) - 1) / 2, rel=1e-14)
-    assert s_plus == 1.0
-    for s in (s_minus, s_plus):
-        assert s**3 - 2 * s + 1 == pytest.approx(0.0, abs=1e-14)
-        assert mu0_eps_chart(s).mu == pytest.approx(2.0, rel=1e-12)
-
-
-def test_chart_fold_flags():
-    assert mu0_eps_chart(2 ** (-1 / 3)).fold_flag
-    assert not mu0_eps_chart(0.9).fold_flag
-    assert mu1_eps_chart(0.0).fold_flag
-    assert mu0_mu_chart(1.0).eps == pytest.approx(1.0)
-    with pytest.raises(AsymptoticsError):
-        mu0_eps_chart(-1.0)
-
-
 def test_mu0_normalization_quintic(quintic):
     # lambda(r,0) ~ 2 r^2 and r_+(0) = sqrt(2): factor (sqrt(2)*sqrt(2))^(2/3)
     assert mu0_normalization(quintic) == pytest.approx(2 ** (2 / 3), rel=1e-6)
@@ -344,31 +328,6 @@ def test_conservative_recruitment(quintic):
         conservative_recruitment(0, 3)
     with pytest.raises(AsymptoticsError):
         conservative_recruitment(1, 1)
-
-
-def test_phase_block_determinant_printed_formulas(quintic):
-    _, rp = quintic_roots(0.75)
-    off = phase_block_determinant([rp, rp], BoundaryKind.OFF_SITE)
-    assert off.value == pytest.approx(-3.0 * rp**3, rel=1e-12)
-    assert off.value == pytest.approx(-5.511352, abs=1e-5)
-    assert off.nonsingular
-    on = phase_block_determinant([rp, rp], BoundaryKind.ON_SITE)
-    # ghost r0 = r2 = r+: (-1)^3 (r+^2 + 2*2 r+^2) r+ = -5 r+^3
-    assert on.value == pytest.approx(-5.0 * rp**3, rel=1e-12)
-
-
-def test_phase_block_determinant_zero_entry():
-    rec = phase_block_determinant([0.7, 0.0, 0.9], BoundaryKind.OFF_SITE)
-    assert rec.value == 0.0
-    assert not rec.nonsingular
-
-
-def test_phase_block_determinant_nonsingular_verdict():
-    rng = np.random.default_rng(3)
-    for k in range(2, 9):
-        r0 = rng.uniform(0.3, 1.4, k)
-        for bc in BoundaryKind:
-            assert phase_block_determinant(r0, bc).nonsingular
 
 
 def test_core_phase_block_direct_k2(quintic):

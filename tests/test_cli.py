@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -177,8 +180,14 @@ def test_verify_reports_newton_failure_at_eps_zero(tmp_path, capsys):
     cfg = json.loads((root / "snaking_offsite.json").read_text(encoding="utf-8"))
     cfg.update(eps=0.0, output_dir=str(tmp_path / "out"))
     path = write_config(tmp_path, cfg)
-    assert main(["continue", "--config", path]) == 0
-    csv_path = tmp_path / "out" / cfg["run_id"] / "branch.csv"
+    assert main(["continue", "--config", path]) == 1
+    run_dir = tmp_path / "out" / cfg["run_id"]
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["closure"] == "open"
+    last_mu = summary["endpoints"]["last"]["mu"]
+    assert capsys.readouterr().err == (
+        f"{cfg['run_id']}: branch ended open at mu={last_mu!r}\n")
+    csv_path = run_dir / "branch.csv"
     assert main(["verify", "--config", path, str(csv_path)]) == 1
     report = json.loads((csv_path.parent / "verify.json").read_text())
     failed = [s for s in report["relative_equilibrium"]["samples"] if "error" in s]
@@ -346,3 +355,13 @@ def test_shipped_snaking_config_runs_truncated(tmp_path):
     ]) == 0
     summary = json.loads((tmp_path / "smoke" / "summary.json").read_text())
     assert summary["closure"] == "step_limit"
+
+
+def test_module_entry_point_runs_without_warning():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "locsync.cli", "--help"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

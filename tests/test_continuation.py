@@ -17,7 +17,6 @@ from locsync.continuation import (
     _fold_brackets,
     _newton_solve,
     branch_tangent,
-    classify_closure,
     continue_branch,
     detect_folds,
     merge_branches,
@@ -68,7 +67,6 @@ def test_config_validation():
         ContinuationConfig(ds_min=0.1, ds_init=0.01)
     with pytest.raises(ValueError):
         ContinuationConfig(mu_window=(1.0, 0.0))
-    assert len(ContinuationConfig().digest()) == 16
 
 
 def test_newton_zero_iterations_for_exact_state(quintic):
@@ -268,15 +266,8 @@ def test_fold_refinement_cost(small_snake, dissipative_system, monkeypatch):
 def test_closed_isola(small_isola):
     branch, cfg, system = small_isola
     assert branch.closure == CLOSED_ISOLA
-    assert classify_closure(branch, cfg) == CLOSED_ISOLA
     assert len(branch.folds) == 4
     assert max(system.residual_norm(p.state) for p in branch.points) <= cfg.newton_tol
-
-
-def test_classify_closure_step_limit(small_snake):
-    branch, cfg, _ = small_snake
-    truncated = Branch(points=branch.points[:2], closure=STEP_LIMIT)
-    assert classify_closure(truncated, cfg) == STEP_LIMIT
 
 
 def test_isola_disjointness_small(quintic):

@@ -4,12 +4,10 @@ import pytest
 from locsync.asymptotics import SeedAnsatz, build_seed
 from locsync.continuation import LatticeSystem, newton_correct
 from locsync.dynamics import (
-    PeriodUndefined,
     integrate,
     linearization_spectrum,
     rigid_rotation_deviation,
     unfold_state,
-    verify_relative_equilibrium,
 )
 from locsync.lattice import BoundaryKind, CouplingKind, PolarState
 from locsync.model import bistable_roots
@@ -95,13 +93,6 @@ def test_unfold_shapes_and_symmetry(quintic):
     assert np.allclose(on, on[::-1])
 
 
-def test_period_undefined(quintic):
-    traj = integrate(quintic, CouplingKind.dissipative(),
-                     np.zeros(2, complex), 0.0, 0.5, 1.0, 1e-2)
-    with pytest.raises(PeriodUndefined):
-        verify_relative_equilibrium(traj, np.zeros(2, complex), 1e-9)
-
-
 def test_relative_equilibrium_of_branch_state(quintic, quintic_rotating):
     # a converged dissipative state is a rigid rotation after shifting rho
     # by the rotating spec's omega0 = 1
@@ -116,7 +107,7 @@ def test_relative_equilibrium_of_branch_state(quintic, quintic_rotating):
     period = 2 * np.pi / abs(st_rot.rho)
     traj = integrate(quintic_rotating, CouplingKind.dissipative(), z0, eps, 0.5,
                      period, 1e-3)
-    dev = verify_relative_equilibrium(traj, z0, st_rot.rho)
+    dev = rigid_rotation_deviation(traj, z0, st_rot.rho)
     assert dev <= 1e-6
 
 

@@ -112,6 +112,13 @@ def test_verify_hypotheses_monostable():
     report = verify_hypotheses(mono, np.linspace(0.1, 0.9, 9))
     assert not report.admissible
     assert any("one positive root" in e.message for e in report.entries)
+    assert all(e.root_count == 1 for e in report.entries)
+
+
+def test_verify_hypotheses_no_roots():
+    report = verify_hypotheses(polynomial_spec([-1.0]), np.linspace(0.1, 0.9, 9))
+    assert not report.admissible
+    assert all(e.root_count == 0 for e in report.entries)
 
 
 def test_verify_hypotheses_hbm(hbm):

@@ -147,7 +147,7 @@ def build_seed(
     """Assemble the asymptotic seed state for Newton correction.
 
     Core amplitudes r0_n + eps*sigma_n (coupling-aware correction), the
-    geometric far-field tail, template phases, and rho = omega0(mu).
+    geometric far-field tail, template phases, and rho = omega0.
     """
     k, n = ansatz.k, ansatz.n_nodes
     r0 = _core_roots(spec, mu, ansatz.pattern)
@@ -162,7 +162,7 @@ def build_seed(
     r = np.empty(n)
     r[:k] = r0 + eps * sigma
     r[k:] = farfield_tail(spec, mu, eps, k, float(r0[-1]), n)
-    return PolarState(r, phi, float(spec.omega0(mu)), mu)
+    return PolarState(r, phi, spec.omega0, mu)
 
 
 def _mu_star(s: float) -> float:
@@ -199,7 +199,7 @@ def snaking_curve(spec: NonlinearitySpec, n_nodes: int, s: float) -> PolarState:
     r = np.zeros(n_nodes)
     r[:seg] = r_plus
     r[seg] = r0
-    return PolarState(r, np.zeros(n_nodes - 1), float(spec.omega0(mu)), mu)
+    return PolarState(r, np.zeros(n_nodes - 1), spec.omega0, mu)
 
 
 def isola_curve(
@@ -235,7 +235,7 @@ def isola_curve(
     phi[:k] = -np.pi / 2.0
     if k < n_nodes - 1:
         phi[k] = np.pi / 2.0
-    return PolarState(r, phi, float(spec.omega0(mu)), mu)
+    return PolarState(r, phi, spec.omega0, mu)
 
 
 @dataclass(frozen=True)
@@ -305,8 +305,11 @@ def mismatch_bound(spec: NonlinearitySpec, mu: float) -> MismatchReport:
     no such phase exists once |omega1(r-) - omega1(r+)| exceeds r+/r-.
     """
     prof = bistable_roots(spec, mu)
-    w1m = float(spec.omega1(prof.r_minus, mu, 0.0))
-    w1p = float(spec.omega1(prof.r_plus, mu, 0.0))
+    if spec.omega1 is None:
+        w1m = w1p = 0.0
+    else:
+        w1m = float(spec.omega1(prof.r_minus, mu, 0.0))
+        w1p = float(spec.omega1(prof.r_plus, mu, 0.0))
     delta = abs(w1m - w1p)
     threshold = prof.r_plus / prof.r_minus
     sin_phi = (prof.r_minus / prof.r_plus) * (w1m - w1p)

@@ -12,7 +12,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,8 +115,12 @@ CONFIG_SCHEMA = {
             "properties": {
                 "parameter": {"type": "string", "enum": ["eps", "k"]},
                 "values": {"type": "array", "minItems": 1},
+                # accepted so that existing configs stay valid; runs are serial
                 "workers": {"type": "integer", "minimum": 1},
             },
+            "if": {"properties": {"parameter": {"const": "k"}}},
+            "then": {"properties": {"values": {"items": {"type": "integer", "minimum": 1}}}},
+            "else": {"properties": {"values": {"items": {"type": "number", "minimum": 0}}}},
         },
         "output_dir": {"type": "string"},
     },
@@ -314,7 +317,7 @@ def cmd_continue(rc: RunConfig) -> int:
     t0 = time.perf_counter()
     try:
         branch = compute_branch(rc)
-    except (continuation.NoConvergence, continuation.SingularJacobian) as err:
+    except continuation.ContinuationError as err:
         print(f"seed correction failed: {err}", file=sys.stderr)
         return 3
     out = rc.run_dir()
@@ -545,6 +548,8 @@ def cmd_sweep(rc: RunConfig) -> int:
         print("config has no 'sweep' section", file=sys.stderr)
         return 2
     parameter, values = sweep["parameter"], sweep["values"]
+    # Every job is built and validated before the first one runs, so a bad
+    # value fails the whole sweep up front.
     configs = []
     for value in values:
         data = json.loads(json.dumps(rc.raw))
@@ -555,11 +560,13 @@ def cmd_sweep(rc: RunConfig) -> int:
             data["seed"]["k"] = int(value)
             data["seed"].pop("pattern", None)
         data["run_id"] = f"{rc.run_id}-{parameter}{value:g}"
-        configs.append(load_config(data))
+        try:
+            configs.append(load_config(data))
+        except ConfigError as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return 2
 
-    workers = int(sweep.get("workers", min(4, len(configs))))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        codes = list(pool.map(cmd_continue, configs))
+    codes = [cmd_continue(job) for job in configs]
     summary = {
         "run_id": rc.run_id,
         "parameter": parameter,

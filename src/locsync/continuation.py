@@ -28,6 +28,7 @@ __all__ = [
     "ContinuationError",
     "NoConvergence",
     "SingularJacobian",
+    "SeedResidualError",
     "LatticeSystem",
     "ContinuationConfig",
     "Bordered",
@@ -60,6 +61,10 @@ class NoConvergence(ContinuationError):
 
 class SingularJacobian(ContinuationError):
     pass
+
+
+class SeedResidualError(ContinuationError, ValueError):
+    """The state handed to continue_branch is not a solution within newton_tol."""
 
 
 @dataclass(frozen=True)
@@ -142,8 +147,7 @@ def _dead_interfaces(state: PolarState, eps: float, tol: float) -> np.ndarray:
     if eps <= 0.0:
         return np.zeros(state.n - 1, dtype=bool)
     thr = 0.1 * tol / eps
-    pair_max = np.maximum(state.r[:-1], state.r[1:])
-    return np.abs(pair_max) < thr
+    return np.maximum(np.abs(state.r[:-1]), np.abs(state.r[1:])) < thr
 
 
 def _pin_dead_phases(state: PolarState, eps: float, tol: float) -> PolarState:
@@ -168,8 +172,8 @@ def _solid_mask(state: PolarState) -> np.ndarray:
     """
     n = state.n
     mask = np.ones(2 * n + 1, dtype=bool)
-    pair_max = np.maximum(state.r[:-1], state.r[1:])
-    mask[n: 2 * n - 1] = np.abs(pair_max) >= SOLID_PHASE_AMPLITUDE
+    pair_max = np.maximum(np.abs(state.r[:-1]), np.abs(state.r[1:]))
+    mask[n: 2 * n - 1] = pair_max >= SOLID_PHASE_AMPLITUDE
     return mask
 
 
@@ -381,13 +385,14 @@ def continue_branch(
 
     Terminates on mu leaving the window, the step limit, isola closure
     (return to the start point within closure_tol after arclength
-    > 10 ds_init), or an unresolvable corrector failure ("open").
+    > 10 ds_init), or an unresolvable corrector failure ("open").  Raises
+    SeedResidualError when the seed's residual exceeds newton_tol.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
     res0 = system.residual_norm(seed)
     if res0 > config.newton_tol:
-        raise ValueError(
+        raise SeedResidualError(
             f"seed residual {res0:.3e} exceeds newton_tol={config.newton_tol}"
         )
 

@@ -2,9 +2,9 @@
 
 A node of the chain carries the complex vector field f(|Z|, mu, eps) * Z with
 f = lambda + i*omega.  The real part lambda(r, mu) controls the amplitude
-dynamics and is assumed even in r with two positive roots r_-(mu) < r_+(mu)
-on the unit parameter interval; the imaginary part is split into
-omega = omega0(mu) + eps*omega1(r, mu, eps).
+dynamics: an even polynomial in r plus a linear mu term, with two positive
+roots r_-(mu) < r_+(mu) on the unit parameter interval.  The imaginary part
+is split into a constant and an O(eps) part, omega = omega0 + eps*omega1(r, mu, eps).
 """
 from __future__ import annotations
 
@@ -52,45 +52,66 @@ class ParameterRangeError(ModelError):
     pass
 
 
-def _zero_rmu(r, mu):
-    return np.zeros_like(np.asarray(r, dtype=float))
-
-
-def _zero_mu(mu):
-    return 0.0 * np.asarray(mu, dtype=float)
-
-
-def _zero_rmueps(r, mu, eps):
-    return np.zeros_like(np.asarray(r, dtype=float))
-
-
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Split-form nonlinearity f = lambda + i*omega with analytic derivatives.
+    """Split-form nonlinearity f = lambda + i*omega, stored as coefficients.
 
-    All callables must broadcast over numpy arrays in r.  Derivative
-    callables are required because the lattice Jacobian is assembled
-    analytically.
+    lambda(r, mu) = a*mu + sum_j c_j r^(2j) with ``coeffs`` = (c_0, c_1, ...)
+    and ``mu_coefficient`` = a; omega = omega0 + eps*omega1(r, mu, eps).  The
+    derivatives the analytic Jacobian needs follow from the coefficients.
+    The optional O(eps) part omega1 (with omega1_r, omega1_mu) is the only
+    callable, so a spec without it is hashable and picklable.  Every method
+    broadcasts over numpy arrays in r.
     """
 
     name: str
-    lam: Callable = _zero_rmu          # lambda(r, mu)
-    lam_r: Callable = _zero_rmu
-    lam_mu: Callable = _zero_rmu
-    omega0: Callable = _zero_mu        # omega0(mu)
-    omega0_mu: Callable = _zero_mu
-    omega1: Callable = _zero_rmueps    # omega1(r, mu, eps)
-    omega1_r: Callable = _zero_rmueps
-    omega1_mu: Callable = _zero_rmueps
+    coeffs: tuple[float, ...]
+    mu_coefficient: float = 0.0
+    omega0: float = 0.0
+    omega1: Callable | None = None     # omega1(r, mu, eps)
+    omega1_r: Callable | None = None
+    omega1_mu: Callable | None = None
+
+    def __post_init__(self):
+        # a nonzero c_j is what gives lam the shape of r
+        if not any(self.coeffs):
+            raise ModelError(f"{self.name}: every lambda coefficient c_j is zero")
+
+    def lam(self, r, mu):
+        # mu term first, then c_j r2^j in order, r2 itself for j = 1: this
+        # reproduces the quintic's closed form -mu + 2 r^2 - r^4 bit for bit
+        r2 = r * r
+        out = self.mu_coefficient * mu
+        for j, cj in enumerate(self.coeffs):
+            if cj:
+                out = out + cj * (r2 if j == 1 else r2**j)
+        return out
+
+    def lam_r(self, r, mu):
+        r2 = r * r
+        out = 0.0 * r
+        for j, cj in enumerate(self.coeffs[1:], start=1):
+            if cj:
+                out = out + (2 * j * cj) * r * r2 ** (j - 1)
+        return out
+
+    def lam_mu(self, r, mu):
+        return np.full(np.shape(r), self.mu_coefficient)
 
     def omega(self, r, mu, eps):
-        return self.omega0(mu) + eps * self.omega1(r, mu, eps)
+        if self.omega1 is None:
+            return np.full(np.shape(r), self.omega0)
+        return self.omega0 + eps * self.omega1(r, mu, eps)
 
     def omega_r(self, r, mu, eps):
+        if self.omega1_r is None:
+            return np.zeros(np.shape(r))
         return eps * self.omega1_r(r, mu, eps)
 
     def omega_mu(self, r, mu, eps):
-        return self.omega0_mu(mu) + eps * self.omega1_mu(r, mu, eps)
+        if self.omega1_mu is None:
+            return np.zeros(np.shape(r))
+        return eps * self.omega1_mu(r, mu, eps)
 
     def with_omega1(self, omega1, omega1_r, omega1_mu=None, name=None) -> "NonlinearitySpec":
         """Return a copy with an O(eps) frequency part attached."""
@@ -99,7 +120,7 @@ class NonlinearitySpec:
             name=name if name is not None else self.name + "+omega1",
             omega1=omega1,
             omega1_r=omega1_r,
-            omega1_mu=omega1_mu if omega1_mu is not None else _zero_rmueps,
+            omega1_mu=omega1_mu,
         )
 
 
@@ -123,30 +144,12 @@ def builtin_spec(name: str) -> NonlinearitySpec:
                       unit frequency: lambda = -((12 pi^2/8) r^4
                       - (12 pi^4/5) r^2 + 2 mu), omega = 0
     """
-    if name == "quintic":
-        # written in powers of r*r so that evenness is exact in floating point
-        return NonlinearitySpec(
-            name="quintic",
-            lam=lambda r, mu: -mu + 2.0 * (r * r) - (r * r) * (r * r),
-            lam_r=lambda r, mu: 4.0 * r - 4.0 * r * (r * r),
-            lam_mu=lambda r, mu: -1.0 + 0.0 * np.asarray(r, dtype=float),
-        )
-    if name == "quintic_rotating":
-        base = builtin_spec("quintic")
-        return replace(
-            base,
-            name="quintic_rotating",
-            omega0=lambda mu: 1.0 + 0.0 * np.asarray(mu, dtype=float),
-        )
+    if name in ("quintic", "quintic_rotating"):
+        return polynomial_spec((0.0, 2.0, -1.0), mu_coefficient=-1.0, name=name,
+                               omega0_const=1.0 if name == "quintic_rotating" else 0.0)
     if name == "hbm":
-        c4 = 12.0 * np.pi**2 / 8.0
-        c2 = 12.0 * np.pi**4 / 5.0
-        return NonlinearitySpec(
-            name="hbm",
-            lam=lambda r, mu: -(c4 * (r * r) * (r * r) - c2 * (r * r) + 2.0 * mu),
-            lam_r=lambda r, mu: -(4.0 * c4 * r * (r * r) - 2.0 * c2 * r),
-            lam_mu=lambda r, mu: -2.0 + 0.0 * np.asarray(r, dtype=float),
-        )
+        return polynomial_spec((0.0, 12.0 * np.pi**4 / 5.0, -12.0 * np.pi**2 / 8.0),
+                               mu_coefficient=-2.0, name="hbm")
     raise UnknownSpecError(f"unknown built-in nonlinearity {name!r}")
 
 
@@ -161,35 +164,11 @@ def polynomial_spec(
     ``coeffs`` lists (c0, c1, c2, ...);  ``mu_coefficient`` is the optional
     linear-in-mu term a (the quintic is coeffs=(0, 2, -1), a=-1).
     """
-    c = tuple(float(v) for v in coeffs)
-    a = float(mu_coefficient)
-    w = float(omega0_const)
-
-    def lam(r, mu):
-        r = np.asarray(r, dtype=float)
-        r2 = r * r
-        out = np.zeros_like(r2)
-        for j, cj in enumerate(c):
-            out = out + cj * r2**j
-        return out + a * mu
-
-    def lam_r(r, mu):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for j, cj in enumerate(c):
-            if j > 0:
-                out = out + 2 * j * cj * r ** (2 * j - 1)
-        return out
-
-    def lam_mu(r, mu):
-        return a + 0.0 * np.asarray(r, dtype=float)
-
     return NonlinearitySpec(
         name=name,
-        lam=lam,
-        lam_r=lam_r,
-        lam_mu=lam_mu,
-        omega0=lambda mu: w + 0.0 * np.asarray(mu, dtype=float),
+        coeffs=tuple(float(v) for v in coeffs),
+        mu_coefficient=float(mu_coefficient),
+        omega0=float(omega0_const),
     )
 
 
@@ -226,7 +205,8 @@ def _positive_roots(f, fr, window=ROOT_WINDOW, n_grid=4096):
 
     The window is partitioned at the critical points of f (sign changes of
     fr), so every monotone piece contributes at most one bracketed root.
-    Returns (roots, doubles).
+    A run of grid points where fr is exactly 0 is a stretch on which f is
+    flat; only its first point is a critical point.  Returns (roots, doubles).
     """
     lo, hi = window
     grid = np.linspace(lo, hi, n_grid)
@@ -234,7 +214,8 @@ def _positive_roots(f, fr, window=ROOT_WINDOW, n_grid=4096):
     crits = []
     for i in range(n_grid - 1):
         if dv[i] == 0.0:
-            crits.append(grid[i])
+            if i == 0 or dv[i - 1] != 0.0:
+                crits.append(grid[i])
         elif (dv[i] < 0.0) != (dv[i + 1] < 0.0):
             crits.append(_bisect(fr, grid[i], grid[i + 1], dv[i], dv[i + 1]))
     knots = [lo] + sorted(crits) + [hi]

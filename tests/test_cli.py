@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from locsync import continuation
 from locsync.cli import (
     ConfigError,
     branch_csv_header,
@@ -254,18 +256,33 @@ def test_cmd_mismatch(tmp_path):
     assert all(entry["converged"] for entry in payload["sweep"])
 
 
-def test_cmd_sweep(tmp_path):
+def test_cmd_sweep(tmp_path, capsys):
     cfg = base_config(tmp_path)
-    cfg["sweep"] = {"parameter": "eps", "values": [0.01, 0.02], "workers": 2}
+    cfg["sweep"] = {"parameter": "eps", "values": [0.02, 0.01, 0.015], "workers": 2}
     cfg["continuation"]["max_steps"] = 40
     path = write_config(tmp_path, cfg)
     assert main(["sweep", "--config", path]) == 0
     summary = json.loads(
         (tmp_path / "out" / "test-run-sweep.json").read_text()
     )
-    assert summary["exit_codes"] == [0, 0]
+    assert summary["exit_codes"] == [0, 0, 0]
     for rid in summary["runs"]:
         assert (tmp_path / "out" / rid / "branch.csv").exists()
+    # serial, in the order the values are listed
+    printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert printed == summary["runs"] == [
+        "test-run-eps0.02", "test-run-eps0.01", "test-run-eps0.015"]
+
+
+@pytest.mark.parametrize("values", [[1, 10], ["a"], [0.5]])
+def test_sweep_config_error_exits_2_before_any_run(tmp_path, capsys, values):
+    cfg = base_config(tmp_path, N=10, coupling="conservative", boundary="on_site",
+                      seed={"k": 1, "mu": 0.5})
+    cfg["sweep"] = {"parameter": "k", "values": values}
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", path]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_branch_csv_header_layout():
@@ -335,6 +352,36 @@ def test_cmd_seed_newton_failure_exit_3(tmp_path):
     path = write_config(tmp_path, cfg, "blocked.json")
     assert main(["seed", "--config", path]) == 3
     assert main(["continue", "--config", path]) == 3
+
+
+def test_seed_residual_failure_exit_3(tmp_path, capsys, monkeypatch):
+    # an uncorrected seed fails continue_branch's residual precondition
+    monkeypatch.setattr(continuation, "newton_correct", lambda system, state, **kw: state)
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert main(["continue", "--config", path]) == 3
+    assert "seed residual" in capsys.readouterr().err
+
+
+def test_isola_next_to_negative_tail_amplitude(tmp_path):
+    # The corrected seed has r_7 = -1.15e-8 next to r_8 = -2.8e-10; a signed
+    # max over that pair used to pin phi_7 and push the residual over tol.
+    cfg = base_config(tmp_path, run_id="iso", N=10, coupling="conservative",
+                      boundary="on_site", seed={"k": 2, "mu": 0.41},
+                      continuation={"ds_init": 0.01, "ds_max": 0.05})
+    path = write_config(tmp_path, cfg)
+    assert main(["continue", "--config", path]) == 0
+    summary = json.loads((tmp_path / "out" / "iso" / "summary.json").read_text())
+    assert summary["closure"] == "closed_isola"
+    assert summary["n_folds"] == 4
+
+
+def test_config_built_spec_pickles(tmp_path):
+    for model in ({"name": "quintic_rotating"},
+                  {"polynomial_lambda": [0.0, 2.0, -1.0], "mu_coefficient": -1.0,
+                   "omega0_const": 0.5}):
+        spec = load_config(base_config(tmp_path, model=model)).spec
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec)
 
 
 def test_shipped_configs_parse(tmp_path):

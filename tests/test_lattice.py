@@ -73,7 +73,7 @@ def test_residual_vanishes_at_uncoupled_roots(quintic_rotating):
     st = PolarState(
         [prof.r_plus, 0.0, prof.r_minus, prof.r_plus],
         np.zeros(3),
-        float(quintic_rotating.omega0(0.6)),
+        quintic_rotating.omega0,
         0.6,
     )
     for bc in BoundaryKind:

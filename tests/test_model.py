@@ -1,8 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from conftest import quintic_roots
+from locsync import model
 from locsync.model import (
+    ModelError,
     NotBistableError,
     ParameterRangeError,
     UnknownSpecError,
@@ -150,7 +154,7 @@ def test_polynomial_spec_literal_meaning():
     poly = polynomial_spec([0.5, -1.0, 0.25], omega0_const=2.0)
     r = 1.2
     assert poly.lam(r, 0.7) == pytest.approx(0.5 - r**2 + 0.25 * r**4)
-    assert float(poly.omega0(0.3)) == 2.0
+    assert poly.omega0 == 2.0
 
 
 def test_with_omega1(quintic):
@@ -161,3 +165,75 @@ def test_with_omega1(quintic):
     assert float(spec.omega(0.3, 0.5, 0.01)) == pytest.approx(0.01 * 1.5)
     assert float(spec.omega_r(0.3, 0.5, 0.01)) == pytest.approx(0.05)
     assert float(quintic.omega(0.3, 0.5, 0.01)) == 0.0
+
+
+@pytest.mark.parametrize("spec", [
+    builtin_spec("quintic"),
+    builtin_spec("quintic_rotating"),
+    builtin_spec("hbm"),
+    polynomial_spec([0.5, -1.0, 0.25], omega0_const=2.0, mu_coefficient=0.3),
+], ids=lambda spec: spec.name)
+def test_spec_pickles_hashes_and_compares_equal(spec):
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec
+    assert hash(copy) == hash(spec)
+
+
+def test_all_zero_lambda_coefficients_rejected():
+    with pytest.raises(ModelError, match="every lambda coefficient"):
+        polynomial_spec([0.0, 0.0], mu_coefficient=-1.0)
+
+
+def test_quintic_bitwise_equal_to_closed_form(quintic):
+    # the closed forms the quintic was written in before it became data
+    def lam(r, mu):
+        return -mu + 2.0 * (r * r) - (r * r) * (r * r)
+
+    def lam_r(r, mu):
+        return 4.0 * r - 4.0 * r * (r * r)
+
+    rng = np.random.default_rng(7)
+    for scale in (1e-9, 1e-3, 1.0, 3.0):
+        r = scale * rng.standard_normal(64)
+        for mu in rng.uniform(-0.1, 1.1, 5):
+            assert np.array_equal(quintic.lam(r, mu), lam(r, mu))
+            assert np.array_equal(quintic.lam_r(r, mu), lam_r(r, mu))
+            x = float(r[0])
+            assert quintic.lam(x, mu) == lam(x, mu)
+            assert quintic.lam_r(x, mu) == lam_r(x, mu)
+
+
+@pytest.mark.parametrize("spec", [
+    builtin_spec("hbm"),
+    polynomial_spec([0.3, 1.5, -2.0, 0.4], mu_coefficient=0.7),
+], ids=lambda spec: spec.name)
+def test_derivatives_match_finite_differences(spec):
+    r = np.linspace(0.05, 1.5, 30)
+    mu, h = 0.4, 1e-6
+    fd_r = (spec.lam(r + h, mu) - spec.lam(r - h, mu)) / (2 * h)
+    fd_mu = (spec.lam(r, mu + h) - spec.lam(r, mu - h)) / (2 * h)
+    scale = np.max(np.abs(spec.lam_r(r, mu)))
+    assert np.max(np.abs(spec.lam_r(r, mu) - fd_r)) <= 1e-7 * scale
+    assert np.max(np.abs(spec.lam_mu(r, mu) - fd_mu)) <= 1e-7 * max(1.0, scale)
+    assert spec.lam_mu(r, mu).shape == r.shape
+
+
+def test_flat_lambda_root_search_costs_no_more_than_quintic(quintic, monkeypatch):
+    # counts evaluations of lambda(., mu) inside the root search
+    calls = [0]
+    positive_roots = model._positive_roots
+
+    def counting_roots(f, fr, *args, **kwargs):
+        def counted(x):
+            calls[0] += 1
+            return f(x)
+        return positive_roots(counted, fr, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_positive_roots", counting_roots)
+
+    def cost(spec):
+        calls[0] = 0
+        verify_hypotheses(spec, np.linspace(0.1, 0.9, 9))
+        return calls[0]
+
+    assert cost(polynomial_spec([-1.0])) <= cost(quintic)

@@ -294,7 +294,6 @@ class MismatchReport:
     obstructed: bool
     sin_phi_limit: float         # (r-/r+)(omega1(r-) - omega1(r+))
     has_real_solution: bool      # |sin_phi_limit| <= 1
-    o1_mismatch: bool            # omega(r-, mu, 0) != omega(r+, mu, 0)
 
 
 def mismatch_bound(spec: NonlinearitySpec, mu: float) -> MismatchReport:
@@ -313,7 +312,6 @@ def mismatch_bound(spec: NonlinearitySpec, mu: float) -> MismatchReport:
     delta = abs(w1m - w1p)
     threshold = prof.r_plus / prof.r_minus
     sin_phi = (prof.r_minus / prof.r_plus) * (w1m - w1p)
-    om = float(spec.omega(prof.r_minus, mu, 0.0)) - float(spec.omega(prof.r_plus, mu, 0.0))
     return MismatchReport(
         mu=float(mu),
         delta=delta,
@@ -321,7 +319,6 @@ def mismatch_bound(spec: NonlinearitySpec, mu: float) -> MismatchReport:
         obstructed=delta > threshold,
         sin_phi_limit=sin_phi,
         has_real_solution=abs(sin_phi) <= 1.0,
-        o1_mismatch=abs(om) > 1e-10,
     )
 
 

@@ -492,7 +492,6 @@ def cmd_mismatch(rc: RunConfig) -> int:
         "obstructed": bound.obstructed,
         "sin_phi_limit": bound.sin_phi_limit,
         "has_real_solution": bound.has_real_solution,
-        "o1_mismatch": bound.o1_mismatch,
         "core_k": k,
         "sweep": sweep,
     }

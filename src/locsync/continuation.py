@@ -1,10 +1,12 @@
 """Pseudo-arclength continuation with fold detection and closure classification.
 
-The predictor steps along the null vector of the equilibrated (2N) x (2N+1)
-Jacobian; the corrector solves the bordered system with the hyperplane
-constraint <x - x_prev, tangent> = ds.  Folds are turning points of mu,
-detected from sign changes of the tangent's mu component and refined by a
-safeguarded secant (Illinois regula falsi) in arclength.  The engine
+The corrector solves the bordered system [J; t_prev] with the hyperplane
+constraint <x - x_prev, t_prev> = ds.  The predictor steps along the
+bordered tangent [J; t_prev] t = e_last, taken from the corrector's final
+solve; dead tail phases are pinned, and at eps = 0 every phase is dead.
+Folds are turning points of mu, detected from sign changes of the
+tangent's mu component and refined by a safeguarded secant (Illinois
+regula falsi) in arclength, with a fresh tangent at each trial.  The engine
 contains no randomness: identical inputs give bitwise-identical branches.
 """
 from __future__ import annotations
@@ -117,22 +119,23 @@ class Bordered:
 
 
 def _equilibrate_rows(a: np.ndarray, b: np.ndarray):
-    """Scale each row of [a | b] by the inverse of its max-abs entry.
+    """Scale each row of [a | b] by the inverse of its max-abs entry in a.
 
     Far-field phase rows scale like eps * r_n and otherwise wreck the
     conditioning of the linear solve.
     """
     scale = np.max(np.abs(a), axis=1)
     scale = np.where(scale > 1e-300, scale, 1.0)
-    return a / scale[:, None], b / scale
+    return a / scale[:, None], b / scale[:, None]
 
 
 class _NewtonOutcome:
-    __slots__ = ("state", "iterations")
+    __slots__ = ("state", "iterations", "tangent")
 
-    def __init__(self, state: PolarState, iterations: int):
+    def __init__(self, state: PolarState, iterations: int, tangent=None):
         self.state = state
         self.iterations = iterations
+        self.tangent = tangent  # bordered: tangent column of the last solve
 
 
 def _dead_interfaces(state: PolarState, eps: float, tol: float) -> np.ndarray:
@@ -142,10 +145,10 @@ def _dead_interfaces(state: PolarState, eps: float, tol: float) -> np.ndarray:
     longer chains; the phase between two such nodes only enters the
     residual with weight eps * r, so any value below tol/eps is invisible.
     Those phases are pinned to zero to keep states, tangents, and closure
-    tests well defined.
+    tests well defined.  At eps <= 0 no phase enters the residual at all.
     """
     if eps <= 0.0:
-        return np.zeros(state.n - 1, dtype=bool)
+        return np.ones(state.n - 1, dtype=bool)
     thr = 0.1 * tol / eps
     return np.maximum(np.abs(state.r[:-1]), np.abs(state.r[1:])) < thr
 
@@ -177,6 +180,20 @@ def _solid_mask(state: PolarState) -> np.ndarray:
     return mask
 
 
+def _solid_unit(t: np.ndarray, state: PolarState) -> np.ndarray:
+    """t with non-solid coordinates zeroed, normalized.
+
+    The physical branch direction lives in the solid coordinates; keeping
+    gray tail-phase components would let solver noise accumulate into the
+    tangent step after step.
+    """
+    t = np.where(_solid_mask(state), t, 0.0)
+    norm = float(np.linalg.norm(t))
+    if not norm >= 1e-8:
+        raise SingularJacobian("tangent vanishes on the solid coordinates")
+    return t / norm
+
+
 class _PackedView:
     """(r, phi, rho, mu) read through a packed vector, neither copied nor
     validated; the Newton loop builds a PolarState only for its result."""
@@ -205,6 +222,7 @@ def _newton_solve(
     # perturbs the residual by at most 0.4 tol) cannot push a reported
     # state back above the tolerance.
     conv_tol = 0.45 * tol
+    tangent = None
     for it in range(max_iter + 1):
         current = _PackedView(x, n)
         f = system.residual(current)
@@ -221,25 +239,30 @@ def _newton_solve(
                 flipped = canonicalize(out)
                 if float(np.max(np.abs(system.residual(flipped)))) <= tol:
                     out = flipped
-            return _NewtonOutcome(out, it)
+            return _NewtonOutcome(out, it, tangent)
         if it == max_iter:
             break
 
         jac = system.jacobian(current)
         if bordered:
+            # second column: the tangent [J; t_prev] t = e_last, for free
             a = np.vstack([jac, mode.tangent])
-            rhs = np.concatenate([-f, [-cons]])
+            rhs = np.zeros((2 * n + 1, 2))
+            rhs[:-1, 0] = -f
+            rhs[-1] = -cons, 1.0
         else:
             a = jac[:, : 2 * n]
-            rhs = -f
+            rhs = -f[:, None]
         a, rhs = _equilibrate_rows(a, rhs)
         try:
-            delta = np.linalg.solve(a, rhs)
+            sol = np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError as err:
             raise SingularJacobian(str(err)) from err
+        delta = sol[:, 0]
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("non-finite Newton step")
         if bordered:
+            tangent = sol[:, 1]
             x = x + delta
         else:
             x = x.copy()
@@ -272,54 +295,37 @@ def branch_tangent(
     state: PolarState,
     prev_tangent: np.ndarray | None = None,
     direction: int = 1,
-    subspace_tol: float = 1e-5,
     newton_tol: float = 1e-10,
 ) -> np.ndarray:
-    """Unit tangent along the branch, consistently oriented.
+    """Unit tangent along the branch, oriented along a reference direction.
 
-    The tangent is the projection of a reference direction (the previous
-    tangent, or the mu axis on the first call) onto the near-null subspace
-    of the equilibrated Jacobian.  Dead interface-phase columns are pruned,
-    and gray-zone tail directions with tiny singular values are absorbed
-    into the subspace, so tail noise cannot pollute the tangent.  Raises
-    SingularJacobian when the reference direction loses contact with the
-    null space; callers fall back to the secant.
+    Solves the bordered system [J; ref] t = e_last with equilibrated rows,
+    where ref is the previous tangent, or the mu axis signed by direction.
+    Each dead interface phase j is pinned inside the square system: its
+    column becomes a unit column on the phase row of node j+1, and its
+    tangent entry is set to zero.  At eps = 0 every phase is dead.  Non-solid
+    coordinates are zeroed before normalizing.  Raises SingularJacobian when
+    the bordered system is singular; callers fall back to the secant.
     """
     n = state.n
-    jac = system.jacobian(state)
-    jac, _ = _equilibrate_rows(jac, np.zeros(jac.shape[0]))
-    dead = _dead_interfaces(state, system.eps, newton_tol)
-    alive = np.ones(2 * n + 1, dtype=bool)
-    alive[n: 2 * n - 1] = ~dead
-    _, s, vt = np.linalg.svd(jac[:, alive])
-    null_rows = vt[len(s):]
-    small = s <= subspace_tol * s[0]
-    basis = np.vstack([vt[: len(s)][small], null_rows]) if np.any(small) else null_rows
-    if basis.shape[0] == 0:
-        raise SingularJacobian("no null direction found")
-
-    if prev_tangent is not None:
-        ref = np.asarray(prev_tangent, dtype=float).copy()
-    else:
+    if prev_tangent is None:
         ref = np.zeros(2 * n + 1)
         ref[-1] = float(np.sign(direction))
-    solid = _solid_mask(state)
-    ref[~solid] = 0.0
-    proj = basis.T @ (basis @ ref[alive])
-    if prev_tangent is None and float(np.linalg.norm(proj)) < 1e-8:
-        # at a fold the mu axis is orthogonal to the branch direction; take
-        # the dominant null vector instead
-        proj = basis[-1]
-    t = np.zeros(2 * n + 1)
-    t[alive] = proj
-    # The physical branch direction lives in the solid coordinates; keeping
-    # gray tail-phase components would let solver noise accumulate into the
-    # tangent step after step.
-    t[~solid] = 0.0
-    norm = float(np.linalg.norm(t))
-    if norm < 1e-8:
-        raise SingularJacobian("tangent reference orthogonal to the null space")
-    return t / norm
+    else:
+        ref = np.asarray(prev_tangent, dtype=float)
+    a = np.vstack([system.jacobian(state), ref])
+    j = np.flatnonzero(_dead_interfaces(state, system.eps, newton_tol))
+    a[:, n + j] = 0.0
+    a[2 * j + 3, n + j] = 1.0
+    rhs = np.zeros((2 * n + 1, 1))
+    rhs[-1] = 1.0
+    a, rhs = _equilibrate_rows(a, rhs)
+    try:
+        t = np.linalg.solve(a, rhs)[:, 0]
+    except np.linalg.LinAlgError as err:
+        raise SingularJacobian(str(err)) from err
+    t[n + j] = 0.0
+    return _solid_unit(t, state)
 
 
 @dataclass(frozen=True)
@@ -427,7 +433,14 @@ def continue_branch(
         new_state = outcome.state
         x_new = new_state.pack()
         try:
-            new_tangent = branch_tangent(system, new_state, prev_tangent=prev.tangent)
+            # The corrector's final solve already carries the tangent, with
+            # t . t_prev = 1 fixing its orientation; it is one Newton step
+            # stale, which the walk tolerates and fold refinement does not.
+            if outcome.iterations and np.all(np.isfinite(outcome.tangent)):
+                new_tangent = _solid_unit(outcome.tangent, new_state)
+            else:
+                new_tangent = branch_tangent(system, new_state,
+                                             prev_tangent=prev.tangent)
         except SingularJacobian:
             secant = x_new - x_prev
             norm = float(np.linalg.norm(secant))

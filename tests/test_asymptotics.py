@@ -268,7 +268,6 @@ def test_mismatch_bound_linear_omega1(quintic):
     assert rep.sin_phi_limit == pytest.approx((rm / rp) * (rm - rp), rel=1e-10)
     assert rep.sin_phi_limit == pytest.approx(-0.298858, abs=1e-6)
     assert rep.has_real_solution
-    assert not rep.o1_mismatch
 
 
 def test_mismatch_bound_zero_and_obstructed(quintic):

@@ -14,8 +14,11 @@ from locsync.continuation import (
     ContinuationConfig,
     LatticeSystem,
     NoConvergence,
+    _dead_interfaces,
+    _equilibrate_rows,
     _fold_brackets,
     _newton_solve,
+    _solid_mask,
     branch_tangent,
     continue_branch,
     detect_folds,
@@ -34,23 +37,21 @@ def dissipative_system(quintic):
     return LatticeSystem(quintic, CouplingKind.dissipative(), EPS, BoundaryKind.OFF_SITE)
 
 
-@pytest.fixture(scope="module")
-def small_snake(quintic, dissipative_system):
+def run_small_snake(quintic, system):
     """N=4 snaking branch, both directions merged."""
     ansatz = SeedAnsatz(1, ("minus",), "in_phase", BoundaryKind.OFF_SITE, 4)
     seed = newton_correct(
-        dissipative_system,
+        system,
         build_seed(quintic, 0.5, EPS, ansatz, CouplingKind.dissipative()),
     )
     cfg = ContinuationConfig(ds_init=0.01, ds_max=0.05,
                              mu_window=(3 * EPS, 1 - 0.15 * EPS))
-    up = continue_branch(dissipative_system, seed, +1, cfg)
-    down = continue_branch(dissipative_system, seed, -1, cfg)
+    up = continue_branch(system, seed, +1, cfg)
+    down = continue_branch(system, seed, -1, cfg)
     return merge_branches(down, up), cfg, seed
 
 
-@pytest.fixture(scope="module")
-def small_isola(quintic):
+def run_small_isola(quintic):
     system = LatticeSystem(quintic, CouplingKind.conservative(), EPS, BoundaryKind.ON_SITE)
     ansatz = SeedAnsatz(2, ("plus",) * 2, "conservative", BoundaryKind.ON_SITE, 6)
     seed = newton_correct(
@@ -58,6 +59,48 @@ def small_isola(quintic):
     )
     cfg = ContinuationConfig(ds_init=0.01, ds_max=0.05)
     return continue_branch(system, seed, +1, cfg), cfg, system
+
+
+@pytest.fixture(scope="module")
+def small_snake(quintic, dissipative_system):
+    return run_small_snake(quintic, dissipative_system)
+
+
+@pytest.fixture(scope="module")
+def small_isola(quintic):
+    return run_small_isola(quintic)
+
+
+def svd_tangent(system, state, prev_tangent=None, direction=1,
+                subspace_tol=1e-5, newton_tol=1e-10):
+    """Reference tangent: the reference direction projected onto the
+    near-null subspace of the equilibrated Jacobian (SVD), with dead phase
+    columns pruned and gray-zone directions (singular values below
+    subspace_tol * s_max) absorbed into the subspace."""
+    n = state.n
+    jac = system.jacobian(state)
+    jac, _ = _equilibrate_rows(jac, np.zeros((jac.shape[0], 1)))
+    dead = _dead_interfaces(state, system.eps, newton_tol)
+    alive = np.ones(2 * n + 1, dtype=bool)
+    alive[n: 2 * n - 1] = ~dead
+    _, s, vt = np.linalg.svd(jac[:, alive])
+    null_rows = vt[len(s):]
+    small = s <= subspace_tol * s[0]
+    basis = np.vstack([vt[: len(s)][small], null_rows]) if np.any(small) else null_rows
+    if prev_tangent is not None:
+        ref = np.asarray(prev_tangent, dtype=float).copy()
+    else:
+        ref = np.zeros(2 * n + 1)
+        ref[-1] = float(np.sign(direction))
+    solid = _solid_mask(state)
+    ref[~solid] = 0.0
+    proj = basis.T @ (basis @ ref[alive])
+    if prev_tangent is None and float(np.linalg.norm(proj)) < 1e-8:
+        proj = basis[-1]
+    t = np.zeros(2 * n + 1)
+    t[alive] = proj
+    t[~solid] = 0.0
+    return t / float(np.linalg.norm(t))
 
 
 def test_config_validation():
@@ -130,6 +173,53 @@ def test_tangent_is_unit_null_vector(quintic, dissipative_system):
     assert np.max(np.abs(jac @ t)) <= 1e-8
     t_down = branch_tangent(system, seed, direction=-1)
     assert t_down[-1] < 0.0
+
+
+def test_bordered_tangent_matches_svd_reference(small_snake, dissipative_system):
+    # No gray directions on the dissipative snake, so the bordered solve and
+    # the SVD projection define the same unit null vector.
+    branch, _, seed = small_snake
+    for direction in (-1, 1):
+        assert np.allclose(branch_tangent(dissipative_system, seed, direction=direction),
+                           svd_tangent(dissipative_system, seed, direction=direction),
+                           rtol=0.0, atol=1e-10)
+    walk = [p for p in branch.points if not p.is_fold]
+    for prev, p in zip(walk[:-1], walk[1:]):
+        got = branch_tangent(dissipative_system, p.state, prev_tangent=prev.tangent)
+        want = svd_tangent(dissipative_system, p.state, prev_tangent=prev.tangent)
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_walk_tangent_close_to_fresh_tangent(small_snake, dissipative_system):
+    # The walk keeps the corrector's tangent, one Newton step stale.
+    branch, _, _ = small_snake
+    walk = [p for p in branch.points if not p.is_fold]
+    for prev, p in zip(walk[:-1], walk[1:]):
+        fresh = branch_tangent(dissipative_system, p.state, prev_tangent=prev.tangent)
+        assert np.max(np.abs(p.tangent - fresh)) <= 1e-3
+
+
+def test_tangent_at_eps_zero_pins_every_phase(quintic):
+    system = LatticeSystem(quintic, CouplingKind.dissipative(), 0.0,
+                           BoundaryKind.OFF_SITE)
+    prof = bistable_roots(quintic, 0.6)
+    st = PolarState([prof.r_plus, prof.r_minus, 0.0], [0.3, -0.2], 0.0, 0.6)
+    assert _dead_interfaces(st, 0.0, 1e-10).all()
+    t = branch_tangent(system, st, direction=+1)
+    assert np.all(t[3:5] == 0.0) and t[-1] > 0.0
+    assert np.max(np.abs(system.jacobian(st) @ t)) <= 1e-12
+
+
+def test_continuation_makes_no_svd(quintic, dissipative_system, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("continuation called numpy.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    branch, cfg, _ = run_small_snake(quintic, dissipative_system)
+    assert len(detect_folds(branch, dissipative_system, cfg)) == 6
+    isola, cfg, system = run_small_isola(quintic)
+    assert isola.closure == CLOSED_ISOLA
+    assert len(detect_folds(isola, system, cfg)) == 4
 
 
 def test_continue_branch_seed_precondition(quintic, dissipative_system):

@@ -215,6 +215,41 @@ def test_exit_code_corrupted_csv(tmp_path):
     assert main(["verify", "--config", path, str(csv_path)]) == 2
 
 
+def test_verify_rejects_non_finite_branch_row(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path, N=10))
+    assert main(["continue", "--config", path]) == 0
+    csv_path = tmp_path / "out" / "test-run" / "branch.csv"
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    col = lines[0].split(",").index("r_3")
+    cells = lines[51].split(",")
+    assert cells[0] == "50"
+    cells[col] = "nan"
+    lines[51] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--config", path, str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "step 50" in err and "non-finite" in err
+    assert not (csv_path.parent / "verify.json").exists()
+
+
+def test_verify_rejects_header_only_branch(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path))
+    csv_path = tmp_path / "branch.csv"
+    csv_path.write_text(",".join(branch_csv_header(4)) + "\n", encoding="utf-8")
+    assert main(["verify", "--config", path, str(csv_path)]) == 2
+    assert "no branch rows" in capsys.readouterr().err
+
+
+def test_simulate_horizon_below_dt_is_a_config_error(tmp_path, capsys):
+    cfg = base_config(tmp_path, model={"name": "quintic_rotating"})
+    cfg["simulate"] = {"dt": 1e-2, "horizon": 5e-3}
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path]) == 2
+    assert "below dt" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "test-run" / "simulate.json").exists()
+
+
 def test_max_steps_override_truncates(tmp_path):
     path = write_config(tmp_path, base_config(tmp_path))
     assert main(["continue", "--config", path, "--max-steps", "1",

@@ -4,9 +4,11 @@ import pytest
 from locsync.asymptotics import SeedAnsatz, build_seed
 from locsync.continuation import LatticeSystem, newton_correct
 from locsync.dynamics import (
+    chain_rhs,
     integrate,
     linearization_spectrum,
     rigid_rotation_deviation,
+    rotation_deviation,
     unfold_state,
 )
 from locsync.lattice import BoundaryKind, CouplingKind, PolarState
@@ -124,6 +126,54 @@ def test_relative_equilibrium_sensitivity(quintic, quintic_rotating):
     traj = integrate(quintic_rotating, CouplingKind.dissipative(), z0, eps, 0.5,
                      2 * np.pi, 1e-3)
     assert rigid_rotation_deviation(traj, z0, st.rho + 1.0) > 1e-4
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_chain_rhs_batch_matches_rows(quintic_rotating, couplings, n):
+    spec = quintic_rotating.with_omega1(lambda r, mu, eps: 0.3 * r,
+                                        lambda r, mu, eps: 0.3 + 0.0 * r)
+    rng = np.random.default_rng(n)
+    z = rng.normal(0, 0.7, (3, n)) + 1j * rng.normal(0, 0.7, (3, n))
+    mu = np.array([0.2, 0.5, 0.8])
+    for c in couplings:
+        batch = chain_rhs(spec, c, z, mu[:, None], 0.05)
+        rows = [chain_rhs(spec, c, z[b], mu[b], 0.05) for b in range(3)]
+        assert np.array_equal(batch, np.array(rows))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rotation_deviation_bitwise_equal_to_integrate(quintic, quintic_rotating):
+    # an O(eps) frequency part gives every mu its own rho
+    spec = quintic_rotating.with_omega1(lambda r, mu, eps: 0.3 * r,
+                                        lambda r, mu, eps: 0.3 + 0.0 * r)
+    c, eps, dt = CouplingKind.dissipative(), 0.01, 1e-2
+    system = LatticeSystem(spec, c, eps, BoundaryKind.OFF_SITE)
+    ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 8)
+    states = [newton_correct(system, build_seed(spec, mu, eps, ansatz, c))
+              for mu in (0.5, 0.55, 0.6)]
+    assert len({st.rho for st in states}) == 3
+    z0 = [unfold_state(st, BoundaryKind.OFF_SITE) for st in states]
+    horizons = (2 * np.pi, 3.0, 10.0)
+    dev, completed = rotation_deviation(
+        spec, c, z0, eps, [st.mu for st in states], [st.rho for st in states],
+        [int(round(h / dt)) for h in horizons], dt)
+    assert completed.tolist() == [True, True, True]
+    for b, (st, h) in enumerate(zip(states, horizons)):
+        traj = integrate(spec, c, z0[b], eps, st.mu, h, dt)
+        assert dev[b] == rigid_rotation_deviation(traj, z0[b], st.rho)
+        assert 0.0 < dev[b] <= 1e-6
+
+    # the test_abort_on_blowup start next to a finite row: the first stops
+    # where integrate aborts, the second runs its full horizon
+    rng = np.random.default_rng(3)
+    z0 = [np.full(3, 3.0 + 0j), rng.normal(0, 0.3, 3) + 0j]
+    mu, rho = [-10.0, 0.5], [0.0, 0.2]
+    dev, completed = rotation_deviation(quintic, c, z0, 0.0, mu, rho, [100, 100], 0.5)
+    assert completed.tolist() == [False, True]
+    for b in range(2):
+        traj = integrate(quintic, c, z0[b], 0.0, mu[b], 50.0, 0.5)
+        assert traj.completed == completed[b]
+        assert dev[b] == rigid_rotation_deviation(traj, z0[b], rho[b])
 
 
 def test_spectrum_uncoupled_nodes(quintic):

@@ -297,28 +297,48 @@ def _state_dict(state: PolarState) -> dict:
 
 
 def _write_json(payload: dict, path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
 
-def compute_branch(rc: RunConfig):
-    """Seed, correct, and continue in both directions (one if it closes)."""
+def _corrected_seed(rc: RunConfig):
+    """(system, seed, corrected seed), or the exit code: 2 for a model that
+    is not bistable at the seed mu, 3 for a seed Newton cannot correct."""
     system = rc.system()
-    seed = asymptotics.build_seed(rc.spec, rc.mu_seed, rc.eps, rc.ansatz, rc.coupling)
-    corrected = continuation.newton_correct(
-        system, seed, tol=rc.cont.newton_tol, max_iter=rc.cont.newton_max_iter
-    )
-    plus = continuation.continue_branch(system, corrected, +1, rc.cont)
+    try:
+        seed = asymptotics.build_seed(rc.spec, rc.mu_seed, rc.eps, rc.ansatz, rc.coupling)
+        corrected = continuation.newton_correct(
+            system, seed, tol=rc.cont.newton_tol, max_iter=rc.cont.newton_max_iter
+        )
+    except (model.ModelError, asymptotics.AsymptoticsError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except continuation.ContinuationError as err:
+        print(f"seed correction failed: {err}", file=sys.stderr)
+        return 3
+    return system, seed, corrected
+
+
+def compute_branch(system: continuation.LatticeSystem, seed: PolarState,
+                   cont: continuation.ContinuationConfig) -> continuation.Branch:
+    """A run that closes, +1 first, is the whole isola; else both runs merged."""
+    plus = continuation.continue_branch(system, seed, +1, cont)
     if plus.closure == continuation.CLOSED_ISOLA:
         return plus
-    minus = continuation.continue_branch(system, corrected, -1, rc.cont)
+    minus = continuation.continue_branch(system, seed, -1, cont)
+    if minus.closure == continuation.CLOSED_ISOLA:
+        return minus
     return continuation.merge_branches(minus, plus)
 
 
 def cmd_continue(rc: RunConfig) -> int:
     t0 = time.perf_counter()
+    seeded = _corrected_seed(rc)
+    if isinstance(seeded, int):
+        return seeded
     try:
-        branch = compute_branch(rc)
+        branch = compute_branch(seeded[0], seeded[2], rc.cont)
     except continuation.ContinuationError as err:
         print(f"seed correction failed: {err}", file=sys.stderr)
         return 3
@@ -351,22 +371,15 @@ def cmd_continue(rc: RunConfig) -> int:
 
 
 def cmd_seed(rc: RunConfig) -> int:
-    system = rc.system()
-    seed = asymptotics.build_seed(rc.spec, rc.mu_seed, rc.eps, rc.ansatz, rc.coupling)
+    seeded = _corrected_seed(rc)
+    if isinstance(seeded, int):
+        return seeded
+    system, seed, corrected = seeded
     payload = {"run_id": rc.run_id, "seed": _state_dict(seed),
-               "seed_residual": system.residual_norm(seed)}
-    try:
-        corrected = continuation.newton_correct(
-            system, seed, tol=rc.cont.newton_tol, max_iter=rc.cont.newton_max_iter
-        )
-    except (continuation.NoConvergence, continuation.SingularJacobian) as err:
-        print(f"seed correction failed: {err}", file=sys.stderr)
-        return 3
-    payload["corrected"] = _state_dict(corrected)
-    payload["corrected_residual"] = system.residual_norm(corrected)
-    out = rc.run_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(payload, out / "seed.json")
+               "seed_residual": system.residual_norm(seed),
+               "corrected": _state_dict(corrected),
+               "corrected_residual": system.residual_norm(corrected)}
+    _write_json(payload, rc.run_dir() / "seed.json")
     print(f"{rc.run_id}: seed corrected, residual {payload['corrected_residual']:.3e}")
     return 0
 
@@ -422,7 +435,6 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
         check.update({"deviation": dev, "pass": dev <= 1e-6})
 
     fold_rows = [row for row in rows if row["is_fold"]]
-    mu1_pred = asymptotics.fold_prediction_mu1(rc.eps)
     mu0_pred = asymptotics.fold_prediction_mu0(rc.eps)
     norm_factor = asymptotics.mu0_normalization(rc.spec)
     fold_mu1 = [
@@ -456,9 +468,7 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
         "fold_mu1": fold_mu1,
         "fold_mu0": fold_mu0,
     }
-    out = rc.run_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(report, out / "verify.json")
+    _write_json(report, rc.run_dir() / "verify.json")
     ok = report["residual_check"]["pass"] and report["relative_equilibrium"]["pass"]
     print(f"{rc.run_id}: verify {'PASS' if ok else 'FAIL'} "
           f"(max residual {max_res:.3e})")
@@ -469,7 +479,11 @@ MISMATCH_EPS_SWEEP = (1e-2, 1e-3, 1e-4)
 
 
 def cmd_mismatch(rc: RunConfig) -> int:
-    bound = asymptotics.mismatch_bound(rc.spec, rc.mu_seed)
+    try:
+        bound = asymptotics.mismatch_bound(rc.spec, rc.mu_seed)
+    except (model.ModelError, asymptotics.AsymptoticsError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
     k = rc.ansatz.k
     pattern = tuple(["plus"] * (k - 1) + ["minus"])
     sweep = []
@@ -503,9 +517,7 @@ def cmd_mismatch(rc: RunConfig) -> int:
         "core_k": k,
         "sweep": sweep,
     }
-    out = rc.run_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(payload, out / "mismatch.json")
+    _write_json(payload, rc.run_dir() / "mismatch.json")
     verdict = "obstructed" if bound.obstructed else "admissible"
     print(f"{rc.run_id}: mismatch delta={bound.delta:.6f} "
           f"threshold={bound.threshold:.6f} -> {verdict}")
@@ -513,15 +525,10 @@ def cmd_mismatch(rc: RunConfig) -> int:
 
 
 def cmd_simulate(rc: RunConfig) -> int:
-    system = rc.system()
-    seed = asymptotics.build_seed(rc.spec, rc.mu_seed, rc.eps, rc.ansatz, rc.coupling)
-    try:
-        state = continuation.newton_correct(
-            system, seed, tol=rc.cont.newton_tol, max_iter=rc.cont.newton_max_iter
-        )
-    except (continuation.NoConvergence, continuation.SingularJacobian) as err:
-        print(f"seed correction failed: {err}", file=sys.stderr)
-        return 3
+    seeded = _corrected_seed(rc)
+    if isinstance(seeded, int):
+        return seeded
+    state = seeded[2]
     sim = rc.raw.get("simulate", {})
     dt = float(sim.get("dt", 1e-3))
     horizon = float(sim.get("horizon", _rotation_period(state.rho)))
@@ -538,9 +545,7 @@ def cmd_simulate(rc: RunConfig) -> int:
         "completed": completed,
         "relative_equilibrium_deviation": dev,
     }
-    out = rc.run_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(payload, out / "simulate.json")
+    _write_json(payload, rc.run_dir() / "simulate.json")
     print(f"{rc.run_id}: simulate deviation {dev:.3e} over horizon {horizon:.3f}")
     return 0
 
@@ -577,7 +582,6 @@ def cmd_sweep(rc: RunConfig) -> int:
         "exit_codes": codes,
         "runs": [c.run_id for c in configs],
     }
-    rc.output_dir.mkdir(parents=True, exist_ok=True)
     _write_json(summary, rc.output_dir / f"{rc.run_id}-sweep.json")
     return 0 if all(code == 0 for code in codes) else 1
 

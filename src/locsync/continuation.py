@@ -1,4 +1,4 @@
-"""Pseudo-arclength continuation with fold detection and closure classification.
+"""Pseudo-arclength continuation with fold detection.
 
 The corrector solves the bordered system [J; t_prev] with the hyperplane
 constraint <x - x_prev, t_prev> = ds.  The predictor steps along the
@@ -6,12 +6,13 @@ bordered tangent [J; t_prev] t = e_last, taken from the corrector's final
 solve; dead tail phases are pinned, and at eps = 0 every phase is dead.
 Folds are turning points of mu, detected from sign changes of the
 tangent's mu component and refined by a safeguarded secant (Illinois
-regula falsi) in arclength, with a fresh tangent at each trial.  The engine
+regula falsi) in arclength, with a fresh tangent at each trial; a fold is a
+branch point flagged is_fold.  A run that closes is never merged.  The engine
 contains no randomness: identical inputs give bitwise-identical branches.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +37,6 @@ __all__ = [
     "Bordered",
     "FIXED_MU",
     "BranchPoint",
-    "FoldRecord",
     "Branch",
     "newton_correct",
     "branch_tangent",
@@ -335,25 +335,21 @@ class BranchPoint:
     tangent: np.ndarray
     is_fold: bool = False
     newton_iters: int = 0
+    refined: bool = False  # folds only: the tangent's mu part met fold_refine_tol
 
     @property
     def mu(self) -> float:
         return self.state.mu
 
 
-@dataclass(frozen=True)
-class FoldRecord:
-    mu: float
-    state: PolarState
-    arclength: float
-    refined: bool = True
-
-
 @dataclass
 class Branch:
     points: list[BranchPoint]
-    folds: list[FoldRecord] = field(default_factory=list)
     closure: str = OPEN
+
+    @property
+    def folds(self) -> list[BranchPoint]:
+        return [p for p in self.points if p.is_fold]
 
     @property
     def mu_values(self) -> np.ndarray:
@@ -474,8 +470,8 @@ def continue_branch(
                     break
 
     branch = Branch(points=points, closure=termination or OPEN)
-    branch.folds = detect_folds(branch, system, config)
-    _insert_fold_points(branch)
+    branch.points += detect_folds(branch, system, config)
+    branch.points.sort(key=lambda p: (p.arclength, not p.is_fold))
     return branch
 
 
@@ -500,10 +496,9 @@ def _attempt_closure(system, config, x_from, tangent, x_start, solid_start):
 
 def _fold_brackets(points: list[BranchPoint]) -> list[int]:
     """Indices i where the tangent mu-component changes sign between i, i+1."""
-    walk = [p for p in points if not p.is_fold]
     out = []
-    for i in range(len(walk) - 1):
-        a, b = walk[i].tangent[-1], walk[i + 1].tangent[-1]
+    for i in range(len(points) - 1):
+        a, b = points[i].tangent[-1], points[i + 1].tangent[-1]
         if a != 0.0 and b != 0.0 and (a < 0.0) != (b < 0.0):
             out.append(i)
     return out
@@ -512,21 +507,19 @@ def _fold_brackets(points: list[BranchPoint]) -> list[int]:
 def detect_folds(
     branch: Branch,
     system: LatticeSystem,
-    config: ContinuationConfig | None = None,
-) -> list[FoldRecord]:
+    config: ContinuationConfig,
+) -> list[BranchPoint]:
     """Locate folds by regula falsi on arclength between sign-change brackets.
 
     Each trial re-corrects a bordered step from the left bracket point, at
     the secant root of the tangent's mu component (the midpoint if that
     leaves the bracket), and evaluates the tangent there; the bracket shrinks
-    until the mu component drops below fold_refine_tol.  Non-convergent or
-    capped refinements are recorded unrefined at the best trial.
+    until the mu component drops below fold_refine_tol.  A fold point is the
+    best trial, with its tangent; failed or capped refinements stay unrefined.
     """
-    if config is None:
-        config = ContinuationConfig()
     mu_lo, mu_hi = config.mu_window
     walk = [p for p in branch.points if not p.is_fold]
-    records: list[FoldRecord] = []
+    folds: list[BranchPoint] = []
     for i in _fold_brackets(walk):
         left, right = walk[i], walk[i + 1]
         if not (mu_lo <= left.state.mu <= mu_hi
@@ -541,7 +534,7 @@ def detect_folds(
         # halving t_mu at an end kept twice in a row stops it from stalling.
         lo = [0.0, float(left.tangent[-1])]
         hi = [ds_total, float(right.tangent[-1])]
-        best_state, best_tmu, best_ds = right.state, hi[1], ds_total
+        best_state, best_tangent, best_ds = right.state, right.tangent, ds_total
         refined, kept = False, None
         for _ in range(100):
             trial = hi[0] - hi[1] * (hi[0] - lo[0]) / (hi[1] - lo[1])
@@ -554,8 +547,8 @@ def detect_folds(
             except (NoConvergence, SingularJacobian):
                 break
             tmu = float(t_trial[-1])
-            if abs(tmu) < abs(best_tmu):
-                best_state, best_tmu, best_ds = outcome.state, tmu, trial
+            if abs(tmu) < abs(best_tangent[-1]):
+                best_state, best_tangent, best_ds = outcome.state, t_trial, trial
             if abs(tmu) <= config.fold_refine_tol:
                 refined = True
                 break
@@ -564,37 +557,17 @@ def detect_folds(
             if other is kept:
                 other[1] *= 0.5
             kept = other
-        records.append(FoldRecord(
-            mu=best_state.mu,
-            state=best_state,
-            arclength=left.arclength + best_ds,
-            refined=refined,
-        ))
-    return records
-
-
-def _insert_fold_points(branch: Branch) -> None:
-    """Insert refined fold states into the point list, flagged is_fold."""
-    if not branch.folds:
-        return
-    for rec in branch.folds:
-        tangent = None
-        for p in branch.points:
-            if p.arclength <= rec.arclength:
-                tangent = p.tangent
-        if tangent is None:
-            tangent = branch.points[0].tangent
-        branch.points.append(BranchPoint(rec.state, rec.arclength, tangent,
-                                         True, 0))
-    branch.points.sort(key=lambda p: (p.arclength, not p.is_fold))
+        folds.append(BranchPoint(best_state, left.arclength + best_ds,
+                                 best_tangent, is_fold=True, refined=refined))
+    return folds
 
 
 def merge_branches(minus: Branch, plus: Branch) -> Branch:
-    """Join the two directional runs from a common seed into one branch.
+    """Join the two open-ended runs from a common seed into one branch.
 
     The minus-direction points are reversed and re-parametrized so the
-    merged arclength increases monotonically; fold records are shifted
-    accordingly.
+    merged arclength increases monotonically.  A run that closed is a whole
+    isola and is never merged.
     """
     offset = minus.points[-1].arclength
     points: list[BranchPoint] = []
@@ -604,17 +577,6 @@ def merge_branches(minus: Branch, plus: Branch) -> Branch:
                               tangent=-p.tangent))
     for p in plus.points[1:]:
         points.append(replace(p, arclength=offset + p.arclength))
-    folds = [replace(f, arclength=offset - f.arclength) for f in minus.folds]
-    folds += [replace(f, arclength=offset + f.arclength) for f in plus.folds]
-    folds.sort(key=lambda f: f.arclength)
-
     reasons = {minus.closure, plus.closure}
-    if CLOSED_ISOLA in reasons:
-        closure = CLOSED_ISOLA
-    elif WINDOW_EXIT in reasons:
-        closure = WINDOW_EXIT
-    elif STEP_LIMIT in reasons:
-        closure = STEP_LIMIT
-    else:
-        closure = OPEN
-    return Branch(points=points, folds=folds, closure=closure)
+    closure = next((c for c in (WINDOW_EXIT, STEP_LIMIT) if c in reasons), OPEN)
+    return Branch(points=points, closure=closure)

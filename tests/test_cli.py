@@ -410,6 +410,30 @@ def test_isola_next_to_negative_tail_amplitude(tmp_path):
     assert summary["n_folds"] == 4
 
 
+def test_closed_minus_run_is_not_merged(tmp_path):
+    # At seed mu 0.42 the k=8 isola closes in the -1 direction only; the
+    # open +1 run must not be glued onto it.
+    cfg = base_config(tmp_path, run_id="iso8", N=10, coupling="conservative",
+                      boundary="on_site", seed={"k": 8, "mu": 0.42},
+                      continuation={"ds_init": 0.01, "ds_max": 0.05})
+    path = write_config(tmp_path, cfg)
+    assert main(["continue", "--config", path]) == 0
+    summary = json.loads((tmp_path / "out" / "iso8" / "summary.json").read_text())
+    assert summary["closure"] == "closed_isola"
+    assert summary["n_folds"] == 4
+    assert all(f["refined"] for f in summary["folds"])
+
+
+def test_non_bistable_model_is_a_config_error(tmp_path, capsys):
+    cfg = base_config(tmp_path, model={"polynomial_lambda": [-1.0, 0.5]})
+    path = write_config(tmp_path, cfg)
+    for command in ("continue", "seed", "simulate", "mismatch"):
+        assert main([command, "--config", path]) == 2, command
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("config error:"), command
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_built_spec_pickles(tmp_path):
     for model in ({"name": "quintic_rotating"},
                   {"polynomial_lambda": [0.0, 2.0, -1.0], "mu_coefficient": -1.0,

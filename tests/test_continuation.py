@@ -338,6 +338,15 @@ def test_fold_refinement_tangent_tolerance(small_snake, dissipative_system, quin
         assert abs(t[-1]) <= 10 * cfg.fold_refine_tol
 
 
+def test_fold_points_carry_their_fold_tangent(small_snake):
+    branch, cfg, _ = small_snake
+    assert branch.folds == [p for p in branch.points if p.is_fold]
+    refined = [p for p in branch.folds if p.refined]
+    assert len(refined) == 6
+    for p in refined:
+        assert abs(p.tangent[-1]) <= cfg.fold_refine_tol
+
+
 def test_fold_refinement_cost(small_snake, dissipative_system, monkeypatch):
     branch, cfg, _ = small_snake
     trials = []

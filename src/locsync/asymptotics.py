@@ -27,7 +27,6 @@ __all__ = [
     "snaking_curve",
     "snaking_domain",
     "isola_curve",
-    "fold_prediction_mu1",
     "fold_prediction_mu0",
     "mu0_normalization",
     "mismatch_bound",
@@ -245,11 +244,6 @@ class FoldPrediction:
     correction_exponent: float  # relative correction is O(eps**exponent)
 
 
-def fold_prediction_mu1(eps: float) -> FoldPrediction:
-    """Leading fold location near mu = 1: mu = 1 - eps*(1 + O(sqrt(eps)))."""
-    return FoldPrediction(mu=1.0 - eps, amplitude=1.0, correction_exponent=0.5)
-
-
 def fold_prediction_mu0(eps: float) -> FoldPrediction:
     """Leading recruitment-fold location near mu = 0.
 
@@ -270,14 +264,14 @@ def mu0_normalization(spec: NonlinearitySpec) -> float:
 
     The (3/2) cbrt(2) constant holds after rescaling so that r_+(0) = 1 and
     the pitchfork expansion reads lambda(r, 0) r = -mu r + r^3.  For a raw
-    nonlinearity with lambda(r, 0) ~ c3 r^2 and upper rest root b = r_+(0),
-    the inhomogeneous recruitment balance -mu r + c3 r^3 + eps b = 0 folds
-    at mu = [(3/2) sqrt(3 c3) b]^(2/3) eps^(2/3), i.e. the normal-form
-    constant times (b sqrt(c3))^(2/3).  The quintic gives
-    (sqrt(2) sqrt(2))^(2/3) = 2^(2/3), hence mu_fold -> 3 eps^(2/3).
+    nonlinearity with lambda(r, 0) ~ c3 r^2 (c3 = c_1, the r^2 coefficient)
+    and upper rest root b = r_+(0), the inhomogeneous recruitment balance
+    -mu r + c3 r^3 + eps b = 0 folds at mu = [(3/2) sqrt(3 c3) b]^(2/3)
+    eps^(2/3), i.e. the normal-form constant times (b sqrt(c3))^(2/3).  The
+    quintic gives (sqrt(2) sqrt(2))^(2/3) = 2^(2/3), hence
+    mu_fold -> 3 eps^(2/3).
     """
-    h = 1e-4
-    c3 = (float(spec.lam(h, 0.0)) - float(spec.lam(0.0, 0.0))) / h**2
+    c3 = spec.coeffs[1] if len(spec.coeffs) > 1 else 0.0
     if c3 <= 0.0:
         raise AsymptoticsError(
             "lambda(r, 0) must grow quadratically for the recruitment fold"
@@ -304,11 +298,8 @@ def mismatch_bound(spec: NonlinearitySpec, mu: float) -> MismatchReport:
     no such phase exists once |omega1(r-) - omega1(r+)| exceeds r+/r-.
     """
     prof = bistable_roots(spec, mu)
-    if spec.omega1 is None:
-        w1m = w1p = 0.0
-    else:
-        w1m = float(spec.omega1(prof.r_minus, mu, 0.0))
-        w1p = float(spec.omega1(prof.r_plus, mu, 0.0))
+    w1m = float(spec.omega1(prof.r_minus))
+    w1p = float(spec.omega1(prof.r_plus))
     delta = abs(w1m - w1p)
     threshold = prof.r_plus / prof.r_minus
     sin_phi = (prof.r_minus / prof.r_plus) * (w1m - w1p)

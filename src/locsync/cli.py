@@ -168,11 +168,7 @@ def _build_spec(cfg: dict) -> model.NonlinearitySpec:
         raise ConfigError("model: need 'name' or 'polynomial_lambda'")
     if "omega1" in cfg:
         c1 = float(cfg["omega1"]["linear_coefficient"])
-        spec = spec.with_omega1(
-            lambda r, mu, eps: c1 * np.asarray(r, dtype=float),
-            lambda r, mu, eps: c1 + 0.0 * np.asarray(r, dtype=float),
-            name=f"{spec.name}+omega1[{c1}*r]",
-        )
+        spec = spec.with_omega1((0.0, c1), name=f"{spec.name}+omega1[{c1}*r]")
     return spec
 
 
@@ -435,8 +431,6 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
         check.update({"deviation": dev, "pass": dev <= 1e-6})
 
     fold_rows = [row for row in rows if row["is_fold"]]
-    mu0_pred = asymptotics.fold_prediction_mu0(rc.eps)
-    norm_factor = asymptotics.mu0_normalization(rc.spec)
     fold_mu1 = [
         {"mu": row["state"].mu,
          "rel_error": abs(1.0 - (1.0 - row["state"].mu) / rc.eps)}
@@ -446,10 +440,15 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
     fold_mu0 = None
     if low and rc.eps > 0:
         smallest = min(low)
+        mu0_pred = asymptotics.fold_prediction_mu0(rc.eps).mu
+        try:
+            normalized = smallest / (asymptotics.mu0_normalization(rc.spec) * mu0_pred)
+        except (model.ModelError, asymptotics.AsymptoticsError):
+            normalized = None  # lambda(., 0) has no recruitment-fold shape
         fold_mu0 = {
             "mu": smallest,
-            "ratio_normal_form_units": smallest / mu0_pred.mu,
-            "ratio_normalized": smallest / (norm_factor * mu0_pred.mu),
+            "ratio_normal_form_units": smallest / mu0_pred,
+            "ratio_normalized": normalized,
         }
 
     report = {

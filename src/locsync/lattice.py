@@ -23,7 +23,6 @@ __all__ = [
     "PolarState",
     "ghost_values",
     "residual",
-    "residual_norm",
     "complex_residual",
     "jacobian",
     "wrap_phase",
@@ -158,10 +157,6 @@ def residual(
     return out
 
 
-def residual_norm(spec, c, state, eps, bc) -> float:
-    return float(np.max(np.abs(residual(spec, c, state, eps, bc))))
-
-
 def polar_to_complex(state: PolarState) -> np.ndarray:
     """z_n = r_n exp(i theta_n) with theta_1 = 0 and theta_{n+1} = theta_n + phi_n."""
     theta = np.concatenate([[0.0], np.cumsum(state.phi)])
@@ -215,7 +210,6 @@ def jacobian(
 
     lam, lam_r, lam_mu = spec.lam(r, mu), spec.lam_r(r, mu), spec.lam_mu(r, mu)
     om, om_r = spec.omega(r, mu, eps), spec.omega_r(r, mu, eps)
-    om_mu = spec.omega_mu(r, mu, eps)
 
     J = np.zeros((2 * n, 2 * n + 1))
     node = np.arange(n)
@@ -227,8 +221,7 @@ def jacobian(
     J[ra, node] += lam + r * lam_r - 2.0 * eps * cre
     J[pa, node] += (om - rho) + r * om_r - 2.0 * eps * cim
     J[pa, 2 * n - 1] = -r
-    J[ra, 2 * n] = lam_mu * r
-    J[pa, 2 * n] = om_mu * r
+    J[ra, 2 * n] = lam_mu * r  # omega does not depend on mu
 
     # right neighbor (r_{n+1}, phi_n): the ghost r_{N+1} = r_N folds into the
     # diagonal, and phi_N = 0 is constant

@@ -4,12 +4,14 @@ A node of the chain carries the complex vector field f(|Z|, mu, eps) * Z with
 f = lambda + i*omega.  The real part lambda(r, mu) controls the amplitude
 dynamics: an even polynomial in r plus a linear mu term, with two positive
 roots r_-(mu) < r_+(mu) on the unit parameter interval.  The imaginary part
-is split into a constant and an O(eps) part, omega = omega0 + eps*omega1(r, mu, eps).
+is split into a constant and an O(eps) part, omega = omega0 + eps*omega1(r),
+with omega1 a polynomial in r.  Both are stored as coefficients; this module
+is the only one that evaluates them, and it takes the roots of lambda from
+its coefficients as a polynomial in r^2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -29,9 +31,8 @@ __all__ = [
     "verify_hypotheses",
 ]
 
-ROOT_WINDOW = (1e-8, 10.0)  # search window for positive roots of lambda
-NEAR_FOLD_GAP = 1e-6        # roots closer than this are flagged, not rejected
-_ROOT_RTOL = 1e-12
+NEAR_FOLD_GAP = 1e-6      # roots closer than this are flagged, not rejected
+_DOUBLE_ROOT_RTOL = 1e-7  # |Im u| / |u| below which a root of lambda in u is real
 
 
 class ModelError(ValueError):
@@ -57,10 +58,11 @@ class NonlinearitySpec:
     """Split-form nonlinearity f = lambda + i*omega, stored as coefficients.
 
     lambda(r, mu) = a*mu + sum_j c_j r^(2j) with ``coeffs`` = (c_0, c_1, ...)
-    and ``mu_coefficient`` = a; omega = omega0 + eps*omega1(r, mu, eps).  The
-    derivatives the analytic Jacobian needs follow from the coefficients.
-    The optional O(eps) part omega1 (with omega1_r, omega1_mu) is the only
-    callable, so a spec without it is hashable and picklable.  Every method
+    and ``mu_coefficient`` = a; omega = omega0 + eps*omega1(r) with
+    omega1(r) = sum_j d_j r^j and ``omega1_coeffs`` = (d_0, d_1, ...), empty
+    when there is no O(eps) part.  The derivatives the analytic Jacobian
+    needs follow from the coefficients; omega does not depend on mu.  A spec
+    is plain data: it hashes, pickles and compares by value.  Every method
     broadcasts over numpy arrays in r.
     """
 
@@ -68,9 +70,7 @@ class NonlinearitySpec:
     coeffs: tuple[float, ...]
     mu_coefficient: float = 0.0
     omega0: float = 0.0
-    omega1: Callable | None = None     # omega1(r, mu, eps)
-    omega1_r: Callable | None = None
-    omega1_mu: Callable | None = None
+    omega1_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
         # a nonzero c_j is what gives lam the shape of r
@@ -98,30 +98,34 @@ class NonlinearitySpec:
     def lam_mu(self, r, mu):
         return np.full(np.shape(r), self.mu_coefficient)
 
+    def omega1(self, r):
+        return _power_series(self.omega1_coeffs, r)
+
     def omega(self, r, mu, eps):
-        if self.omega1 is None:
+        if not self.omega1_coeffs:
             return np.full(np.shape(r), self.omega0)
-        return self.omega0 + eps * self.omega1(r, mu, eps)
+        return self.omega0 + eps * self.omega1(r)
 
     def omega_r(self, r, mu, eps):
-        if self.omega1_r is None:
-            return np.zeros(np.shape(r))
-        return eps * self.omega1_r(r, mu, eps)
+        derivative = tuple(j * dj for j, dj in enumerate(self.omega1_coeffs))[1:]
+        return eps * _power_series(derivative, r)
 
-    def omega_mu(self, r, mu, eps):
-        if self.omega1_mu is None:
-            return np.zeros(np.shape(r))
-        return eps * self.omega1_mu(r, mu, eps)
-
-    def with_omega1(self, omega1, omega1_r, omega1_mu=None, name=None) -> "NonlinearitySpec":
-        """Return a copy with an O(eps) frequency part attached."""
+    def with_omega1(self, coeffs, name=None) -> "NonlinearitySpec":
+        """Return a copy with omega1(r) = sum_j coeffs[j] r^j attached."""
         return replace(
             self,
             name=name if name is not None else self.name + "+omega1",
-            omega1=omega1,
-            omega1_r=omega1_r,
-            omega1_mu=omega1_mu,
+            omega1_coeffs=tuple(float(v) for v in coeffs),
         )
+
+
+def _power_series(coeffs, x):
+    """sum_j c_j x^j over the nonzero c_j, in order, with x itself for j = 1,
+    so that (0, c) evaluates to c * x bit for bit."""
+    terms = [cj * (x if j == 1 else x**j) for j, cj in enumerate(coeffs) if cj]
+    if not terms:
+        return np.zeros(np.shape(x))
+    return sum(terms[1:], terms[0])
 
 
 @dataclass(frozen=True)
@@ -172,71 +176,39 @@ def polynomial_spec(
     )
 
 
-def _bisect(f, a, b, fa, fb):
-    """Bisection to ~1e-15 absolute, assuming a sign change on [a, b]."""
-    for _ in range(60):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
-def _newton_polish(f, fprime, x0, rtol=_ROOT_RTOL, maxit=10):
-    x = x0
+def _newton_polish(f, fprime, x, maxit=10):
+    """Newton steps while they shrink |f|; stops at the rounding floor of f."""
+    fx = f(x)
     for _ in range(maxit):
         d = fprime(x)
-        if d == 0.0:
+        if fx == 0.0 or d == 0.0:
             break
-        step = f(x) / d
-        x_new = x - step
-        if abs(step) <= rtol * max(1.0, abs(x)):
-            return x_new
-        x = x_new
+        x_new = x - fx / d
+        f_new = f(x_new)
+        if abs(f_new) >= abs(fx):
+            break
+        x, fx = x_new, f_new
     return x
 
 
-def _positive_roots(f, fr, window=ROOT_WINDOW, n_grid=4096):
-    """Simple positive roots of f, plus near-double roots at critical points.
+def _positive_r_roots(spec: NonlinearitySpec, mu: float) -> list[float]:
+    """Positive roots of lambda(., mu), ascending, each polished in r.
 
-    The window is partitioned at the critical points of f (sign changes of
-    fr), so every monotone piece contributes at most one bracketed root.
-    A run of grid points where fr is exactly 0 is a stretch on which f is
-    flat; only its first point is a critical point.  Returns (roots, doubles).
+    lambda is a polynomial in u = r^2, so its positive roots are the square
+    roots of the positive real roots u.  A double root may come back from
+    np.roots as a conjugate pair with an O(sqrt(machine eps)) imaginary
+    part; it counts as two coincident real roots, the near-fold case.
     """
-    lo, hi = window
-    grid = np.linspace(lo, hi, n_grid)
-    dv = np.array([fr(x) for x in grid])
-    crits = []
-    for i in range(n_grid - 1):
-        if dv[i] == 0.0:
-            if i == 0 or dv[i - 1] != 0.0:
-                crits.append(grid[i])
-        elif (dv[i] < 0.0) != (dv[i + 1] < 0.0):
-            crits.append(_bisect(fr, grid[i], grid[i + 1], dv[i], dv[i + 1]))
-    knots = [lo] + sorted(crits) + [hi]
+    u = np.roots([*spec.coeffs[:0:-1], spec.coeffs[0] + spec.mu_coefficient * mu])
+    u = u.real[(np.abs(u.imag) <= _DOUBLE_ROOT_RTOL * np.abs(u)) & (u.real > 0.0)]
 
-    roots = []
-    for a, b in zip(knots[:-1], knots[1:]):
-        fa, fb = f(a), f(b)
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if (fa < 0.0) != (fb < 0.0):
-            x = _bisect(f, a, b, fa, fb)
-            roots.append(_newton_polish(f, fr, x))
+    def f(r):
+        return float(spec.lam(r, mu))
 
-    doubles = []
-    for cpt in crits:
-        if roots and min(abs(cpt - x) for x in roots) < 1e-6:
-            continue
-        if abs(f(cpt)) <= 1e-9:
-            doubles.append(cpt)
-    return sorted(roots), doubles
+    def fr(r):
+        return float(spec.lam_r(r, mu))
+
+    return sorted(_newton_polish(f, fr, float(x)) for x in np.sqrt(u))
 
 
 def bistable_roots(spec: NonlinearitySpec, mu: float) -> BistabilityProfile:
@@ -247,51 +219,26 @@ def bistable_roots(spec: NonlinearitySpec, mu: float) -> BistabilityProfile:
     """
     if not (0.0 < mu <= 1.0):
         raise ParameterRangeError(f"mu={mu} outside the bistability interval (0, 1]")
-
-    def f(r):
-        return float(spec.lam(r, mu))
-
-    def fr(r):
-        return float(spec.lam_r(r, mu))
-
-    roots, doubles = _positive_roots(f, fr)
-    if len(roots) == 2:
-        r_minus, r_plus = roots
-    elif len(roots) == 0 and len(doubles) == 1:
-        r_minus = r_plus = doubles[0]
-    elif len(roots) < 2:
-        raise NotBistableError(
-            f"not bistable at mu={mu}: "
-            + ("one positive root" if len(roots) == 1 else "no positive roots"),
-            len(roots),
-        )
-    else:
-        raise NotBistableError(
-            f"not bistable at mu={mu}: {len(roots)} positive roots", len(roots)
-        )
-
+    roots = _positive_r_roots(spec, mu)
+    if len(roots) != 2:
+        found = {0: "no positive roots", 1: "one positive root"}.get(
+            len(roots), f"{len(roots)} positive roots")
+        raise NotBistableError(f"not bistable at mu={mu}: {found}", len(roots))
+    r_minus, r_plus = roots
     return BistabilityProfile(
         mu=float(mu),
-        r_minus=float(r_minus),
-        r_plus=float(r_plus),
-        lambda_r_minus=fr(r_minus),
-        lambda_r_plus=fr(r_plus),
-        lambda_at_zero=f(0.0),
+        r_minus=r_minus,
+        r_plus=r_plus,
+        lambda_r_minus=float(spec.lam_r(r_minus, mu)),
+        lambda_r_plus=float(spec.lam_r(r_plus, mu)),
+        lambda_at_zero=float(spec.lam(0.0, mu)),
         near_fold=bool(r_plus - r_minus < NEAR_FOLD_GAP),
     )
 
 
-def rest_state_roots(spec: NonlinearitySpec, window=ROOT_WINDOW) -> tuple[float, float]:
+def rest_state_roots(spec: NonlinearitySpec) -> tuple[float, float]:
     """(r_minus, r_plus) limits at mu = 0, where r_minus = 0 by the pitchfork."""
-
-    def f(r):
-        return float(spec.lam(r, 0.0))
-
-    def fr(r):
-        return float(spec.lam_r(r, 0.0))
-
-    roots, doubles = _positive_roots(f, fr, window=window)
-    candidates = [x for x in roots + doubles if x > 1e-4]
+    candidates = [x for x in _positive_r_roots(spec, 0.0) if x > 1e-4]
     if not candidates:
         raise NotBistableError("no positive root of lambda(., 0) found", 0)
     return 0.0, max(candidates)
@@ -310,7 +257,6 @@ class GridCheck:
 class HypothesisReport:
     spec_name: str
     entries: tuple[GridCheck, ...]
-    evenness_defect: float
     pitchfork_trend_ok: bool
     fold_trend_ok: bool
     admissible: bool
@@ -345,13 +291,6 @@ def verify_hypotheses(spec: NonlinearitySpec, mu_grid) -> HypothesisReport:
                                  profile=prof,
                                  message="" if signs_ok else "stability signs violated"))
 
-    r_sample = np.linspace(0.0, ROOT_WINDOW[1], 257)
-    defect = 0.0
-    for mu in mus:
-        defect = max(defect, float(np.max(np.abs(
-            np.asarray(spec.lam(r_sample, mu)) - np.asarray(spec.lam(-r_sample, mu))
-        ))))
-
     ok_entries = [e for e in entries if e.profile is not None]
     if len(ok_entries) == len(entries) and len(ok_entries) >= 2:
         rm = [e.profile.r_minus for e in ok_entries]
@@ -364,13 +303,11 @@ def verify_hypotheses(spec: NonlinearitySpec, mu_grid) -> HypothesisReport:
     admissible = (
         pitchfork_ok
         and fold_ok
-        and defect <= 1e-12
         and all(e.root_count == 2 and e.signs_ok for e in entries)
     )
     return HypothesisReport(
         spec_name=spec.name,
         entries=tuple(entries),
-        evenness_defect=defect,
         pitchfork_trend_ok=pitchfork_ok,
         fold_trend_ok=fold_ok,
         admissible=admissible,

@@ -38,7 +38,6 @@ from locsync.lattice import (
     jacobian,
     polar_to_complex,
     residual,
-    residual_norm,
 )
 from locsync.model import bistable_roots, builtin_spec
 
@@ -243,19 +242,13 @@ def _mismatch_newton(spec, eps):
 
 def test_criterion_5_mismatch_obstruction(quintic):
     """Lemma obstruction: omega1 = 5r blocks Newton, omega1 = r does not."""
-    spec5 = quintic.with_omega1(
-        lambda r, mu, eps: 5.0 * np.asarray(r, dtype=float),
-        lambda r, mu, eps: 5.0 + 0.0 * np.asarray(r, dtype=float),
-    )
+    spec5 = quintic.with_omega1((0.0, 5.0))
     assert mismatch_bound(spec5, 0.75).obstructed
     for eps in (1e-2, 1e-3, 1e-4):
         with pytest.raises((NoConvergence, SingularJacobian)):
             _mismatch_newton(spec5, eps)
 
-    spec1 = quintic.with_omega1(
-        lambda r, mu, eps: np.asarray(r, dtype=float),
-        lambda r, mu, eps: 1.0 + 0.0 * np.asarray(r, dtype=float),
-    )
+    spec1 = quintic.with_omega1((0.0, 1.0))
     bound = mismatch_bound(spec1, 0.75)
     assert not bound.obstructed
     devs = []
@@ -293,10 +286,7 @@ def _fd_jacobian(spec, c, state, eps, bc):
 def test_criterion_6_property_suite(quintic, quintic_rotating, snake_off):
     """The always-runnable property checks at their stated tolerances."""
     rng = np.random.default_rng(2024)
-    spec = quintic_rotating.with_omega1(
-        lambda r, mu, eps: 0.2 * r * r,
-        lambda r, mu, eps: 0.4 * np.asarray(r, dtype=float),
-    )
+    spec = quintic_rotating.with_omega1((0.0, 0.0, 0.2))
     results = {}
 
     # analytic vs finite-difference Jacobian, 100 states per combination
@@ -340,17 +330,18 @@ def test_criterion_6_property_suite(quintic, quintic_rotating, snake_off):
 
     # eps = 0 curve points have zero residual
     worst_curve = 0.0
+    eps0_off = LatticeSystem(quintic, CouplingKind.dissipative(), 0.0,
+                             BoundaryKind.OFF_SITE)
+    eps0_on = LatticeSystem(quintic, CouplingKind.conservative(), 0.0,
+                            BoundaryKind.ON_SITE)
     lo, hi = snaking_domain(N_NODES)
     for s in np.linspace(lo + 0.04, hi - 0.04, 41):
-        worst_curve = max(worst_curve, residual_norm(
-            quintic, CouplingKind.dissipative(),
-            snaking_curve(quintic, N_NODES, s), 0.0, BoundaryKind.OFF_SITE))
+        worst_curve = max(worst_curve, eps0_off.residual_norm(
+            snaking_curve(quintic, N_NODES, s)))
     for s in np.linspace(0.0, 2.0, 21):
         for half in ("lower", "upper"):
-            worst_curve = max(worst_curve, residual_norm(
-                quintic, CouplingKind.conservative(),
-                isola_curve(quintic, N_NODES, 3, s, half), 0.0,
-                BoundaryKind.ON_SITE))
+            worst_curve = max(worst_curve, eps0_on.residual_norm(
+                isola_curve(quintic, N_NODES, 3, s, half)))
     assert worst_curve <= 1e-10
     results["curve_residual"] = worst_curve
 

@@ -13,7 +13,6 @@ from locsync.asymptotics import (
     core_phase_block,
     farfield_tail,
     fold_prediction_mu0,
-    fold_prediction_mu1,
     isola_curve,
     mismatch_bound,
     mu0_normalization,
@@ -21,7 +20,7 @@ from locsync.asymptotics import (
     snaking_domain,
 )
 from locsync.continuation import FIXED_MU, LatticeSystem, _newton_solve
-from locsync.lattice import BoundaryKind, CouplingKind, residual_norm
+from locsync.lattice import BoundaryKind, CouplingKind
 from locsync.model import bistable_roots
 
 
@@ -138,8 +137,8 @@ def test_build_seed_conservative_newton(quintic):
 def test_build_seed_eps_zero_exact(quintic):
     ansatz = SeedAnsatz(2, ("plus", "minus"), "in_phase", BoundaryKind.OFF_SITE, 6)
     seed = build_seed(quintic, 0.6, 0.0, ansatz, CouplingKind.dissipative())
-    res = residual_norm(quintic, CouplingKind.dissipative(), seed, 0.0,
-                        BoundaryKind.OFF_SITE)
+    res = LatticeSystem(quintic, CouplingKind.dissipative(), 0.0,
+                        BoundaryKind.OFF_SITE).residual_norm(seed)
     assert res <= 1e-10
 
 
@@ -183,8 +182,8 @@ def test_snaking_curve_zero_residual(quintic):
     lo, hi = snaking_domain(8)
     for s in np.linspace(lo + 0.05, hi - 0.05, 33):
         st = snaking_curve(quintic, 8, s)
-        res = residual_norm(quintic, CouplingKind.dissipative(), st, 0.0,
-                            BoundaryKind.OFF_SITE)
+        res = LatticeSystem(quintic, CouplingKind.dissipative(), 0.0,
+                            BoundaryKind.OFF_SITE).residual_norm(st)
         assert res <= 1e-10
 
 
@@ -212,8 +211,8 @@ def test_isola_curve_phases_and_residual(quintic):
             st = isola_curve(quintic, 8, 2, s, half)
             assert np.all(st.phi[:2] == -np.pi / 2)
             assert st.phi[2] == np.pi / 2
-            res = residual_norm(quintic, CouplingKind.conservative(), st, 0.0,
-                                BoundaryKind.ON_SITE)
+            res = LatticeSystem(quintic, CouplingKind.conservative(), 0.0,
+                                BoundaryKind.ON_SITE).residual_norm(st)
             assert res <= 1e-10
 
 
@@ -226,14 +225,6 @@ def test_isola_curve_range_errors(quintic):
         isola_curve(quintic, 10, 2, 2.5, "lower")
     with pytest.raises(AsymptoticsError):
         isola_curve(quintic, 10, 2, 0.5, "middle")
-
-
-def test_fold_prediction_mu1():
-    assert fold_prediction_mu1(0.01).mu == pytest.approx(0.99)
-    assert fold_prediction_mu1(0.0).mu == 1.0
-    eps = np.array([0.0, 1e-4, 1e-3, 1e-2])
-    mus = [fold_prediction_mu1(e).mu for e in eps]
-    assert all(a > b for a, b in zip(mus[:-1], mus[1:]))
 
 
 def test_fold_prediction_mu0():
@@ -254,10 +245,7 @@ def test_mu0_normalization_quintic(quintic):
 
 
 def test_mismatch_bound_linear_omega1(quintic):
-    spec = quintic.with_omega1(
-        lambda r, mu, eps: np.asarray(r, dtype=float),
-        lambda r, mu, eps: 1.0 + 0.0 * np.asarray(r, dtype=float),
-    )
+    spec = quintic.with_omega1((0.0, 1.0))
     rep = mismatch_bound(spec, 0.75)
     rm, rp = quintic_roots(0.75)
     assert rep.delta == pytest.approx(rp - rm, rel=1e-10)
@@ -274,10 +262,7 @@ def test_mismatch_bound_zero_and_obstructed(quintic):
     rep0 = mismatch_bound(quintic, 0.75)
     assert rep0.delta == 0.0 and not rep0.obstructed
     assert rep0.sin_phi_limit == 0.0
-    spec5 = quintic.with_omega1(
-        lambda r, mu, eps: 5.0 * np.asarray(r, dtype=float),
-        lambda r, mu, eps: 5.0 + 0.0 * np.asarray(r, dtype=float),
-    )
+    spec5 = quintic.with_omega1((0.0, 5.0))
     rep5 = mismatch_bound(spec5, 0.75)
     assert rep5.delta == pytest.approx(2.588190, abs=1e-6)
     assert rep5.obstructed
@@ -288,10 +273,7 @@ def test_mismatch_limit_against_brute_force_phase_system(quintic):
     # Assemble the leading-order phase system for the pattern with k nodes
     # at r+ followed by one at r-: unknowns (Omega, sin phi_1..sin phi_k),
     # linear because only sines appear.  Independent of the closed form.
-    spec = quintic.with_omega1(
-        lambda r, mu, eps: np.asarray(r, dtype=float),
-        lambda r, mu, eps: 1.0 + 0.0 * np.asarray(r, dtype=float),
-    )
+    spec = quintic.with_omega1((0.0, 1.0))
     mu = 0.75
     rm, rp = quintic_roots(mu)
     w1p, w1m = rp, rm  # omega1(r) = r

@@ -441,6 +441,43 @@ def test_config_built_spec_pickles(tmp_path):
         spec = load_config(base_config(tmp_path, model=model)).spec
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec and hash(copy) == hash(spec)
+    spec = load_config(base_config(tmp_path, omega1={"linear_coefficient": 1.0})).spec
+    assert spec.name == "quintic+omega1[1.0*r]"
+    assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+@pytest.mark.parametrize("pattern", ["minus", "plus"])
+def test_seed_with_upper_root_above_ten(tmp_path, pattern):
+    # lambda = -mu + 0.02 r^2 - 1e-4 r^4: r- = 5.41 and r+ = 13.07 at mu = 0.5
+    cfg = base_config(tmp_path, model={"polynomial_lambda": [0.0, 0.02, -1e-4],
+                                       "mu_coefficient": -1.0})
+    cfg["seed"]["pattern"] = [pattern]
+    assert main(["seed", "--config", write_config(tmp_path, cfg)]) == 0
+    payload = json.loads((tmp_path / "out" / "test-run" / "seed.json").read_text())
+    assert payload["corrected_residual"] <= 1e-10
+    # the core node sits on the root up to its O(eps) coupling correction
+    assert payload["seed"]["r"][0] == pytest.approx(
+        5.412 if pattern == "minus" else 13.066, abs=0.1)
+
+
+@pytest.mark.parametrize("is_fold", [0, 1])
+def test_verify_without_recruitment_fold_shape(tmp_path, capsys, is_fold):
+    # lambda = 1 has no r^2 growth, so the mu=0 fold normalization is undefined
+    cfg = base_config(tmp_path, model={"polynomial_lambda": [1.0]})
+    path = write_config(tmp_path, cfg)
+    csv_path = tmp_path / "branch.csv"
+    row = ["0", "0", "0.5", "0", "0"] + ["0"] * 7 + [str(is_fold), "0"]
+    csv_path.write_text(",".join(branch_csv_header(4)) + "\n" + ",".join(row) + "\n",
+                        encoding="utf-8")
+    assert main(["verify", "--config", path, str(csv_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "test-run" / "verify.json").read_text())
+    assert report["residual_check"]["pass"] and report["relative_equilibrium"]["pass"]
+    if is_fold:
+        assert report["fold_mu0"]["mu"] == 0.5
+        assert report["fold_mu0"]["ratio_normalized"] is None
+    else:
+        assert report["fold_mu0"] is None
 
 
 def test_shipped_configs_parse(tmp_path):

@@ -132,10 +132,7 @@ def test_newton_converges_from_seed(quintic, dissipative_system):
 
 def test_newton_mismatch_obstruction_no_convergence(quintic):
     # frequency-mismatch obstruction: omega1 above the r+/r- threshold
-    spec = quintic.with_omega1(
-        lambda r, mu, eps: 5.0 * np.asarray(r, dtype=float),
-        lambda r, mu, eps: 5.0 + 0.0 * np.asarray(r, dtype=float),
-    )
+    spec = quintic.with_omega1((0.0, 5.0))
     system = LatticeSystem(spec, CouplingKind.dissipative(), EPS, BoundaryKind.OFF_SITE)
     ansatz = SeedAnsatz(6, ("plus",) * 5 + ("minus",), "in_phase",
                         BoundaryKind.OFF_SITE, 10)

@@ -130,8 +130,7 @@ def test_relative_equilibrium_sensitivity(quintic, quintic_rotating):
 
 @pytest.mark.parametrize("n", [2, 7])
 def test_chain_rhs_batch_matches_rows(quintic_rotating, couplings, n):
-    spec = quintic_rotating.with_omega1(lambda r, mu, eps: 0.3 * r,
-                                        lambda r, mu, eps: 0.3 + 0.0 * r)
+    spec = quintic_rotating.with_omega1((0.0, 0.3))
     rng = np.random.default_rng(n)
     z = rng.normal(0, 0.7, (3, n)) + 1j * rng.normal(0, 0.7, (3, n))
     mu = np.array([0.2, 0.5, 0.8])
@@ -144,8 +143,7 @@ def test_chain_rhs_batch_matches_rows(quintic_rotating, couplings, n):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rotation_deviation_bitwise_equal_to_integrate(quintic, quintic_rotating):
     # an O(eps) frequency part gives every mu its own rho
-    spec = quintic_rotating.with_omega1(lambda r, mu, eps: 0.3 * r,
-                                        lambda r, mu, eps: 0.3 + 0.0 * r)
+    spec = quintic_rotating.with_omega1((0.0, 0.3))
     c, eps, dt = CouplingKind.dissipative(), 0.01, 1e-2
     system = LatticeSystem(spec, c, eps, BoundaryKind.OFF_SITE)
     ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 8)

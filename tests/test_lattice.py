@@ -13,7 +13,6 @@ from locsync.lattice import (
     jacobian,
     polar_to_complex,
     residual,
-    residual_norm,
     wrap_phase,
 )
 from locsync.model import bistable_roots
@@ -25,11 +24,7 @@ def rand_state(rng, n, positive=False):
 
 
 def rich_spec(quintic_rotating):
-    return quintic_rotating.with_omega1(
-        lambda r, mu, eps: 0.3 * r + 0.1 * r**2 * mu,
-        lambda r, mu, eps: 0.3 + 0.2 * r * mu,
-        lambda r, mu, eps: 0.1 * r**2,
-    )
+    return quintic_rotating.with_omega1((0.0, 0.3, 0.1))
 
 
 def test_coupling_unit_modulus():
@@ -216,7 +211,6 @@ def loop_jacobian(spec, c, state, eps, bc):
     cre, cim = c.c_re, c.c_im
     lam, lam_r, lam_mu = spec.lam(r, mu), spec.lam_r(r, mu), spec.lam_mu(r, mu)
     om, om_r = spec.omega(r, mu, eps), spec.omega_r(r, mu, eps)
-    om_mu = spec.omega_mu(r, mu, eps)
 
     def col_r(idx):  # extended lattice index -> amplitude column
         if idx == 0:
@@ -235,7 +229,6 @@ def loop_jacobian(spec, c, state, eps, bc):
         J[pa, i] += (om[i] - rho) + r[i] * om_r[i] - 2.0 * eps * cim
         J[pa, 2 * n - 1] = -r[i]
         J[ra, 2 * n] = lam_mu[i] * r[i]
-        J[pa, 2 * n] = om_mu[i] * r[i]
         cn, sn = cosp[node], sinp[node]
         jr = col_r(node + 1)
         J[ra, jr] += eps * (cre * cn - cim * sn)
@@ -319,10 +312,7 @@ def test_wrap_phase_range():
 def test_canonicalize_sign_flip(quintic_rotating):
     # row-sign equivalence is exact when the whole nonlinearity is even in r
     rng = np.random.default_rng(14)
-    spec = quintic_rotating.with_omega1(
-        lambda r, mu, eps: 0.4 * r * r,
-        lambda r, mu, eps: 0.8 * np.asarray(r, dtype=float),
-    )
+    spec = quintic_rotating.with_omega1((0.0, 0.0, 0.4))
     for bc in BoundaryKind:
         st = rand_state(rng, 7)
         can = canonicalize(st)
@@ -333,11 +323,3 @@ def test_canonicalize_sign_flip(quintic_rotating):
         signs = np.repeat(np.where(st.r < 0.0, -1.0, 1.0), 2)
         assert np.max(np.abs(new - signs * raw)) <= 1e-12
         assert np.max(np.abs(np.abs(new) - np.abs(raw))) <= 1e-12
-
-
-def test_residual_norm_helper(quintic):
-    st = PolarState([0.2, 0.3], [0.1], 0.0, 0.5)
-    c = CouplingKind.dissipative()
-    assert residual_norm(quintic, c, st, 0.01, BoundaryKind.OFF_SITE) == pytest.approx(
-        float(np.max(np.abs(residual(quintic, c, st, 0.01, BoundaryKind.OFF_SITE))))
-    )

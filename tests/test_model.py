@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import quintic_roots
-from locsync import model
 from locsync.model import (
     ModelError,
     NotBistableError,
@@ -107,7 +106,6 @@ def test_monotone_bracketing(quintic):
 def test_verify_hypotheses_quintic(quintic):
     report = verify_hypotheses(quintic, np.linspace(0.1, 0.9, 9))
     assert report.admissible
-    assert report.evenness_defect == 0.0
     assert report.pitchfork_trend_ok and report.fold_trend_ok
 
 
@@ -158,13 +156,32 @@ def test_polynomial_spec_literal_meaning():
 
 
 def test_with_omega1(quintic):
-    spec = quintic.with_omega1(
-        lambda r, mu, eps: 5.0 * np.asarray(r, dtype=float),
-        lambda r, mu, eps: 5.0 + 0.0 * np.asarray(r, dtype=float),
-    )
+    spec = quintic.with_omega1((0.0, 5.0))
     assert float(spec.omega(0.3, 0.5, 0.01)) == pytest.approx(0.01 * 1.5)
     assert float(spec.omega_r(0.3, 0.5, 0.01)) == pytest.approx(0.05)
     assert float(quintic.omega(0.3, 0.5, 0.01)) == 0.0
+    rich = quintic.with_omega1((0.2, 0.3, -0.1, 0.05))
+    r = np.linspace(0.0, 2.0, 9)
+    assert np.allclose(rich.omega1(r), 0.2 + 0.3 * r - 0.1 * r**2 + 0.05 * r**3,
+                       rtol=1e-15, atol=1e-15)
+    assert np.allclose(rich.omega_r(r, 0.5, 0.01),
+                       0.01 * (0.3 - 0.2 * r + 0.15 * r**2), rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("c", [1.0, 5.0, -0.7, 0.123456789])
+def test_linear_omega1_bitwise_equal_to_closure(quintic_rotating, c):
+    # the closures that carried omega1 = c r before it became coefficients;
+    # the shipped mismatch configs ride on these bits
+    spec = quintic_rotating.with_omega1((0.0, c))
+    rng = np.random.default_rng(3)
+    for r in (rng.uniform(0.0, 2.0, 33), rng.standard_normal(17), 0.7, 0.0):
+        for eps in (0.0, 1e-4, 0.01):
+            old = spec.omega0 + eps * (c * np.asarray(r, dtype=float))
+            old_r = eps * (c + 0.0 * np.asarray(r, dtype=float))
+            assert np.asarray(spec.omega(r, 0.5, eps)).tobytes() == \
+                np.asarray(old).tobytes()
+            assert np.asarray(spec.omega_r(r, 0.5, eps)).tobytes() == \
+                np.asarray(old_r).tobytes()
 
 
 @pytest.mark.parametrize("spec", [
@@ -172,6 +189,7 @@ def test_with_omega1(quintic):
     builtin_spec("quintic_rotating"),
     builtin_spec("hbm"),
     polynomial_spec([0.5, -1.0, 0.25], omega0_const=2.0, mu_coefficient=0.3),
+    builtin_spec("quintic").with_omega1((0.0, 1.0), name="quintic+omega1[1.0*r]"),
 ], ids=lambda spec: spec.name)
 def test_spec_pickles_hashes_and_compares_equal(spec):
     copy = pickle.loads(pickle.dumps(spec))
@@ -218,22 +236,12 @@ def test_derivatives_match_finite_differences(spec):
     assert spec.lam_mu(r, mu).shape == r.shape
 
 
-def test_flat_lambda_root_search_costs_no_more_than_quintic(quintic, monkeypatch):
-    # counts evaluations of lambda(., mu) inside the root search
-    calls = [0]
-    positive_roots = model._positive_roots
-
-    def counting_roots(f, fr, *args, **kwargs):
-        def counted(x):
-            calls[0] += 1
-            return f(x)
-        return positive_roots(counted, fr, *args, **kwargs)
-
-    monkeypatch.setattr(model, "_positive_roots", counting_roots)
-
-    def cost(spec):
-        calls[0] = 0
-        verify_hypotheses(spec, np.linspace(0.1, 0.9, 9))
-        return calls[0]
-
-    assert cost(polynomial_spec([-1.0])) <= cost(quintic)
+def test_bistable_roots_above_r_10():
+    # r- = 5.412 and r+ = 13.066: r+ lies beyond any fixed search window
+    spec = polynomial_spec([0.0, 0.02, -1e-4], mu_coefficient=-1.0)
+    prof = bistable_roots(spec, 0.5)
+    u_minus, u_plus = 100.0 - 50.0 * np.sqrt(2.0), 100.0 + 50.0 * np.sqrt(2.0)
+    assert prof.r_minus == pytest.approx(np.sqrt(u_minus), rel=1e-13)
+    assert prof.r_plus == pytest.approx(np.sqrt(u_plus), rel=1e-13)
+    assert prof.lambda_r_plus < 0.0 < prof.lambda_r_minus
+    assert not prof.near_fold

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -180,12 +181,22 @@ def _build_coupling(value) -> CouplingKind:
     return CouplingKind(float(value["c_re"]), float(value["c_im"]))
 
 
+@functools.cache
+def _config_validator():
+    """CONFIG_SCHEMA's validator, built once.  A 'number' must be a finite
+    float: JSON's NaN and Infinity would pass the schema's bounds."""
+    draft = jsonschema.Draft202012Validator
+    finite = draft.TYPE_CHECKER.redefine("number", lambda _, x: (
+        draft.TYPE_CHECKER.is_type(x, "number") and abs(x) <= sys.float_info.max))
+    return jsonschema.validators.extend(draft, type_checker=finite)(CONFIG_SCHEMA)
+
+
 def load_config(data: dict) -> RunConfig:
     """Validate a raw config dict and build the run objects."""
-    try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
-        raise ConfigError(f"invalid config: {err.message}") from err
+    err = jsonschema.exceptions.best_match(_config_validator().iter_errors(data))
+    if err is not None:
+        where = ".".join(str(part) for part in err.absolute_path) or "top level"
+        raise ConfigError(f"invalid config at {where}: {err.message}")
 
     spec = _build_spec(data)
     coupling = _build_coupling(data["coupling"])
@@ -585,36 +596,31 @@ def cmd_sweep(rc: RunConfig) -> int:
     return 0 if all(code == 0 for code in codes) else 1
 
 
-_OVERRIDE_FLAGS = {
-    "run_id": ("--run-id", str),
-    "eps": ("--eps", float),
-    "N": ("--n-nodes", int),
-    "output_dir": ("--output-dir", str),
+_OVERRIDE_FLAGS = {  # flag: (config key, argparse type)
+    "--run-id": ("run_id", str),
+    "--eps": ("eps", float),
+    "--n-nodes": ("N", int),
+    "--output-dir": ("output_dir", str),
+    "--k": ("seed.k", int),
+    "--mu": ("seed.mu", float),
+    "--max-steps": ("continuation.max_steps", int),
 }
 
 
-def _apply_overrides(data: dict, args) -> dict:
-    for key, (_, cast) in _OVERRIDE_FLAGS.items():
-        value = getattr(args, key.replace("-", "_").lower(), None)
+def _apply_overrides(data: dict, args) -> None:
+    for flag, (path, _) in _OVERRIDE_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            data[key] = cast(value)
+            section, _, key = path.rpartition(".")
+            (data.setdefault(section, {}) if section else data)[key] = value
     if args.k is not None:
-        data.setdefault("seed", {})["k"] = int(args.k)
-        data["seed"].pop("pattern", None)
-    if args.mu is not None:
-        data.setdefault("seed", {})["mu"] = float(args.mu)
-    if args.max_steps is not None:
-        data.setdefault("continuation", {})["max_steps"] = int(args.max_steps)
-    return data
+        data["seed"].pop("pattern", None)  # a pattern has one entry per core node
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="JSON run config")
-    for key, (flag, _) in _OVERRIDE_FLAGS.items():
-        parser.add_argument(flag, dest=key.replace("-", "_").lower(), default=None)
-    parser.add_argument("--k", default=None, help="override seed core size")
-    parser.add_argument("--mu", default=None, help="override seed mu")
-    parser.add_argument("--max-steps", default=None, help="override step limit")
+    for flag, (path, cast) in _OVERRIDE_FLAGS.items():
+        parser.add_argument(flag, type=cast, help=f"override {path}")
 
 
 def main(argv=None) -> int:
@@ -636,25 +642,16 @@ def main(argv=None) -> int:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        data = _apply_overrides(data, args)
+        _apply_overrides(data, args)
         rc = load_config(data)
     except (OSError, json.JSONDecodeError, ConfigError, model.ModelError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    if args.command == "continue":
-        return cmd_continue(rc)
-    if args.command == "seed":
-        return cmd_seed(rc)
     if args.command == "verify":
         return cmd_verify(rc, Path(args.branch))
-    if args.command == "mismatch":
-        return cmd_mismatch(rc)
-    if args.command == "simulate":
-        return cmd_simulate(rc)
-    if args.command == "sweep":
-        return cmd_sweep(rc)
-    raise AssertionError("unreachable")
+    return {"continue": cmd_continue, "seed": cmd_seed, "mismatch": cmd_mismatch,
+            "simulate": cmd_simulate, "sweep": cmd_sweep}[args.command](rc)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ reflection on the left and an off-site truncation on the right.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,6 +190,23 @@ def complex_residual(
     return fval * z - 1j * rho * z + eps * cc * lap
 
 
+@functools.lru_cache(maxsize=None)
+def _stencil_plan(n: int, bc: BoundaryKind) -> np.ndarray:
+    """Flat (2N, 2N + 1) index of each value ``jacobian`` scatters, in order."""
+    node = np.arange(n)
+    ra, pa = 2 * node, 2 * node + 1  # amplitude and phase rows
+    right = np.minimum(node + 1, n - 1)  # the ghost r_{N+1} = r_N
+    on_site = bc is BoundaryKind.ON_SITE
+    left = np.r_[1 if on_site else 0, node[:-1]]  # the ghost r0: r2 on-site, r1 off
+    phi = n + node[:-1]  # phi_N = 0 is constant: no right phi at the last node
+    keep = slice(0 if on_site else 1, None)  # phi0 = -phi1 on-site, 0 off-site
+    rows = (ra, pa, ra, pa, ra[:-1], pa[:-1], ra, pa, ra[keep], pa[keep])
+    cols = (node, node, right, right, phi, phi, left, left) + (np.r_[n, phi][keep],) * 2
+    plan = np.concatenate([i * (2 * n + 1) + j for i, j in zip(rows, cols)])
+    plan.flags.writeable = False
+    return plan
+
+
 def jacobian(
     spec: NonlinearitySpec,
     c: CouplingKind,
@@ -200,54 +218,38 @@ def jacobian(
 
     Columns: r_1..r_N, phi_1..phi_{N-1}, rho, and the mu-derivative last.
     Ghost-value chain rules are folded in (off-site left adds the r0 terms
-    to the r_1 column, on-site to the r_2 column with phi0 = -phi1).
+    to the r_1 column, on-site to the r_2 column with phi0 = -phi1).  The
+    entries are scattered through a plan cached per (N, boundary).
     """
-    n = state.n
+    n, r, mu, rho = state.n, state.r, state.mu, state.rho
     r_ext, phi_ext = _extended(state, bc)
-    cosp, sinp = np.cos(phi_ext), np.sin(phi_ext)
-    r, mu, rho = state.r, state.mu, state.rho
     cre, cim = c.c_re, c.c_im
-
     lam, lam_r, lam_mu = spec.lam(r, mu), spec.lam_r(r, mu), spec.lam_mu(r, mu)
     om, om_r = spec.omega(r, mu, eps), spec.omega_r(r, mu, eps)
 
-    J = np.zeros((2 * n, 2 * n + 1))
-    node = np.arange(n)
-    ra, pa = 2 * node, 2 * node + 1  # amplitude and phase rows
-
-    # Each (row, column) pair occurs at most once per statement, and no entry
-    # takes more than two terms, so the fancy-indexed sums below equal those
-    # of a per-node loop bit for bit (the walk's branch.csv rides on that).
-    J[ra, node] += lam + r * lam_r - 2.0 * eps * cre
-    J[pa, node] += (om - rho) + r * om_r - 2.0 * eps * cim
-    J[pa, 2 * n - 1] = -r
-    J[ra, 2 * n] = lam_mu * r  # omega does not depend on mu
-
-    # right neighbor (r_{n+1}, phi_n): the ghost r_{N+1} = r_N folds into the
-    # diagonal, and phi_N = 0 is constant
-    cn, sn = cosp[1:], sinp[1:]
-    right = np.minimum(node + 1, n - 1)
-    J[ra, right] += eps * (cre * cn - cim * sn)
-    J[pa, right] += eps * (cre * sn + cim * cn)
-    rr, cn, sn = r[1:], cn[:-1], sn[:-1]
-    J[ra[:-1], n + node[:-1]] += eps * rr * (-cre * sn - cim * cn)
-    J[pa[:-1], n + node[:-1]] += eps * rr * (cre * cn - cim * sn)
-
-    # left neighbor (r_{n-1}, phi_{n-1}): the ghost r0 is r1 off-site and r2
-    # on-site; phi0 = -phi1 on-site (column n, factor -1), 0 off-site
-    cm, sm = cosp[:-1], sinp[:-1]
-    on_site = bc is BoundaryKind.ON_SITE
-    left = node - 1
-    left[0] = 1 if on_site else 0
-    J[ra, left] += eps * (cre * cm + cim * sm)
-    J[pa, left] += eps * (-cre * sm + cim * cm)
-    keep = slice(0 if on_site else 1, None)
-    col = (n + np.maximum(node - 1, 0))[keep]
-    rl = (np.where(node == 0, -eps, eps) * r_ext[:-2])[keep]
-    cm, sm = cm[keep], sm[keep]
-    J[ra[keep], col] += rl * (-cre * sm + cim * cm)
-    J[pa[keep], col] += rl * (-cre * cm - cim * sm)
-
+    # c_re and c_im times cos and sin at phi_0..phi_N; the right neighbor
+    # reads [1:], the left one [:-1].  Negating a product is exact, so each
+    # sum has the bits of its per-node form, e.g. (-c_re sin) - c_im cos.
+    cosp, sinp = np.cos(phi_ext), np.sin(phi_ext)
+    cc, ss, cs, sc = cre * cosp, cim * sinp, cre * sinp, cim * cosp
+    right_r, left_r_phase = (cc - ss)[1:], (sc - cs)[:-1]
+    rr, rl = eps * r[1:], eps * r_ext[:-2]
+    rl[0] = -rl[0]  # phi0 = -phi1 on-site; off-site, keep drops this entry
+    keep = slice(0 if bc is BoundaryKind.ON_SITE else 1, None)
+    values = np.concatenate([  # amplitude row, then phase row
+        lam + r * lam_r - 2.0 * eps * cre, (om - rho) + r * om_r - 2.0 * eps * cim,
+        eps * right_r, eps * (cs + sc)[1:],  # right r
+        rr * (-cs - sc)[1:-1], rr * right_r[:-1],  # right phi
+        eps * (cc + ss)[:-1], eps * left_r_phase,  # left r
+        (rl * left_r_phase)[keep], (rl * (-cc - ss)[:-1])[keep],  # left phi
+    ])
+    # No entry takes more than two values and bincount adds them to 0 in plan
+    # order, so this equals a per-node loop bit for bit (the walk's branch.csv
+    # rides on it).  The rho and mu columns are assigned after the scatter,
+    # which would turn their -0.0 at r_n = 0 into 0.0.
+    J = np.bincount(_stencil_plan(n, bc), values, 2 * n * (2 * n + 1)).reshape(2 * n, -1)
+    J[1::2, 2 * n - 1] = -r
+    J[0::2, 2 * n] = lam_mu * r  # omega does not depend on mu
     return J
 
 

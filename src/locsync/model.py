@@ -91,8 +91,9 @@ class NonlinearitySpec:
         r2 = r * r
         out = 0.0 * r
         for j, cj in enumerate(self.coeffs[1:], start=1):
-            if cj:
-                out = out + (2 * j * cj) * r * r2 ** (j - 1)
+            if cj:  # r2**0 = 1 and r2**1 = r2 exactly, without calling pow
+                power = 1.0 if j == 1 else r2 if j == 2 else r2 ** (j - 1)
+                out = out + (2 * j * cj) * r * power
         return out
 
     def lam_mu(self, r, mu):

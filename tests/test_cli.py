@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from locsync import continuation
 from locsync.cli import (
+    CONFIG_SCHEMA,
     ConfigError,
     branch_csv_header,
     load_config,
@@ -73,6 +75,41 @@ def test_invalid_values_rejected(tmp_path):
         cfg.update(patch)
         with pytest.raises(ConfigError):
             load_config(cfg)
+
+
+@pytest.mark.parametrize("section, key", [(None, "eps"), ("continuation", "newton_tol"),
+                                          ("seed", "mu")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, value):
+    # JSON's NaN passes "minimum: 0", Infinity "exclusiveMinimum: 0", and an
+    # integer literal too large for a float passes both but fails float()
+    cfg = base_config(tmp_path)
+    (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    with pytest.raises(ConfigError, match=f"at {'.'.join(filter(None, (section, key)))}:"):
+        load_config(cfg)
+    path = write_config(tmp_path, cfg)
+    assert main(["continue", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_schema_is_a_valid_schema():
+    # load_config trusts CONFIG_SCHEMA instead of checking it on every call
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", "abc"), ("--mu", "x"),
+                                         ("--max-steps", "1.5"), ("--k", "two"),
+                                         ("--n-nodes", "4.0")])
+def test_bad_numeric_override_exits_2_with_usage(tmp_path, capsys, flag, value):
+    path = write_config(tmp_path, base_config(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main(["seed", "--config", path, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and flag in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_polynomial_model_config(tmp_path):

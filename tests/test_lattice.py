@@ -256,11 +256,19 @@ MIXED = CouplingKind(np.cos(0.7), np.sin(0.7))  # c = e^{0.7i}: both parts nonze
 def test_jacobian_bitwise_equal_to_loop_reference(quintic_rotating, couplings, boundaries):
     spec = rich_spec(quintic_rotating)
     rng = np.random.default_rng(15)
+    cases = []
     for n in (2, 3, 5, 10, 32) * 4:
         st = rand_state(rng, n)
         if n == 5:
             st.phi[:] = 0.0  # exact zeros exercise signed-zero sums
-        eps = rng.uniform(0.0, 0.05)
+        cases.append((st, rng.uniform(0.0, 0.05)))
+    # exact-zero amplitudes, as in the far-field tail of an eps = 0 seed, at
+    # both boundary nodes and inside the chain: the rho and mu columns must
+    # keep the loop's -0.0 there
+    zero = rand_state(rng, 10)
+    zero.r[[0, 1, 4, 8, 9]] = 0.0
+    cases += [(zero, 0.02), (zero, 0.0)]
+    for st, eps in cases:
         for c in couplings + (MIXED,):
             for bc in boundaries:
                 got = jacobian(spec, c, st, eps, bc)

@@ -1,8 +1,10 @@
-"""Leading-order formulas: seeds, exact eps=0 branch curves, fold predictors.
+"""Leading-order formulas: seeds, fold predictors and the mismatch bound.
 
 Everything here is closed-form in the bistability roots.  Seeds feed the
-continuation engine; the curve evaluators and fold predictors provide the
-independent cross-checks for computed branches.
+continuation engine; the fold predictors are what ``verify`` compares
+computed folds with, and the mismatch bound is what ``mismatch`` reports.
+The recruitment rule names the node that folds first on a conservative
+branch.
 """
 from __future__ import annotations
 
@@ -24,14 +26,10 @@ __all__ = [
     "core_correction",
     "farfield_tail",
     "build_seed",
-    "snaking_curve",
-    "snaking_domain",
-    "isola_curve",
     "fold_prediction_mu0",
     "mu0_normalization",
     "mismatch_bound",
     "conservative_recruitment",
-    "core_phase_block",
 ]
 
 MU0_FOLD_CONSTANT = 1.5 * 2.0 ** (1.0 / 3.0)   # (3/2) * cbrt(2)
@@ -164,79 +162,6 @@ def build_seed(
     return PolarState(r, phi, spec.omega0, mu)
 
 
-def _mu_star(s: float) -> float:
-    return s if s <= 1.0 else 2.0 - s
-
-
-def _roots_at(spec, mu):
-    if mu <= 0.0:
-        return rest_state_roots(spec)
-    prof = bistable_roots(spec, mu)
-    return prof.r_minus, prof.r_plus
-
-
-def snaking_domain(n_nodes: int) -> tuple[float, float]:
-    """Concatenated arclength domain of the eps=0 snaking skeleton."""
-    return 0.0, 2.0 * n_nodes
-
-
-def snaking_curve(spec: NonlinearitySpec, n_nodes: int, s: float) -> PolarState:
-    """Exact eps=0 snaking-branch point at concatenated arclength s.
-
-    Segment k = floor(s/2) (local coordinate in [0, 2]) has its first k
-    nodes on R_+(s), node k+1 on R_0(s), and the rest at zero; mu follows
-    the tent map mu_*(s) and all phases vanish.
-    """
-    lo, hi = snaking_domain(n_nodes)
-    if not (lo <= s <= hi):
-        raise AsymptoticsError(f"s={s} outside the snaking domain [{lo}, {hi}]")
-    seg = min(int(s // 2), n_nodes - 1)
-    local = s - 2.0 * seg
-    mu = _mu_star(local)
-    r_minus, r_plus = _roots_at(spec, mu)
-    r0 = r_minus if local <= 1.0 else r_plus
-    r = np.zeros(n_nodes)
-    r[:seg] = r_plus
-    r[seg] = r0
-    return PolarState(r, np.zeros(n_nodes - 1), spec.omega0, mu)
-
-
-def isola_curve(
-    spec: NonlinearitySpec,
-    n_nodes: int,
-    k: int,
-    s: float,
-    half: Literal["lower", "upper"],
-) -> PolarState:
-    """Exact eps=0 point of the k-th conservative isola skeleton.
-
-    Lower half: k nodes at R_+(s) and node k+1 at R_0(s).  Upper half:
-    node k+1 at R_0(2-s) with node k+2 recruited at R_-(s).  Phases are
-    -pi/2 across the first k interfaces and +pi/2 at interface k+1.
-    """
-    if not (1 <= k <= n_nodes - 2):
-        raise AsymptoticsError(f"need 1 <= k <= N-2, got k={k}, N={n_nodes}")
-    if not (0.0 <= s <= 2.0):
-        raise AsymptoticsError(f"s={s} outside [0, 2]")
-    if half not in ("lower", "upper"):
-        raise AsymptoticsError(f"half must be 'lower' or 'upper', got {half!r}")
-    mu = _mu_star(s)
-    r_minus, r_plus = _roots_at(spec, mu)
-    r = np.zeros(n_nodes)
-    r[:k] = r_plus
-    if half == "lower":
-        r[k] = r_minus if s <= 1.0 else r_plus
-    else:
-        s_mirror = 2.0 - s
-        r[k] = r_minus if s_mirror <= 1.0 else r_plus
-        r[k + 1] = r_minus
-    phi = np.zeros(n_nodes - 1)
-    phi[:k] = -np.pi / 2.0
-    if k < n_nodes - 1:
-        phi[k] = np.pi / 2.0
-    return PolarState(r, phi, spec.omega0, mu)
-
-
 @dataclass(frozen=True)
 class FoldPrediction:
     mu: float
@@ -337,24 +262,3 @@ def conservative_recruitment(kappa: int, k: int) -> RecruitmentPrediction:
     recruited = k if kappa == 1 else k + 1
     return RecruitmentPrediction(kappa=kappa, k=k, fold_node_mu1=fold_node,
                                  recruited_node_mu0=recruited)
-
-
-def core_phase_block(r0, bc: BoundaryKind) -> np.ndarray:
-    """Directly assembled core phase-equation Jacobian wrt (Omega, phi).
-
-    Row n: Omega column r0_n, column phi_n gets +r0_{n+1}, column phi_{n-1}
-    gets -r0_{n-1} (with r0_{k+1} = 0 and the on-site ghost contributing
-    +r0_2 to the phi_1 column of row 1).
-    """
-    r0 = np.asarray(r0, dtype=float)
-    k = r0.size
-    a = np.zeros((k, k))
-    a[:, 0] = r0
-    for n in range(1, k + 1):  # lattice numbering
-        if n <= k - 1:
-            a[n - 1, n] += r0[n] if n < k else 0.0
-        if n >= 2:
-            a[n - 1, n - 1] += -r0[n - 2]
-    if bc is BoundaryKind.ON_SITE and k >= 2:
-        a[0, 1] += r0[1]
-    return a

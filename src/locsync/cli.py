@@ -442,11 +442,13 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
         check.update({"deviation": dev, "pass": dev <= 1e-6})
 
     fold_rows = [row for row in rows if row["is_fold"]]
-    fold_mu1 = [
-        {"mu": row["state"].mu,
-         "rel_error": abs(1.0 - (1.0 - row["state"].mu) / rc.eps)}
-        for row in fold_rows if row["state"].mu > 0.9
-    ]
+    fold_mu1 = None  # the 1 - eps prediction has no relative error at eps = 0
+    if rc.eps > 0:
+        fold_mu1 = [
+            {"mu": row["state"].mu,
+             "rel_error": abs(1.0 - (1.0 - row["state"].mu) / rc.eps)}
+            for row in fold_rows if row["state"].mu > 0.9
+        ]
     low = [row["state"].mu for row in fold_rows if row["state"].mu <= 0.9]
     fold_mu0 = None
     if low and rc.eps > 0:
@@ -568,7 +570,7 @@ def cmd_sweep(rc: RunConfig) -> int:
     parameter, values = sweep["parameter"], sweep["values"]
     # Every job is built and validated before the first one runs, so a bad
     # value fails the whole sweep up front.
-    configs = []
+    configs, value_of = [], {}
     for value in values:
         data = json.loads(json.dumps(rc.raw))
         data.pop("sweep", None)
@@ -577,7 +579,12 @@ def cmd_sweep(rc: RunConfig) -> int:
         else:
             data["seed"]["k"] = int(value)
             data["seed"].pop("pattern", None)
-        data["run_id"] = f"{rc.run_id}-{parameter}{value:g}"
+        data["run_id"] = run_id = f"{rc.run_id}-{parameter}{value:g}"
+        if run_id in value_of:  # the second run would overwrite the first
+            print(f"config error: sweep values {value_of[run_id]!r} and {value!r} "
+                  f"both give run id {run_id!r}", file=sys.stderr)
+            return 2
+        value_of[run_id] = value
         try:
             configs.append(load_config(data))
         except ConfigError as err:

@@ -22,7 +22,6 @@ __all__ = [
     "integrate",
     "rotation_deviation",
     "unfold_state",
-    "rigid_rotation_deviation",
     "linearization_spectrum",
 ]
 
@@ -138,13 +137,6 @@ def unfold_state(state: PolarState, bc: BoundaryKind) -> np.ndarray:
     if bc is BoundaryKind.OFF_SITE:
         return np.concatenate([z[::-1], z])
     return np.concatenate([z[:0:-1], z])
-
-
-def rigid_rotation_deviation(traj: Trajectory, z0: np.ndarray, rho: float) -> float:
-    """max_t || Z(t) - exp(i rho t) z0 ||_inf over the trajectory samples."""
-    z0 = np.asarray(z0, dtype=complex)
-    rot = np.exp(1j * rho * traj.times)[:, None] * z0[None, :]
-    return float(np.max(np.abs(traj.z - rot)))
 
 
 def linearization_spectrum(

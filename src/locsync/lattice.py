@@ -24,7 +24,6 @@ __all__ = [
     "PolarState",
     "ghost_values",
     "residual",
-    "complex_residual",
     "jacobian",
     "wrap_phase",
     "canonicalize",
@@ -162,32 +161,6 @@ def polar_to_complex(state: PolarState) -> np.ndarray:
     """z_n = r_n exp(i theta_n) with theta_1 = 0 and theta_{n+1} = theta_n + phi_n."""
     theta = np.concatenate([[0.0], np.cumsum(state.phi)])
     return state.r * np.exp(1j * theta)
-
-
-def complex_residual(
-    spec: NonlinearitySpec,
-    c: CouplingKind,
-    z: np.ndarray,
-    rho: float,
-    mu: float,
-    eps: float,
-    bc: BoundaryKind = BoundaryKind.OFF_SITE,
-) -> np.ndarray:
-    """Algebraic residual in complex amplitudes; oracle for the polar form.
-
-    Entry n is f(|z_n|) z_n - i rho z_n + eps c (z_{n+1} - 2 z_n + z_{n-1}),
-    with ghosts z_0 = z_2 (on-site) or z_0 = z_1 (off-site) and z_{N+1} = z_N.
-    """
-    z = np.asarray(z, dtype=complex)
-    if z.size < 2:
-        raise LatticeError("chain needs at least 2 nodes")
-    z0 = z[1] if bc is BoundaryKind.ON_SITE else z[0]
-    z_ext = np.concatenate([[z0], z, [z[-1]]])
-    lap = z_ext[2:] - 2.0 * z + z_ext[:-2]
-    m = np.abs(z)
-    fval = np.asarray(spec.lam(m, mu)) + 1j * np.asarray(spec.omega(m, mu, eps))
-    cc = complex(c.c_re, c.c_im)
-    return fval * z - 1j * rho * z + eps * cc * lap
 
 
 @functools.lru_cache(maxsize=None)

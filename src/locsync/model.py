@@ -7,7 +7,9 @@ roots r_-(mu) < r_+(mu) on the unit parameter interval.  The imaginary part
 is split into a constant and an O(eps) part, omega = omega0 + eps*omega1(r),
 with omega1 a polynomial in r.  Both are stored as coefficients; this module
 is the only one that evaluates them, and it takes the roots of lambda from
-its coefficients as a polynomial in r^2.
+its coefficients as a polynomial in r^2.  The bistability hypothesis is
+checked where the roots are taken: ``bistable_roots`` raises
+``NotBistableError`` unless lambda(., mu) has exactly two positive roots.
 """
 from __future__ import annotations
 
@@ -22,13 +24,10 @@ __all__ = [
     "ParameterRangeError",
     "NonlinearitySpec",
     "BistabilityProfile",
-    "HypothesisReport",
-    "GridCheck",
     "builtin_spec",
     "polynomial_spec",
     "bistable_roots",
     "rest_state_roots",
-    "verify_hypotheses",
 ]
 
 NEAR_FOLD_GAP = 1e-6      # roots closer than this are flagged, not rejected
@@ -243,73 +242,3 @@ def rest_state_roots(spec: NonlinearitySpec) -> tuple[float, float]:
     if not candidates:
         raise NotBistableError("no positive root of lambda(., 0) found", 0)
     return 0.0, max(candidates)
-
-
-@dataclass(frozen=True)
-class GridCheck:
-    mu: float
-    root_count: int
-    signs_ok: bool
-    message: str = ""
-    profile: BistabilityProfile | None = None
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    spec_name: str
-    entries: tuple[GridCheck, ...]
-    pitchfork_trend_ok: bool
-    fold_trend_ok: bool
-    admissible: bool
-
-
-def verify_hypotheses(spec: NonlinearitySpec, mu_grid) -> HypothesisReport:
-    """Numerical check of the bistability hypotheses on a parameter grid.
-
-    Per grid point: two positive roots and the stability signs
-    lambda(0) < 0, lambda_r(r_plus) < 0 < lambda_r(r_minus).  Endpoint
-    trends (r_minus shrinking toward mu=0, gap closing toward mu=1) are
-    checked by monotonicity over the grid.  Failures are reported, never
-    raised.
-    """
-    mus = sorted(float(m) for m in mu_grid)
-    if not mus:
-        raise ModelError("mu_grid must be nonempty")
-
-    entries: list[GridCheck] = []
-    for mu in mus:
-        try:
-            prof = bistable_roots(spec, mu)
-        except ModelError as err:
-            entries.append(GridCheck(mu=mu, root_count=getattr(err, "root_count", -1),
-                                     signs_ok=False, message=str(err)))
-            continue
-        signs_ok = (
-            prof.lambda_at_zero < 0.0
-            and prof.lambda_r_plus < 0.0 < prof.lambda_r_minus
-        )
-        entries.append(GridCheck(mu=mu, root_count=2, signs_ok=signs_ok,
-                                 profile=prof,
-                                 message="" if signs_ok else "stability signs violated"))
-
-    ok_entries = [e for e in entries if e.profile is not None]
-    if len(ok_entries) == len(entries) and len(ok_entries) >= 2:
-        rm = [e.profile.r_minus for e in ok_entries]
-        gap = [e.profile.r_plus - e.profile.r_minus for e in ok_entries]
-        pitchfork_ok = all(a < b for a, b in zip(rm[:-1], rm[1:]))
-        fold_ok = all(a > b for a, b in zip(gap[:-1], gap[1:]))
-    else:
-        pitchfork_ok = fold_ok = False
-
-    admissible = (
-        pitchfork_ok
-        and fold_ok
-        and all(e.root_count == 2 and e.signs_ok for e in entries)
-    )
-    return HypothesisReport(
-        spec_name=spec.name,
-        entries=tuple(entries),
-        pitchfork_trend_ok=pitchfork_ok,
-        fold_trend_ok=fold_ok,
-        admissible=admissible,
-    )

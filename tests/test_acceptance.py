@@ -13,11 +13,8 @@ from locsync.asymptotics import (
     build_seed,
     conservative_recruitment,
     fold_prediction_mu0,
-    isola_curve,
     mismatch_bound,
     mu0_normalization,
-    snaking_curve,
-    snaking_domain,
 )
 from locsync.continuation import (
     CLOSED_ISOLA,
@@ -29,17 +26,17 @@ from locsync.continuation import (
     merge_branches,
     newton_correct,
 )
-from locsync.dynamics import integrate, rigid_rotation_deviation, unfold_state
+from locsync.dynamics import chain_rhs, integrate, unfold_state
 from locsync.lattice import (
     BoundaryKind,
     CouplingKind,
     PolarState,
-    complex_residual,
     jacobian,
     polar_to_complex,
     residual,
 )
 from locsync.model import bistable_roots, builtin_spec
+from reference import isola_curve, rigid_rotation_deviation, snaking_curve, snaking_domain
 
 N_NODES = 10
 
@@ -301,7 +298,8 @@ def test_criterion_6_property_suite(quintic, quintic_rotating, snake_off):
     assert worst_jac <= 1e-6
     results["jacobian_fd"] = worst_jac
 
-    # polar/complex equivalence and gauge equivariance
+    # polar/complex equivalence and gauge equivariance; the complex form is
+    # chain_rhs on the unfolded chain, read on its last n nodes, minus i rho z
     worst_eq, worst_gauge = 0.0, 0.0
     for _ in range(100):
         n = int(rng.integers(2, 8))
@@ -312,16 +310,19 @@ def test_criterion_6_property_suite(quintic, quintic_rotating, snake_off):
             for bc in BoundaryKind:
                 pol = residual(spec, c, st, eps, bc)
                 z = polar_to_complex(st)
-                cres = complex_residual(spec, c, z, st.rho, st.mu, eps, bc)
+                cres = chain_rhs(spec, c, unfold_state(st, bc), st.mu, eps)[-n:] \
+                    - 1j * st.rho * z
                 theta = np.concatenate([[0.0], np.cumsum(st.phi)])
                 back = cres * np.exp(-1j * theta)
                 mixed = np.empty(2 * n)
                 mixed[0::2], mixed[1::2] = back.real, back.imag
                 worst_eq = max(worst_eq, float(np.max(np.abs(mixed - pol))))
             alpha = float(rng.uniform(-np.pi, np.pi))
-            g = complex_residual(spec, c, z * np.exp(1j * alpha), st.rho,
-                                 st.mu, eps)
-            h = complex_residual(spec, c, z, st.rho, st.mu, eps) * np.exp(1j * alpha)
+            full = unfold_state(st, BoundaryKind.OFF_SITE)
+            g = chain_rhs(spec, c, full * np.exp(1j * alpha), st.mu, eps)[-n:] \
+                - 1j * st.rho * z * np.exp(1j * alpha)
+            h = (chain_rhs(spec, c, full, st.mu, eps)[-n:] - 1j * st.rho * z) \
+                * np.exp(1j * alpha)
             worst_gauge = max(worst_gauge, float(np.max(np.abs(g - h))))
     assert worst_eq <= 1e-12
     assert worst_gauge <= 1e-12

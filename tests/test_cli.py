@@ -236,6 +236,19 @@ def test_verify_reports_newton_failure_at_eps_zero(tmp_path, capsys):
     assert f"row {failed[0]['row']} at mu=" in capsys.readouterr().err
 
 
+def test_verify_at_eps_zero_reports_no_mu1_fold_error(tmp_path, capsys):
+    # the branch has folds above mu = 0.9, where (1 - mu) / eps was taken
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert main(["continue", "--config", path]) == 0
+    csv_path = tmp_path / "out" / "test-run" / "branch.csv"
+    assert any(r["is_fold"] and r["state"].mu > 0.9 for r in read_branch_csv(csv_path, 4))
+    assert main(["verify", "--config", path, "--eps", "0", str(csv_path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((csv_path.parent / "verify.json").read_text())
+    assert report["fold_mu1"] is None and report["fold_mu0"] is None
+    assert not report["residual_check"]["pass"]
+
+
 def test_exit_code_missing_branch_file(tmp_path):
     path = write_config(tmp_path, base_config(tmp_path))
     assert main(["verify", "--config", path, str(tmp_path / "nope.csv")]) == 2
@@ -354,6 +367,19 @@ def test_sweep_config_error_exits_2_before_any_run(tmp_path, capsys, values):
     path = write_config(tmp_path, cfg)
     assert main(["sweep", "--config", path]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values", [[0.01, 0.0100000001], [0.02, 0.01, 0.02]])
+def test_sweep_run_id_collision_exits_2_before_any_run(tmp_path, capsys, values):
+    cfg = base_config(tmp_path)
+    cfg["sweep"] = {"parameter": "eps", "values": values}
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", path]) == 2
+    err = capsys.readouterr().err
+    first, second = values[0], values[-1]
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"{first!r} and {second!r}" in err and f"'test-run-eps{second:g}'" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -7,12 +7,12 @@ from locsync.dynamics import (
     chain_rhs,
     integrate,
     linearization_spectrum,
-    rigid_rotation_deviation,
     rotation_deviation,
     unfold_state,
 )
 from locsync.lattice import BoundaryKind, CouplingKind, PolarState
 from locsync.model import bistable_roots
+from reference import rigid_rotation_deviation
 
 
 def test_zero_state_stays_zero(quintic):

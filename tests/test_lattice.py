@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import quintic_roots
+from locsync.dynamics import chain_rhs, unfold_state
 from locsync.lattice import (
     BoundaryKind,
     CouplingKind,
     LatticeError,
     PolarState,
     canonicalize,
-    complex_residual,
     ghost_values,
     jacobian,
     polar_to_complex,
@@ -143,9 +143,13 @@ def test_general_coupling_reduces_to_conservative_form(quintic_rotating):
         assert np.max(np.abs(got - exp)) <= 1e-15
 
 
+# The complex form of the polar system is chain_rhs on the unfolded chain,
+# read on its last n nodes, minus i rho z.
+
 def test_complex_residual_zero_state(quintic):
     z = np.zeros(5, dtype=complex)
-    res = complex_residual(quintic, CouplingKind.conservative(), z, 0.3, 0.5, 0.01)
+    full = np.concatenate([z[::-1], z])  # the off-site unfolding
+    res = chain_rhs(quintic, CouplingKind.conservative(), full, 0.5, 0.01)[-5:] - 0.3j * z
     assert np.max(np.abs(res)) == 0.0
 
 
@@ -153,10 +157,15 @@ def test_gauge_equivariance(quintic_rotating, couplings):
     spec = rich_spec(quintic_rotating)
     rng = np.random.default_rng(9)
     z = rng.normal(0, 1, 6) + 1j * rng.normal(0, 1, 6)
+    full = np.concatenate([z[::-1], z])  # the off-site unfolding
+
+    def field(c, w):  # rho = 0.3, mu = 0.5, eps = 0.01
+        return chain_rhs(spec, c, w, 0.5, 0.01)[-6:] - 0.3j * w[-6:]
+
     for c in couplings:
         for alpha in (0.7, -1.9, np.pi / 3):
-            rotated = complex_residual(spec, c, z * np.exp(1j * alpha), 0.3, 0.5, 0.01)
-            plain = complex_residual(spec, c, z, 0.3, 0.5, 0.01) * np.exp(1j * alpha)
+            rotated = field(c, full * np.exp(1j * alpha))
+            plain = field(c, full) * np.exp(1j * alpha)
             assert np.max(np.abs(rotated - plain)) <= 1e-12
 
 
@@ -171,7 +180,8 @@ def test_polar_complex_equivalence(quintic_rotating, couplings, boundaries):
             for bc in boundaries:
                 pol = residual(spec, c, st, eps, bc)
                 z = polar_to_complex(st)
-                cres = complex_residual(spec, c, z, st.rho, st.mu, eps, bc)
+                cres = chain_rhs(spec, c, unfold_state(st, bc), st.mu, eps)[-st.n:] \
+                    - 1j * st.rho * z
                 theta = np.concatenate([[0.0], np.cumsum(st.phi)])
                 back = cres * np.exp(-1j * theta)
                 mixed = np.empty(2 * st.n)

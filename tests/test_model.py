@@ -13,7 +13,6 @@ from locsync.model import (
     builtin_spec,
     polynomial_spec,
     rest_state_roots,
-    verify_hypotheses,
 )
 
 
@@ -103,34 +102,32 @@ def test_monotone_bracketing(quintic):
         assert b == pytest.approx(orp, rel=1e-11)
 
 
-def test_verify_hypotheses_quintic(quintic):
-    report = verify_hypotheses(quintic, np.linspace(0.1, 0.9, 9))
-    assert report.admissible
-    assert report.pitchfork_trend_ok and report.fold_trend_ok
+BISTABILITY_GRID = np.linspace(0.1, 0.9, 9)
 
 
-def test_verify_hypotheses_monostable():
-    mono = polynomial_spec([0.0, 1.0], mu_coefficient=-1.0, name="monostable")
-    report = verify_hypotheses(mono, np.linspace(0.1, 0.9, 9))
-    assert not report.admissible
-    assert any("one positive root" in e.message for e in report.entries)
-    assert all(e.root_count == 1 for e in report.entries)
-
-
-def test_verify_hypotheses_no_roots():
-    report = verify_hypotheses(polynomial_spec([-1.0]), np.linspace(0.1, 0.9, 9))
-    assert not report.admissible
-    assert all(e.root_count == 0 for e in report.entries)
-
-
-def test_verify_hypotheses_hbm(hbm):
-    report = verify_hypotheses(hbm, np.linspace(0.1, 0.9, 9))
-    assert report.admissible
-
-
-def test_verify_hypotheses_empty_grid(quintic):
-    with pytest.raises(ValueError):
-        verify_hypotheses(quintic, [])
+@pytest.mark.parametrize("spec, root_count", [
+    (builtin_spec("quintic"), 2),
+    (builtin_spec("hbm"), 2),
+    (polynomial_spec([0.0, 1.0], mu_coefficient=-1.0, name="monostable"), 1),
+    (polynomial_spec([-1.0], name="no_roots"), 0),
+], ids=["quintic", "hbm", "monostable", "no_roots"])
+def test_bistability_hypotheses(spec, root_count):
+    if root_count != 2:
+        for mu in BISTABILITY_GRID:
+            with pytest.raises(NotBistableError) as exc:
+                bistable_roots(spec, mu)
+            assert exc.value.root_count == root_count
+        return
+    profiles = [bistable_roots(spec, mu) for mu in BISTABILITY_GRID]
+    for p in profiles:
+        assert 0.0 < p.r_minus < p.r_plus
+        assert p.lambda_at_zero < 0.0
+        assert p.lambda_r_plus < 0.0 < p.lambda_r_minus
+    # r_- rises out of the pitchfork at mu = 0; the gap closes toward mu = 1
+    r_minus = [p.r_minus for p in profiles]
+    gap = [p.r_plus - p.r_minus for p in profiles]
+    assert all(a < b for a, b in zip(r_minus[:-1], r_minus[1:]))
+    assert all(a > b for a, b in zip(gap[:-1], gap[1:]))
 
 
 def test_rest_state_roots(quintic):

@@ -221,23 +221,9 @@ def load_config(data: dict) -> RunConfig:
     except (ValueError, asymptotics.AsymptoticsError) as err:
         raise ConfigError(str(err)) from err
     run_id = data.get("run_id", f"{spec.name}-N{n}-eps{eps:g}-k{k}")
-    return RunConfig(
-        raw=data,
-        spec=spec,
-        coupling=coupling,
-        n_nodes=n,
-        eps=eps,
-        bc=bc,
-        ansatz=ansatz,
-        mu_seed=mu_seed,
-        cont=cont,
-        run_id=run_id,
-        output_dir=Path(data.get("output_dir", "runs")),
-    )
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return RunConfig(raw=data, spec=spec, coupling=coupling, n_nodes=n, eps=eps, bc=bc,
+                     ansatz=ansatz, mu_seed=mu_seed, cont=cont, run_id=run_id,
+                     output_dir=Path(data.get("output_dir", "runs")))
 
 
 def branch_csv_header(n: int) -> list[str]:
@@ -250,17 +236,15 @@ def branch_csv_header(n: int) -> list[str]:
 
 
 def write_branch_csv(branch: continuation.Branch, n: int, path: Path) -> None:
+    """One row per point, formatted by one '%' string and streamed; the bytes
+    a csv writer gives (no field needs quoting, lines end in CRLF)."""
+    row = "%d," + "%.17g," * (2 * n + 3) + "%d,%d\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(branch_csv_header(n))
+        fh.write(",".join(branch_csv_header(n)) + "\r\n")
         for step, p in enumerate(branch.points):
             st = p.state
-            row = [str(step), _fmt(p.arclength), _fmt(st.mu), _fmt(st.rho),
-                   _fmt(float(np.linalg.norm(st.r)))]
-            row += [_fmt(v) for v in st.r]
-            row += [_fmt(v) for v in st.phi]
-            row += ["1" if p.is_fold else "0", str(p.newton_iters)]
-            writer.writerow(row)
+            fh.write(row % (step, p.arclength, st.mu, st.rho, np.linalg.norm(st.r),
+                            *st.r.tolist(), *st.phi.tolist(), p.is_fold, p.newton_iters))
 
 
 def read_branch_csv(path: Path, n: int) -> list[dict]:
@@ -303,15 +287,26 @@ def _state_dict(state: PolarState) -> dict:
     }
 
 
+def _make_dir(path: Path) -> bool:
+    """Create an output directory before computing; False, saying why, if not."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"config error: cannot create output directory {path}: {err}",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def _write_json(payload: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
 
 def _corrected_seed(rc: RunConfig):
     """(system, seed, corrected seed), or the exit code: 2 for a model that
-    is not bistable at the seed mu, 3 for a seed Newton cannot correct."""
+    is not bistable at the seed mu or a run directory that cannot be made,
+    3 for a seed Newton cannot correct."""
     system = rc.system()
     try:
         seed = asymptotics.build_seed(rc.spec, rc.mu_seed, rc.eps, rc.ansatz, rc.coupling)
@@ -324,6 +319,8 @@ def _corrected_seed(rc: RunConfig):
     except continuation.ContinuationError as err:
         print(f"seed correction failed: {err}", file=sys.stderr)
         return 3
+    if not _make_dir(rc.run_dir()):
+        return 2
     return system, seed, corrected
 
 
@@ -350,7 +347,6 @@ def cmd_continue(rc: RunConfig) -> int:
         print(f"seed correction failed: {err}", file=sys.stderr)
         return 3
     out = rc.run_dir()
-    out.mkdir(parents=True, exist_ok=True)
     write_branch_csv(branch, rc.n_nodes, out / "branch.csv")
     summary = {
         "run_id": rc.run_id,
@@ -412,6 +408,8 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
         rows = read_branch_csv(branch_path, rc.n_nodes)
     except ConfigError as err:
         print(str(err), file=sys.stderr)
+        return 2
+    if not _make_dir(rc.run_dir()):
         return 2
     system = rc.system()
     residuals = [system.residual_norm(row["state"]) for row in rows]
@@ -496,6 +494,8 @@ def cmd_mismatch(rc: RunConfig) -> int:
     except (model.ModelError, asymptotics.AsymptoticsError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    if not _make_dir(rc.run_dir()):
+        return 2
     k = rc.ansatz.k
     pattern = tuple(["plus"] * (k - 1) + ["minus"])
     sweep = []
@@ -506,14 +506,10 @@ def cmd_mismatch(rc: RunConfig) -> int:
         entry = {"eps": eps}
         try:
             corrected = continuation.newton_correct(
-                system, seed, tol=rc.cont.newton_tol,
-                max_iter=rc.cont.newton_max_iter,
-            )
+                system, seed, tol=rc.cont.newton_tol, max_iter=rc.cont.newton_max_iter)
             entry["converged"] = True
             entry["sin_phi_k"] = float(np.sin(corrected.phi[k - 2]))
-            entry["sin_phi_deviation"] = abs(
-                entry["sin_phi_k"] - bound.sin_phi_limit
-            )
+            entry["sin_phi_deviation"] = abs(entry["sin_phi_k"] - bound.sin_phi_limit)
         except (continuation.NoConvergence, continuation.SingularJacobian) as err:
             entry["converged"] = False
             entry["error"] = type(err).__name__
@@ -590,6 +586,8 @@ def cmd_sweep(rc: RunConfig) -> int:
         except ConfigError as err:
             print(f"config error: {err}", file=sys.stderr)
             return 2
+    if not all(map(_make_dir, [rc.output_dir] + [job.run_dir() for job in configs])):
+        return 2
 
     codes = [cmd_continue(job) for job in configs]
     summary = {

@@ -4,6 +4,9 @@ The corrector solves the bordered system [J; t_prev] with the hyperplane
 constraint <x - x_prev, t_prev> = ds.  The predictor steps along the
 bordered tangent [J; t_prev] t = e_last, taken from the corrector's final
 solve; dead tail phases are pinned, and at eps = 0 every phase is dead.
+One Newton iterate is one pass: shared point terms, one residual, one
+bordered Jacobian assembled in place and rows equilibrated in place, all on
+the packed vector (r, phi, rho, mu); a PolarState is built only for a result.
 Folds are turning points of mu, detected from sign changes of the
 tangent's mu component and refined by a safeguarded secant (Illinois
 regula falsi) in arclength, with a fresh tangent at each trial; a fold is a
@@ -13,15 +16,18 @@ contains no randomness: identical inputs give bitwise-identical branches.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import (
     BoundaryKind,
     CouplingKind,
+    LatticeError,
     PolarState,
     canonicalize,
     jacobian,
+    point_terms,
     residual,
     wrap_phase,
 )
@@ -78,11 +84,11 @@ class LatticeSystem:
     eps: float
     bc: BoundaryKind
 
-    def residual(self, state: PolarState) -> np.ndarray:
-        return residual(self.spec, self.coupling, state, self.eps, self.bc)
+    def residual(self, state: PolarState, terms=None) -> np.ndarray:
+        return residual(self.spec, self.coupling, state, self.eps, self.bc, terms)
 
-    def jacobian(self, state: PolarState) -> np.ndarray:
-        return jacobian(self.spec, self.coupling, state, self.eps, self.bc)
+    def jacobian(self, state: PolarState, terms=None, border=None) -> np.ndarray:
+        return jacobian(self.spec, self.coupling, state, self.eps, self.bc, terms, border)
 
     def residual_norm(self, state: PolarState) -> float:
         return float(np.max(np.abs(self.residual(state))))
@@ -119,23 +125,33 @@ class Bordered:
 
 
 def _equilibrate_rows(a: np.ndarray, b: np.ndarray):
-    """Scale each row of [a | b] by the inverse of its max-abs entry in a.
+    """Scale each row of [a | b], in place, by the inverse of its max-abs
+    entry in a; a zero or NaN row keeps scale 1.  Returns (a, b).
 
     Far-field phase rows scale like eps * r_n and otherwise wreck the
     conditioning of the linear solve.
     """
-    scale = np.max(np.abs(a), axis=1)
-    scale = np.where(scale > 1e-300, scale, 1.0)
-    return a / scale[:, None], b / scale[:, None]
+    scale = np.abs(a).max(axis=1)
+    scale = np.where(scale > 1e-300, scale, 1.0)[:, None]
+    a /= scale
+    b /= scale
+    return a, b
 
 
-class _NewtonOutcome:
-    __slots__ = ("state", "iterations", "tangent")
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b after equilibrating both in place; SingularJacobian if
+    a is singular."""
+    _equilibrate_rows(a, b)
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as err:
+        raise SingularJacobian(str(err)) from err
 
-    def __init__(self, state: PolarState, iterations: int, tangent=None):
-        self.state = state
-        self.iterations = iterations
-        self.tangent = tangent  # bordered: tangent column of the last solve
+
+class _NewtonOutcome(NamedTuple):
+    state: PolarState
+    iterations: int
+    tangent: np.ndarray | None  # bordered: tangent column of the last solve
 
 
 def _dead_interfaces(state: PolarState, eps: float, tol: float) -> np.ndarray:
@@ -151,15 +167,6 @@ def _dead_interfaces(state: PolarState, eps: float, tol: float) -> np.ndarray:
         return np.ones(state.n - 1, dtype=bool)
     thr = 0.1 * tol / eps
     return np.maximum(np.abs(state.r[:-1]), np.abs(state.r[1:])) < thr
-
-
-def _pin_dead_phases(state: PolarState, eps: float, tol: float) -> PolarState:
-    dead = _dead_interfaces(state, eps, tol)
-    if not np.any(dead):
-        return state
-    phi = state.phi.copy()
-    phi[dead] = 0.0
-    return PolarState(state.r, phi, state.rho, state.mu)
 
 
 SOLID_PHASE_AMPLITUDE = 1e-3
@@ -205,15 +212,14 @@ class _PackedView:
         self.rho, self.mu = float(x[2 * n - 1]), float(x[2 * n])
 
 
-def _newton_solve(
-    system: LatticeSystem,
-    state: PolarState,
-    mode,
-    tol: float,
-    max_iter: int,
-) -> _NewtonOutcome:
-    n = state.n
-    x = state.pack()
+def _newton_solve(system: LatticeSystem, state: PolarState | np.ndarray, mode,
+                  tol: float, max_iter: int) -> _NewtonOutcome:
+    """Newton from a state or its packed vector; one residual, and unless it
+    converged one bordered Jacobian, per iterate, sharing ``point_terms``."""
+    x = state.pack() if isinstance(state, PolarState) else state
+    if not np.all(np.isfinite(x)):
+        raise LatticeError("non-finite entries in state")
+    n = (x.size - 1) // 2
     bordered = isinstance(mode, Bordered)
     if not bordered and mode != FIXED_MU:
         raise ValueError(f"unknown Newton mode {mode!r}")
@@ -225,14 +231,16 @@ def _newton_solve(
     tangent = None
     for it in range(max_iter + 1):
         current = _PackedView(x, n)
-        f = system.residual(current)
+        terms = point_terms(system.spec, current, system.eps, system.bc)
+        f = system.residual(current, terms)
         if bordered:
             cons = float(np.dot(x - mode.x_prev, mode.tangent)) - mode.ds
             converged = max(np.max(np.abs(f)), abs(cons)) <= conv_tol
         else:
             converged = np.max(np.abs(f)) <= conv_tol
         if converged:
-            out = _pin_dead_phases(PolarState.unpack(x, n), system.eps, tol)
+            out = PolarState.unpack(x, n)  # a copy: pin its dead phases in place
+            out.phi[_dead_interfaces(out, system.eps, tol)] = 0.0
             if np.min(out.r) < -1e-9:
                 # Exact only for r-even nonlinearities; keep the raw state if
                 # an odd omega part would push the residual back over tol.
@@ -243,21 +251,16 @@ def _newton_solve(
         if it == max_iter:
             break
 
-        jac = system.jacobian(current)
         if bordered:
             # second column: the tangent [J; t_prev] t = e_last, for free
-            a = np.vstack([jac, mode.tangent])
+            a = system.jacobian(current, terms, border=mode.tangent)
             rhs = np.zeros((2 * n + 1, 2))
             rhs[:-1, 0] = -f
             rhs[-1] = -cons, 1.0
         else:
-            a = jac[:, : 2 * n]
+            a = system.jacobian(current, terms)[:, : 2 * n]
             rhs = -f[:, None]
-        a, rhs = _equilibrate_rows(a, rhs)
-        try:
-            sol = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as err:
-            raise SingularJacobian(str(err)) from err
+        sol = _solve(a, rhs)
         delta = sol[:, 0]
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("non-finite Newton step")
@@ -269,9 +272,7 @@ def _newton_solve(
             x[: 2 * n] += delta
         x[n: 2 * n - 1] = wrap_phase(x[n: 2 * n - 1])
 
-    raise NoConvergence(
-        f"Newton did not reach tol={tol} within {max_iter} iterations"
-    )
+    raise NoConvergence(f"Newton did not reach tol={tol} within {max_iter} iterations")
 
 
 def newton_correct(
@@ -313,17 +314,13 @@ def branch_tangent(
         ref[-1] = float(np.sign(direction))
     else:
         ref = np.asarray(prev_tangent, dtype=float)
-    a = np.vstack([system.jacobian(state), ref])
+    a = system.jacobian(state, border=ref)
     j = np.flatnonzero(_dead_interfaces(state, system.eps, newton_tol))
     a[:, n + j] = 0.0
     a[2 * j + 3, n + j] = 1.0
     rhs = np.zeros((2 * n + 1, 1))
     rhs[-1] = 1.0
-    a, rhs = _equilibrate_rows(a, rhs)
-    try:
-        t = np.linalg.solve(a, rhs)[:, 0]
-    except np.linalg.LinAlgError as err:
-        raise SingularJacobian(str(err)) from err
+    t = _solve(a, rhs)[:, 0]
     t[n + j] = 0.0
     return _solid_unit(t, state)
 
@@ -357,13 +354,9 @@ class Branch:
 
 
 def _attempt_step(system, config, x_prev, tangent, ds):
-    n = (x_prev.size - 1) // 2
     predictor = x_prev + ds * tangent
-    guess = PolarState.unpack(predictor, n)
-    outcome = _newton_solve(
-        system, guess, Bordered(x_prev, tangent, ds),
-        config.newton_tol, config.newton_max_iter,
-    )
+    outcome = _newton_solve(system, predictor, Bordered(x_prev, tangent, ds),
+                            config.newton_tol, config.newton_max_iter)
     # Reject corrector landings far from the predictor: those are jumps onto
     # another solution sheet (worst case the trivial r=0 line), not steps
     # along the branch.  Halving ds then also adapts to fold curvature.
@@ -479,13 +472,9 @@ def _attempt_closure(system, config, x_from, tangent, x_start, solid_start):
     """Try to land exactly on the start point; None if this is not closure."""
     ds_land = float(np.dot(x_start - x_from, tangent))
     try:
-        outcome = _newton_solve(
-            system,
-            PolarState.unpack(x_from + ds_land * tangent, (x_from.size - 1) // 2),
-            Bordered(x_from, tangent, ds_land),
-            config.newton_tol,
-            config.newton_max_iter,
-        )
+        outcome = _newton_solve(system, x_from + ds_land * tangent,
+                                Bordered(x_from, tangent, ds_land),
+                                config.newton_tol, config.newton_max_iter)
     except (NoConvergence, SingularJacobian):
         return None
     gap = float(np.linalg.norm((outcome.state.pack() - x_start)[solid_start]))

@@ -5,7 +5,10 @@ z_n = r_n exp(i*theta_n), gauge invariance leaves the amplitudes r_1..r_N,
 the phase differences phi_n = theta_{n+1} - theta_n, and the frequency rho
 as unknowns.  Each node contributes an amplitude equation and a phase
 equation; the chain is closed by ghost values encoding the on/off-site
-reflection on the left and an off-site truncation on the right.
+reflection on the left and an off-site truncation on the right.  The ghosts,
+cos/sin of the phases, lambda and omega are ``point_terms``: a Newton
+iterate builds them once and hands them to both ``residual`` and ``jacobian``,
+which can also scatter straight into the square bordered matrix [J; border].
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ __all__ = [
     "CouplingKind",
     "PolarState",
     "ghost_values",
+    "point_terms",
     "residual",
     "jacobian",
     "wrap_phase",
@@ -114,18 +118,21 @@ def ghost_values(state: PolarState, bc: BoundaryKind):
         raise LatticeError("chain needs at least 2 nodes")
     if bc is BoundaryKind.ON_SITE:
         r0, phi0 = state.r[1], -state.phi[0]
-    elif bc is BoundaryKind.OFF_SITE:
+    else:
         r0, phi0 = state.r[0], 0.0
-    else:  # pragma: no cover
-        raise LatticeError(f"unknown boundary kind {bc!r}")
     return float(r0), float(phi0), float(state.r[-1]), 0.0
 
 
-def _extended(state: PolarState, bc: BoundaryKind):
+def point_terms(spec: NonlinearitySpec, state: PolarState, eps: float,
+                bc: BoundaryKind) -> tuple:
+    """What ``residual`` and ``jacobian`` share at a point, built once:
+    r_0..r_{N+1} with the ghosts, cos and sin of phi_0..phi_N, lambda, omega."""
     r0, phi0, r_right, phi_right = ghost_values(state, bc)
-    r_ext = np.concatenate([[r0], state.r, [r_right]])
-    phi_ext = np.concatenate([[phi0], state.phi, [phi_right]])
-    return r_ext, phi_ext
+    r_ext, phi_ext = np.empty(state.n + 2), np.empty(state.n + 1)
+    r_ext[0], r_ext[1:-1], r_ext[-1] = r0, state.r, r_right
+    phi_ext[0], phi_ext[1:-1], phi_ext[-1] = phi0, state.phi, phi_right
+    return (r_ext, np.cos(phi_ext), np.sin(phi_ext),
+            spec.lam(state.r, state.mu), spec.omega(state.r, state.mu, eps))
 
 
 def residual(
@@ -134,6 +141,7 @@ def residual(
     state: PolarState,
     eps: float,
     bc: BoundaryKind,
+    terms: tuple | None = None,
 ) -> np.ndarray:
     """Polar residual, interleaved (amplitude eq, phase eq) per node.
 
@@ -142,18 +150,16 @@ def residual(
 
         amplitude_n = lambda(r_n, mu) r_n + eps (c_re A_n - c_im B_n)
         phase_n     = (omega(r_n, mu, eps) - rho) r_n + eps (c_re B_n + c_im A_n)
+
+    ``terms`` are the state's ``point_terms``, shared with ``jacobian``.
     """
-    r_ext, phi_ext = _extended(state, bc)
-    cosp, sinp = np.cos(phi_ext), np.sin(phi_ext)
-    r, mu = state.r, state.mu
+    r_ext, cosp, sinp, lam, om = terms or point_terms(spec, state, eps, bc)
+    r = state.r
     A = r_ext[2:] * cosp[1:] - 2.0 * r + r_ext[:-2] * cosp[:-1]
     B = r_ext[2:] * sinp[1:] - r_ext[:-2] * sinp[:-1]
-    f_amp = np.asarray(spec.lam(r, mu)) * r + eps * (c.c_re * A - c.c_im * B)
-    f_phase = (np.asarray(spec.omega(r, mu, eps)) - state.rho) * r \
-        + eps * (c.c_re * B + c.c_im * A)
     out = np.empty(2 * state.n)
-    out[0::2] = f_amp
-    out[1::2] = f_phase
+    out[0::2] = lam * r + eps * (c.c_re * A - c.c_im * B)
+    out[1::2] = (om - state.rho) * r + eps * (c.c_re * B + c.c_im * A)
     return out
 
 
@@ -186,24 +192,27 @@ def jacobian(
     state: PolarState,
     eps: float,
     bc: BoundaryKind,
+    terms: tuple | None = None,
+    border: np.ndarray | None = None,
 ) -> np.ndarray:
     """Analytic Jacobian of ``residual``, shape (2N, 2N + 1).
 
     Columns: r_1..r_N, phi_1..phi_{N-1}, rho, and the mu-derivative last.
     Ghost-value chain rules are folded in (off-site left adds the r0 terms
     to the r_1 column, on-site to the r_2 column with phi0 = -phi1).  The
-    entries are scattered through a plan cached per (N, boundary).
+    entries are scattered through a plan cached per (N, boundary).  With a
+    ``border`` row the result is the square bordered matrix [J; border],
+    scattered in place; ``terms`` are the state's ``point_terms``.
     """
     n, r, mu, rho = state.n, state.r, state.mu, state.rho
-    r_ext, phi_ext = _extended(state, bc)
+    r_ext, cosp, sinp, lam, om = terms or point_terms(spec, state, eps, bc)
     cre, cim = c.c_re, c.c_im
-    lam, lam_r, lam_mu = spec.lam(r, mu), spec.lam_r(r, mu), spec.lam_mu(r, mu)
-    om, om_r = spec.omega(r, mu, eps), spec.omega_r(r, mu, eps)
+    lam_r, lam_mu = spec.lam_r(r, mu), spec.lam_mu(r, mu)
+    om_r = spec.omega_r(r, mu, eps)
 
     # c_re and c_im times cos and sin at phi_0..phi_N; the right neighbor
     # reads [1:], the left one [:-1].  Negating a product is exact, so each
     # sum has the bits of its per-node form, e.g. (-c_re sin) - c_im cos.
-    cosp, sinp = np.cos(phi_ext), np.sin(phi_ext)
     cc, ss, cs, sc = cre * cosp, cim * sinp, cre * sinp, cim * cosp
     right_r, left_r_phase = (cc - ss)[1:], (sc - cs)[:-1]
     rr, rl = eps * r[1:], eps * r_ext[:-2]
@@ -219,10 +228,14 @@ def jacobian(
     # No entry takes more than two values and bincount adds them to 0 in plan
     # order, so this equals a per-node loop bit for bit (the walk's branch.csv
     # rides on it).  The rho and mu columns are assigned after the scatter,
-    # which would turn their -0.0 at r_n = 0 into 0.0.
-    J = np.bincount(_stencil_plan(n, bc), values, 2 * n * (2 * n + 1)).reshape(2 * n, -1)
-    J[1::2, 2 * n - 1] = -r
-    J[0::2, 2 * n] = lam_mu * r  # omega does not depend on mu
+    # which would turn their -0.0 at r_n = 0 into 0.0.  A flat index of the
+    # (2N, 2N + 1) plan is the same entry of the (2N + 1)-row bordered matrix.
+    rows = 2 * n + (border is not None)
+    J = np.bincount(_stencil_plan(n, bc), values, rows * (2 * n + 1)).reshape(rows, -1)
+    J[1:2 * n:2, 2 * n - 1] = -r
+    J[0:2 * n:2, 2 * n] = lam_mu * r  # omega does not depend on mu
+    if border is not None:
+        J[2 * n] = border
     return J
 
 

@@ -5,14 +5,29 @@ c = i) are exact solutions of the uncoupled lattice, built from the
 bistability roots; ``rigid_rotation_deviation`` measures a stored
 ``dynamics.integrate`` trajectory against a rigid rotation, the reference
 for the batched ``dynamics.rotation_deviation``.
+
+The straightforward forms of the engine's hot path sit here too, for bitwise
+comparison: ``stacked_newton`` and ``stacked_tangent`` build each bordered
+matrix with ``np.vstack`` from a validated ``PolarState`` and equilibrate
+out of place, and ``csv_writer_branch_csv`` formats every value on its own
+and writes through ``csv.writer``.
 """
+import csv
 from typing import Literal
 
 import numpy as np
 
 from locsync.asymptotics import AsymptoticsError
+from locsync.cli import branch_csv_header
+from locsync.continuation import (
+    FIXED_MU,
+    Bordered,
+    SingularJacobian,
+    _dead_interfaces,
+    _solid_unit,
+)
 from locsync.dynamics import Trajectory
-from locsync.lattice import PolarState
+from locsync.lattice import PolarState, canonicalize, wrap_phase
 from locsync.model import NonlinearitySpec, bistable_roots, rest_state_roots
 
 
@@ -94,3 +109,90 @@ def rigid_rotation_deviation(traj: Trajectory, z0: np.ndarray, rho: float) -> fl
     z0 = np.asarray(z0, dtype=complex)
     rot = np.exp(1j * rho * traj.times)[:, None] * z0[None, :]
     return float(np.max(np.abs(traj.z - rot)))
+
+
+def _equilibrated(a, b):
+    scale = np.max(np.abs(a), axis=1)
+    scale = np.where(scale > 1e-300, scale, 1.0)
+    return a / scale[:, None], b / scale[:, None]
+
+
+def stacked_newton(system, state, mode=FIXED_MU, tol=1e-10, max_iter=12):
+    """(state, iterations, tangent) of ``continuation._newton_solve``."""
+    n, x = state.n, state.pack()
+    bordered = isinstance(mode, Bordered)
+    tangent = None
+    for it in range(max_iter + 1):
+        current = PolarState.unpack(x, n)
+        f = system.residual(current)
+        err = np.max(np.abs(f))
+        if bordered:
+            cons = float(np.dot(x - mode.x_prev, mode.tangent)) - mode.ds
+            err = max(err, abs(cons))
+        if err <= 0.45 * tol:
+            dead = _dead_interfaces(current, system.eps, tol)
+            out = PolarState(current.r, np.where(dead, 0.0, current.phi),
+                             current.rho, current.mu)
+            if np.min(out.r) < -1e-9:
+                flipped = canonicalize(out)
+                if float(np.max(np.abs(system.residual(flipped)))) <= tol:
+                    out = flipped
+            return out, it, tangent
+        if it == max_iter:
+            raise AssertionError("reference Newton did not converge")
+        jac = system.jacobian(current)
+        if bordered:
+            a = np.vstack([jac, mode.tangent])
+            rhs = np.zeros((2 * n + 1, 2))
+            rhs[:-1, 0] = -f
+            rhs[-1] = -cons, 1.0
+        else:
+            a, rhs = jac[:, : 2 * n], -f[:, None]
+        sol = np.linalg.solve(*_equilibrated(a, rhs))
+        if bordered:
+            tangent = sol[:, 1]
+            x = x + sol[:, 0]
+        else:
+            x = x.copy()
+            x[: 2 * n] += sol[:, 0]
+        x[n: 2 * n - 1] = wrap_phase(x[n: 2 * n - 1])
+
+
+def stacked_tangent(system, state, prev_tangent=None, direction=1, newton_tol=1e-10):
+    """``continuation.branch_tangent``."""
+    n = state.n
+    if prev_tangent is None:
+        ref = np.zeros(2 * n + 1)
+        ref[-1] = float(np.sign(direction))
+    else:
+        ref = np.asarray(prev_tangent, dtype=float)
+    a = np.vstack([system.jacobian(state), ref])
+    j = np.flatnonzero(_dead_interfaces(state, system.eps, newton_tol))
+    a[:, n + j] = 0.0
+    a[2 * j + 3, n + j] = 1.0
+    rhs = np.zeros((2 * n + 1, 1))
+    rhs[-1] = 1.0
+    try:
+        t = np.linalg.solve(*_equilibrated(a, rhs))[:, 0]
+    except np.linalg.LinAlgError as err:
+        raise SingularJacobian(str(err)) from err
+    t[n + j] = 0.0
+    return _solid_unit(t, state)
+
+
+def csv_writer_branch_csv(branch, n: int, path) -> None:
+    """``cli.write_branch_csv``: 17 significant digits, one call per value."""
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(branch_csv_header(n))
+        for step, p in enumerate(branch.points):
+            st = p.state
+            row = [str(step), fmt(p.arclength), fmt(st.mu), fmt(st.rho),
+                   fmt(float(np.linalg.norm(st.r)))]
+            row += [fmt(v) for v in st.r]
+            row += [fmt(v) for v in st.phi]
+            row += ["1" if p.is_fold else "0", str(p.newton_iters)]
+            writer.writerow(row)

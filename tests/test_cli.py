@@ -17,7 +17,10 @@ from locsync.cli import (
     load_config,
     main,
     read_branch_csv,
+    write_branch_csv,
 )
+from locsync.lattice import PolarState
+from reference import csv_writer_branch_csv
 
 
 def base_config(tmp_path, **overrides):
@@ -389,6 +392,80 @@ def test_branch_csv_header_layout():
     assert header[5:9] == ["r_1", "r_2", "r_3", "r_4"]
     assert header[9:12] == ["phi_1", "phi_2", "phi_3"]
     assert header[-2:] == ["is_fold", "newton_iters"]
+
+
+def test_branch_csv_rows_match_csv_writer_and_read_back_bit_for_bit(tmp_path):
+    # fold rows, signed zeros, a far tail down to subnormals, and a huge
+    # amplitude; every value must survive the round trip
+    rng = np.random.default_rng(7)
+    n = 6
+    points = []
+    for step in range(40):
+        r = rng.uniform(0.0, 1.5, n)
+        r[-3:] = [1e-300, 2.5e-301 * (1 + rng.random()), 5e-324 * (step % 3)]
+        phi = rng.normal(0.0, 2.0, n - 1)
+        phi[step % (n - 1)] = -0.0
+        rho = -0.0 if step % 4 == 0 else rng.normal()
+        state = PolarState(r, phi, rho, rng.uniform(0.0, 1.0))
+        points.append(continuation.BranchPoint(
+            state, step * 0.01 + 1e-17 * step, np.zeros(2 * n + 1),
+            is_fold=step % 7 == 3, newton_iters=int(rng.integers(0, 13))))
+    points[5].state.r[0] = 1.2345678901234567e150
+    branch = continuation.Branch(points=points)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_branch_csv(branch, n, got)
+    csv_writer_branch_csv(branch, n, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert b"-0," in got.read_bytes() and b"e-300" in got.read_bytes()
+    rows = read_branch_csv(got, n)
+    assert [r["is_fold"] for r in rows] == [p.is_fold for p in points]
+    assert [r["newton_iters"] for r in rows] == [p.newton_iters for p in points]
+    for row, p in zip(rows, points):
+        assert row["state"].pack().tobytes() == p.state.pack().tobytes()
+        assert np.float64(row["arclength"]).tobytes() == np.float64(p.arclength).tobytes()
+        assert row["r_l2"] == float(np.linalg.norm(p.state.r))
+
+
+def _not_run(*args, **kwargs):
+    raise AssertionError("computed before the output directory was made")
+
+
+def test_continue_output_dir_that_cannot_be_made_exits_2_before_the_walk(
+        tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    monkeypatch.setattr(continuation, "continue_branch", _not_run)
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert main(["continue", "--config", path, "--output-dir", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory "
+                          f"{blocker / 'test-run'}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_sweep_output_dir_that_cannot_be_made_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(continuation, "continue_branch", _not_run)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    cfg = base_config(tmp_path, output_dir=str(blocker))
+    cfg["sweep"] = {"parameter": "eps", "values": [0.02, 0.01]}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot create output directory {blocker}: ")
+    # the output directory is fine, but a file sits where the second job's
+    # run directory goes: still nothing runs
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "test-run-eps0.01").write_text("", encoding="utf-8")
+    cfg = base_config(tmp_path)
+    cfg["sweep"] = {"parameter": "eps", "values": [0.02, 0.01]}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory "
+                          f"{out / 'test-run-eps0.01'}: ")
+    assert not (out / "test-run-sweep.json").exists()
 
 
 def test_general_coupling_config(tmp_path):

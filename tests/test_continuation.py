@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from locsync.continuation import (
     ContinuationConfig,
     LatticeSystem,
     NoConvergence,
+    _attempt_step,
     _dead_interfaces,
     _equilibrate_rows,
     _fold_brackets,
@@ -25,8 +28,9 @@ from locsync.continuation import (
     merge_branches,
     newton_correct,
 )
-from locsync.lattice import BoundaryKind, CouplingKind, PolarState
+from locsync.lattice import BoundaryKind, CouplingKind, LatticeError, PolarState
 from locsync.model import bistable_roots
+from reference import stacked_newton, stacked_tangent
 
 
 EPS = 0.01
@@ -194,6 +198,122 @@ def test_walk_tangent_close_to_fresh_tangent(small_snake, dissipative_system):
     for prev, p in zip(walk[:-1], walk[1:]):
         fresh = branch_tangent(dissipative_system, p.state, prev_tangent=prev.tangent)
         assert np.max(np.abs(p.tangent - fresh)) <= 1e-3
+
+
+def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
+                                                    dissipative_system, small_isola):
+    # In-place bordered assembly and equilibration on the packed vector give
+    # the bits of the vstack / PolarState formulation, step by step.
+    assert list(inspect.signature(newton_correct).parameters) == [
+        "system", "state", "mode", "tol", "max_iter"]
+    assert list(inspect.signature(branch_tangent).parameters) == [
+        "system", "state", "prev_tangent", "direction", "newton_tol"]
+    snake, _, seed = small_snake
+    isola, _, isola_system = small_isola
+    ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 10)
+    raw = build_seed(quintic, 0.5, EPS, ansatz, CouplingKind.dissipative())
+    got = _newton_solve(dissipative_system, raw, FIXED_MU, 1e-10, 12)
+    want_state, want_it, _ = stacked_newton(dissipative_system, raw)
+    assert got.iterations == want_it > 0
+    assert got.state.pack().tobytes() == want_state.pack().tobytes()
+    assert newton_correct(dissipative_system, raw).pack().tobytes() \
+        == want_state.pack().tobytes()
+    # phases between tail amplitudes below 0.1 tol / eps come back pinned to 0
+    tail = raw.copy()
+    dead = _dead_interfaces(tail, EPS, 1e-10)
+    assert dead.any()
+    tail.phi[dead] = 0.3
+    got = _newton_solve(dissipative_system, tail, FIXED_MU, 1e-10, 12)
+    assert np.all(got.state.phi[dead] == 0.0)
+    assert got.state.pack().tobytes() == stacked_newton(
+        dissipative_system, tail)[0].pack().tobytes()
+    for direction in (-1, 1):
+        assert branch_tangent(dissipative_system, seed, direction=direction).tobytes() \
+            == stacked_tangent(dissipative_system, seed, direction=direction).tobytes()
+    for branch, system in ((snake, dissipative_system), (isola, isola_system)):
+        walk = [p for p in branch.points if not p.is_fold]
+        for prev, p in zip(walk[:-1], walk[1:]):
+            x_prev = prev.state.pack()
+            ds = p.arclength - prev.arclength
+            predictor = x_prev + ds * prev.tangent
+            mode = Bordered(x_prev, prev.tangent, ds)
+            got = _newton_solve(system, predictor, mode, 1e-10, 12)
+            want_state, want_it, want_t = stacked_newton(
+                system, PolarState.unpack(predictor, prev.state.n), mode)
+            assert got.iterations == want_it
+            assert got.state.pack().tobytes() == want_state.pack().tobytes()
+            if want_it:
+                assert got.tangent.tobytes() == want_t.tobytes()
+            got_t = branch_tangent(system, p.state, prev_tangent=prev.tangent)
+            assert got_t.tobytes() == stacked_tangent(
+                system, p.state, prev_tangent=prev.tangent).tobytes()
+
+
+def test_newton_iterate_is_one_residual_and_one_bordered_jacobian(
+        quintic, dissipative_system, monkeypatch):
+    # The loop looks both names up in the continuation module at call time
+    # (outside-in tracing relies on it) and calls each once per iterate.
+    calls = {"residual": 0, "jacobian": 0, "border": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            border = kwargs.get("border", args[6] if len(args) > 6 else None)
+            calls["border"] += border is not None
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("residual", "jacobian"):
+        monkeypatch.setattr(continuation, name, counted(name, getattr(continuation, name)))
+    ansatz = SeedAnsatz(2, ("plus",) * 2, "in_phase", BoundaryKind.OFF_SITE, 6)
+    seed = build_seed(quintic, 0.5, EPS, ansatz, CouplingKind.dissipative())
+    out = _newton_solve(dissipative_system, seed, FIXED_MU, 1e-10, 12)
+    assert out.iterations > 0
+    assert calls == {"residual": out.iterations + 1, "jacobian": out.iterations,
+                     "border": 0}
+    t = branch_tangent(dissipative_system, out.state, direction=+1)
+    calls.update(residual=0, jacobian=0, border=0)
+    x_prev = out.state.pack()
+    step = _attempt_step(dissipative_system, ContinuationConfig(), x_prev, t, 0.01)
+    assert step.iterations > 0
+    assert calls == {"residual": step.iterations + 1, "jacobian": step.iterations,
+                     "border": step.iterations}
+
+
+def test_equilibrate_rows_in_place_keeps_zero_and_nan_rows_at_scale_one():
+    a = np.array([[3.0, -6.0, 0.5], [0.0, -0.0, 0.0], [np.nan, 1.0, 2.0],
+                  [1e-301, -1e-302, 0.0], [-2.0, 1.0, 4.0]])
+    b = np.arange(10.0).reshape(5, 2) - 4.0
+    a0, b0 = a.copy(), b.copy()
+    got_a, got_b = _equilibrate_rows(a, b)
+    assert got_a is a and got_b is b  # in place
+    scale = np.array([6.0, 1.0, 1.0, 1.0, 4.0])[:, None]
+    assert (a0 / scale).tobytes() == a.tobytes()
+    assert (b0 / scale).tobytes() == b.tobytes()
+
+
+def test_non_finite_predictor_fails_before_iterating(quintic, dissipative_system,
+                                                    monkeypatch):
+    # The predictor reaches the corrector as a packed vector, unvalidated;
+    # the corrector itself must refuse a non-finite one, not iterate on NaN.
+    def no_call(*args, **kwargs):
+        raise AssertionError("Newton evaluated a non-finite predictor")
+
+    ansatz = SeedAnsatz(2, ("plus",) * 2, "in_phase", BoundaryKind.OFF_SITE, 6)
+    seed = newton_correct(dissipative_system, build_seed(
+        quintic, 0.5, EPS, ansatz, CouplingKind.dissipative()))
+    t = branch_tangent(dissipative_system, seed, direction=+1)
+    monkeypatch.setattr(continuation, "residual", no_call)
+    for bad in (np.nan, np.inf, -np.inf):
+        tangent = t.copy()
+        tangent[3] = bad
+        with pytest.raises(LatticeError, match="non-finite"):
+            _attempt_step(dissipative_system, ContinuationConfig(), seed.pack(),
+                          tangent, 0.01)
+        x = seed.pack()
+        x[-1] = bad
+        with pytest.raises(LatticeError, match="non-finite"):
+            _newton_solve(dissipative_system, x, FIXED_MU, 1e-10, 12)
 
 
 def test_tangent_at_eps_zero_pins_every_phase(quintic):

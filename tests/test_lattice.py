@@ -11,6 +11,7 @@ from locsync.lattice import (
     canonicalize,
     ghost_values,
     jacobian,
+    point_terms,
     polar_to_complex,
     residual,
     wrap_phase,
@@ -279,10 +280,20 @@ def test_jacobian_bitwise_equal_to_loop_reference(quintic_rotating, couplings, b
     zero.r[[0, 1, 4, 8, 9]] = 0.0
     cases += [(zero, 0.02), (zero, 0.0)]
     for st, eps in cases:
+        border = rng.normal(size=2 * st.n + 1)
+        border[::3] = -0.0  # signed zeros in the border row as well
         for c in couplings + (MIXED,):
             for bc in boundaries:
-                got = jacobian(spec, c, st, eps, bc)
-                assert got.tobytes() == loop_jacobian(spec, c, st, eps, bc).tobytes()
+                want = loop_jacobian(spec, c, st, eps, bc)
+                assert jacobian(spec, c, st, eps, bc).tobytes() == want.tobytes()
+                # the Newton loop's path: terms built once, shared by the
+                # residual and the bordered assembly
+                terms = point_terms(spec, st, eps, bc)
+                assert residual(spec, c, st, eps, bc, terms).tobytes() \
+                    == residual(spec, c, st, eps, bc).tobytes()
+                got = jacobian(spec, c, st, eps, bc, terms, border=border)
+                assert got.tobytes() == np.vstack([want, border]).tobytes()
+                assert jacobian(spec, c, st, eps, bc, terms).tobytes() == want.tobytes()
 
 
 def test_jacobian_vs_finite_differences(quintic_rotating, couplings, boundaries):

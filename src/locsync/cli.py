@@ -13,120 +13,16 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NoReturn
 
-import jsonschema
 import numpy as np
 
 from . import asymptotics, continuation, dynamics, model
-from .lattice import BoundaryKind, CouplingKind, PolarState
+from .lattice import BoundaryKind, CouplingKind, LatticeError, PolarState
 
 __all__ = ["RunConfig", "load_config", "main"]
-
-_CONTINUATION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "ds_init": {"type": "number", "exclusiveMinimum": 0},
-        "ds_min": {"type": "number", "exclusiveMinimum": 0},
-        "ds_max": {"type": "number", "exclusiveMinimum": 0},
-        "newton_tol": {"type": "number", "exclusiveMinimum": 0},
-        "newton_max_iter": {"type": "integer", "minimum": 1},
-        "max_steps": {"type": "integer", "minimum": 1},
-        "mu_window": {
-            "type": "array", "items": {"type": "number"},
-            "minItems": 2, "maxItems": 2,
-        },
-        "closure_tol": {"type": "number", "exclusiveMinimum": 0},
-        "fold_refine_tol": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["model", "coupling", "N", "eps", "boundary", "seed"],
-    "properties": {
-        "run_id": {"type": "string", "minLength": 1},
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "name": {"type": "string"},
-                "polynomial_lambda": {
-                    "type": "array", "items": {"type": "number"}, "minItems": 1,
-                },
-                "omega0_const": {"type": "number"},
-                "mu_coefficient": {"type": "number"},
-            },
-        },
-        "omega1": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["linear_coefficient"],
-            "properties": {"linear_coefficient": {"type": "number"}},
-        },
-        "coupling": {
-            "oneOf": [
-                {"type": "string", "enum": ["dissipative", "conservative"]},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["c_re", "c_im"],
-                    "properties": {
-                        "c_re": {"type": "number"},
-                        "c_im": {"type": "number"},
-                    },
-                },
-            ],
-        },
-        "N": {"type": "integer", "minimum": 2},
-        "eps": {"type": "number", "minimum": 0},
-        "boundary": {"type": "string", "enum": ["on_site", "off_site"]},
-        "seed": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["k", "mu"],
-            "properties": {
-                "k": {"type": "integer", "minimum": 1},
-                "pattern": {
-                    "type": "array",
-                    "items": {"type": "string", "enum": ["plus", "minus"]},
-                },
-                "mu": {"type": "number"},
-                "template": {
-                    "type": "string", "enum": ["in_phase", "conservative"],
-                },
-            },
-        },
-        "continuation": _CONTINUATION_SCHEMA,
-        "simulate": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["parameter", "values"],
-            "properties": {
-                "parameter": {"type": "string", "enum": ["eps", "k"]},
-                "values": {"type": "array", "minItems": 1},
-                # accepted so that existing configs stay valid; runs are serial
-                "workers": {"type": "integer", "minimum": 1},
-            },
-            "if": {"properties": {"parameter": {"const": "k"}}},
-            "then": {"properties": {"values": {"items": {"type": "integer", "minimum": 1}}}},
-            "else": {"properties": {"values": {"items": {"type": "number", "minimum": 0}}}},
-        },
-        "output_dir": {"type": "string"},
-    },
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -153,77 +49,162 @@ class RunConfig:
         return self.output_dir / self.run_id
 
 
+def _fail(where: str, message: str) -> NoReturn:
+    raise ConfigError(f"invalid config at {where}: {message}")
+
+
+def _object(value, where: str, required=(), optional=()) -> dict:
+    """A JSON object with every required key and no key outside both lists."""
+    if not isinstance(value, dict):
+        _fail(where, f"{value!r} is not an object")
+    for key in required:
+        if key not in value:
+            _fail(where, f"{key!r} is a required key")
+    for key in value:
+        if key not in required and key not in optional:
+            _fail(where, f"unknown key {key!r}")
+    return value
+
+
+def _number(value, where: str, minimum=None, exclusive=False, integer=False):
+    """A finite number at or above ``minimum`` (above it if ``exclusive``).
+    JSON's NaN and Infinity and integers beyond the float range are not
+    finite; a bool is not a number; an integral float such as 4.0 is an
+    integer."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max
+            or (integer and not float(value).is_integer())):
+        _fail(where, f"{value!r} is not a finite {'integer' if integer else 'number'}")
+    if minimum is not None and (value <= minimum if exclusive else value < minimum):
+        _fail(where, f"{value!r} is not {'>' if exclusive else '>='} {minimum}")
+    return int(value) if integer else float(value)
+
+
+def _choice(value, where: str, choices=None) -> str:
+    """A string, and one of ``choices`` when they are given."""
+    if not isinstance(value, str) or (choices is not None and value not in choices):
+        _fail(where, f"{value!r} is not " + (f"one of {choices}" if choices else "a string"))
+    return value
+
+
+def _list(value, where: str, item, min_items=0, max_items=None) -> list:
+    """A JSON array of min_items..max_items entries, each read by ``item``."""
+    if not isinstance(value, list):
+        _fail(where, f"{value!r} is not an array")
+    if len(value) < min_items:
+        _fail(where, f"has {len(value)} entries, fewer than {min_items}")
+    if max_items is not None and len(value) > max_items:
+        _fail(where, f"has {len(value)} entries, more than {max_items}")
+    return [item(v, f"{where}.{i}") for i, v in enumerate(value)]
+
+
 def _build_spec(cfg: dict) -> model.NonlinearitySpec:
-    mcfg = cfg["model"]
+    mcfg = _object(cfg["model"], "model",
+                   optional=("name", "polynomial_lambda", "omega0_const", "mu_coefficient"))
     if "name" in mcfg:
-        if "polynomial_lambda" in mcfg:
-            raise ConfigError("model: give either 'name' or 'polynomial_lambda'")
-        spec = model.builtin_spec(mcfg["name"])
+        if len(mcfg) > 1:
+            _fail("model", f"'name' takes no other key, got {sorted(mcfg)}")
+        spec = model.builtin_spec(_choice(mcfg["name"], "model.name"))
     elif "polynomial_lambda" in mcfg:
         spec = model.polynomial_spec(
-            mcfg["polynomial_lambda"],
-            omega0_const=mcfg.get("omega0_const", 0.0),
-            mu_coefficient=mcfg.get("mu_coefficient", 0.0),
+            _list(mcfg["polynomial_lambda"], "model.polynomial_lambda", _number, 1),
+            omega0_const=_number(mcfg.get("omega0_const", 0.0), "model.omega0_const"),
+            mu_coefficient=_number(mcfg.get("mu_coefficient", 0.0), "model.mu_coefficient"),
         )
     else:
-        raise ConfigError("model: need 'name' or 'polynomial_lambda'")
+        _fail("model", "need 'name' or 'polynomial_lambda'")
     if "omega1" in cfg:
-        c1 = float(cfg["omega1"]["linear_coefficient"])
+        ocfg = _object(cfg["omega1"], "omega1", required=("linear_coefficient",))
+        c1 = _number(ocfg["linear_coefficient"], "omega1.linear_coefficient")
         spec = spec.with_omega1((0.0, c1), name=f"{spec.name}+omega1[{c1}*r]")
     return spec
 
 
 def _build_coupling(value) -> CouplingKind:
-    if value == "dissipative":
-        return CouplingKind.dissipative()
-    if value == "conservative":
-        return CouplingKind.conservative()
-    return CouplingKind(float(value["c_re"]), float(value["c_im"]))
+    """A named coupling, or a unit {c_re, c_im} object."""
+    if not isinstance(value, dict):
+        return getattr(CouplingKind, _choice(value, "coupling",
+                                             ("dissipative", "conservative")))()
+    _object(value, "coupling", required=("c_re", "c_im"))
+    try:
+        return CouplingKind(_number(value["c_re"], "coupling.c_re"),
+                            _number(value["c_im"], "coupling.c_im"))
+    except LatticeError as err:
+        _fail("coupling", str(err))
 
 
-@functools.cache
-def _config_validator():
-    """CONFIG_SCHEMA's validator, built once.  A 'number' must be a finite
-    float: JSON's NaN and Infinity would pass the schema's bounds."""
-    draft = jsonschema.Draft202012Validator
-    finite = draft.TYPE_CHECKER.redefine("number", lambda _, x: (
-        draft.TYPE_CHECKER.is_type(x, "number") and abs(x) <= sys.float_info.max))
-    return jsonschema.validators.extend(draft, type_checker=finite)(CONFIG_SCHEMA)
+def _build_continuation(section) -> continuation.ContinuationConfig:
+    """Keys and types follow ContinuationConfig's fields and their defaults:
+    an int is a count >= 1, the tuple is the mu window, a float is > 0."""
+    defaults = {f.name: f.default for f in fields(continuation.ContinuationConfig)}
+    values = {}
+    for key, value in _object(section, "continuation", optional=defaults).items():
+        where = f"continuation.{key}"
+        if isinstance(defaults[key], tuple):
+            values[key] = tuple(_list(value, where, _number, 2, 2))
+        elif isinstance(defaults[key], int):
+            values[key] = _number(value, where, 1, integer=True)
+        else:
+            values[key] = _number(value, where, 0, exclusive=True)
+    try:
+        return continuation.ContinuationConfig(**values)
+    except ValueError as err:
+        _fail("continuation", str(err))
+
+
+def _check_sweep(section) -> None:
+    """``values`` are counts >= 1 for a k sweep, numbers >= 0 for eps."""
+    sweep = _object(section, "sweep", required=("parameter", "values"),
+                    optional=("workers",))  # accepted so older configs stay valid
+    if _choice(sweep["parameter"], "sweep.parameter", ("eps", "k")) == "k":
+        item = functools.partial(_number, minimum=1, integer=True)
+    else:
+        item = functools.partial(_number, minimum=0)
+    _list(sweep["values"], "sweep.values", item, 1)
+    if "workers" in sweep:
+        _number(sweep["workers"], "sweep.workers", 1, integer=True)
 
 
 def load_config(data: dict) -> RunConfig:
-    """Validate a raw config dict and build the run objects."""
-    err = jsonschema.exceptions.best_match(_config_validator().iter_errors(data))
-    if err is not None:
-        where = ".".join(str(part) for part in err.absolute_path) or "top level"
-        raise ConfigError(f"invalid config at {where}: {err.message}")
-
-    spec = _build_spec(data)
+    """Check a raw config dict section by section and build the run objects."""
+    _object(data, "top level", required=("model", "coupling", "N", "eps", "boundary", "seed"),
+            optional=("run_id", "omega1", "continuation", "simulate", "sweep", "output_dir"))
     coupling = _build_coupling(data["coupling"])
-    n = int(data["N"])
-    eps = float(data["eps"])
-    bc = BoundaryKind(data["boundary"])
-    scfg = data["seed"]
-    k = int(scfg["k"])
-    template = scfg.get(
-        "template", "conservative" if coupling.c_im != 0.0 else "in_phase"
-    )
-    pattern = tuple(scfg.get("pattern", ["plus"] * k))
-    mu_seed = float(scfg["mu"])
+    n = _number(data["N"], "N", 2, integer=True)
+    eps = _number(data["eps"], "eps", 0)
+    bc = BoundaryKind(_choice(data["boundary"], "boundary", ("on_site", "off_site")))
+    scfg = _object(data["seed"], "seed", required=("k", "mu"),
+                   optional=("pattern", "template"))
+    k = _number(scfg["k"], "seed.k", 1, integer=True)
+    if "pattern" in scfg:
+        pattern = tuple(_list(scfg["pattern"], "seed.pattern",
+                              functools.partial(_choice, choices=("plus", "minus"))))
+    else:  # a k above N - 1 fails the ansatz below; min() keeps this short
+        pattern = ("plus",) * min(k, n)
+    mu_seed = _number(scfg["mu"], "seed.mu")
     if not (0.0 < mu_seed < 1.0):
-        raise ConfigError(f"seed mu={mu_seed} outside (0, 1)")
+        _fail("seed.mu", f"{mu_seed!r} is outside (0, 1)")
+    default_template = "conservative" if coupling.c_im != 0.0 else "in_phase"
+    template = _choice(scfg.get("template", default_template), "seed.template",
+                       ("in_phase", "conservative"))
+    cont = _build_continuation(data.get("continuation", {}))
+    for key, value in _object(data.get("simulate", {}), "simulate",
+                              optional=("horizon", "dt")).items():
+        _number(value, f"simulate.{key}", 0, exclusive=True)
+    if "sweep" in data:
+        _check_sweep(data["sweep"])
+    output_dir = Path(_choice(data.get("output_dir", "runs"), "output_dir"))
+    spec = _build_spec(data)
     try:
         ansatz = asymptotics.SeedAnsatz(k, pattern, template, bc, n)
-        cont = continuation.ContinuationConfig(**{
-            key: tuple(v) if key == "mu_window" else v
-            for key, v in data.get("continuation", {}).items()
-        })
-    except (ValueError, asymptotics.AsymptoticsError) as err:
-        raise ConfigError(str(err)) from err
-    run_id = data.get("run_id", f"{spec.name}-N{n}-eps{eps:g}-k{k}")
+    except asymptotics.AsymptoticsError as err:
+        _fail("seed", str(err))
+    run_id = _choice(data.get("run_id", f"{spec.name}-N{n}-eps{eps:g}-k{k}"), "run_id")
+    if not run_id:
+        _fail("run_id", "is empty")
     return RunConfig(raw=data, spec=spec, coupling=coupling, n_nodes=n, eps=eps, bc=bc,
                      ansatz=ansatz, mu_seed=mu_seed, cont=cont, run_id=run_id,
-                     output_dir=Path(data.get("output_dir", "runs")))
+                     output_dir=output_dir)
 
 
 def branch_csv_header(n: int) -> list[str]:
@@ -305,8 +286,7 @@ def _write_json(payload: dict, path: Path) -> None:
 
 def _corrected_seed(rc: RunConfig):
     """(system, seed, corrected seed), or the exit code: 2 for a model that
-    is not bistable at the seed mu or a run directory that cannot be made,
-    3 for a seed Newton cannot correct."""
+    is not bistable at the seed mu, 3 for a seed Newton cannot correct."""
     system = rc.system()
     try:
         seed = asymptotics.build_seed(rc.spec, rc.mu_seed, rc.eps, rc.ansatz, rc.coupling)
@@ -319,8 +299,6 @@ def _corrected_seed(rc: RunConfig):
     except continuation.ContinuationError as err:
         print(f"seed correction failed: {err}", file=sys.stderr)
         return 3
-    if not _make_dir(rc.run_dir()):
-        return 2
     return system, seed, corrected
 
 
@@ -341,6 +319,8 @@ def cmd_continue(rc: RunConfig) -> int:
     seeded = _corrected_seed(rc)
     if isinstance(seeded, int):
         return seeded
+    if not _make_dir(rc.run_dir()):
+        return 2
     try:
         branch = compute_branch(seeded[0], seeded[2], rc.cont)
     except continuation.ContinuationError as err:
@@ -377,6 +357,8 @@ def cmd_seed(rc: RunConfig) -> int:
     seeded = _corrected_seed(rc)
     if isinstance(seeded, int):
         return seeded
+    if not _make_dir(rc.run_dir()):
+        return 2
     system, seed, corrected = seeded
     payload = {"run_id": rc.run_id, "seed": _state_dict(seed),
                "seed_residual": system.residual_norm(seed),
@@ -543,6 +525,8 @@ def cmd_simulate(rc: RunConfig) -> int:
     if horizon < dt:
         print(f"config error: simulate horizon {horizon!r} is below dt {dt!r}",
               file=sys.stderr)
+        return 2
+    if not _make_dir(rc.run_dir()):
         return 2
     (dev,), (completed,) = _relative_equilibrium_check(rc, [state], [horizon], dt)
     payload = {

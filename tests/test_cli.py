@@ -5,13 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 
 from locsync import continuation
 from locsync.cli import (
-    CONFIG_SCHEMA,
     ConfigError,
     branch_csv_header,
     load_config,
@@ -81,11 +79,13 @@ def test_invalid_values_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("section, key", [(None, "eps"), ("continuation", "newton_tol"),
-                                          ("seed", "mu")])
+                                          ("seed", "mu"), (None, "N"), ("seed", "k"),
+                                          ("continuation", "newton_max_iter")])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
 def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, value):
-    # JSON's NaN passes "minimum: 0", Infinity "exclusiveMinimum: 0", and an
-    # integer literal too large for a float passes both but fails float()
+    # NaN fails no "< minimum" test and Infinity passes every "> minimum";
+    # an integer literal too large for a float is not finite either, for a
+    # number or an integer key
     cfg = base_config(tmp_path)
     (cfg.setdefault(section, {}) if section else cfg)[key] = value
     with pytest.raises(ConfigError, match=f"at {'.'.join(filter(None, (section, key)))}:"):
@@ -97,9 +97,134 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, section, key, val
     assert not (tmp_path / "out").exists()
 
 
-def test_config_schema_is_a_valid_schema():
-    # load_config trusts CONFIG_SCHEMA instead of checking it on every call
-    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+_DELETE = object()
+
+
+def _patched(cfg, path, value):
+    *sections, key = path.split(".")
+    target = cfg
+    for section in sections:
+        target = target.setdefault(section, {})
+    if value is _DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    return cfg
+
+
+_K_SWEEP = {"parameter": "k", "values": [1, 2]}
+
+_REJECTED = [  # (key path set or deleted, value, where the message points)
+    # types; a bool is not a number and 4.5 is not an integer
+    ("N", "4", "N"), ("N", True, "N"), ("N", 4.5, "N"), ("eps", True, "eps"),
+    ("eps", [], "eps"), ("seed.mu", None, "seed.mu"), ("model", [], "model"),
+    ("model.name", 3, "model.name"), ("run_id", 3, "run_id"),
+    ("output_dir", None, "output_dir"), ("seed", "k=1", "seed"),
+    ("continuation.mu_window", {"lo": 0.1}, "continuation.mu_window"),
+    # enums
+    ("boundary", "periodic", "boundary"), ("seed.template", "x", "seed.template"),
+    ("seed.pattern", ["up"], "seed.pattern.0"),
+    ("sweep", {"parameter": "mu", "values": [0.5]}, "sweep.parameter"),
+    # minimums and exclusive minimums
+    ("N", 1, "N"), ("eps", -0.1, "eps"), ("seed.k", 0, "seed.k"),
+    ("continuation.max_steps", 0, "continuation.max_steps"),
+    ("continuation.ds_init", 0, "continuation.ds_init"),
+    ("simulate", {"dt": 0.0}, "simulate.dt"), ("simulate", {"horizon": -1}, "simulate.horizon"),
+    ("sweep", {**_K_SWEEP, "workers": 0}, "sweep.workers"),
+    ("run_id", "", "run_id"),
+    # minItems and maxItems
+    ("continuation.mu_window", [0.1], "continuation.mu_window"),
+    ("continuation.mu_window", [0.1, 0.5, 0.9], "continuation.mu_window"),
+    ("model", {"polynomial_lambda": []}, "model.polynomial_lambda"),
+    ("sweep", {"parameter": "eps", "values": []}, "sweep.values"),
+    # required keys
+    ("N", _DELETE, "top level"), ("seed.mu", _DELETE, "seed"), ("model", {}, "model"),
+    ("omega1", {}, "omega1"), ("coupling", {"c_re": 1.0}, "coupling"),
+    ("sweep", {"values": [1]}, "sweep"),
+    # unknown keys, at every level
+    ("surprise", 1, "top level"), ("seed.extra", True, "seed"),
+    ("model.extra", 1, "model"), ("omega1", {"linear_coefficient": 1, "x": 1}, "omega1"),
+    ("coupling", {"c_re": 1.0, "c_im": 0.0, "x": 0}, "coupling"),
+    ("continuation.ds", 0.1, "continuation"), ("simulate.steps", 10, "simulate"),
+    ("sweep", {**_K_SWEEP, "jobs": 2}, "sweep"),
+    # the string-or-{c_re, c_im} coupling
+    ("coupling", "magnetic", "coupling"), ("coupling", 5, "coupling"),
+    ("coupling", {"c_re": "1", "c_im": 0.0}, "coupling.c_re"),
+    # sweep.values typed by sweep.parameter
+    ("sweep", {"parameter": "k", "values": [1.5]}, "sweep.values.0"),
+    ("sweep", {"parameter": "k", "values": [1, 0]}, "sweep.values.1"),
+    ("sweep", {"parameter": "eps", "values": [-0.1]}, "sweep.values.0"),
+    ("sweep", {"parameter": "eps", "values": ["a"]}, "sweep.values.0"),
+    # the finite rule
+    ("eps", float("nan"), "eps"), ("omega1", {"linear_coefficient": float("inf")},
+                                   "omega1.linear_coefficient"),
+    ("continuation.mu_window", [0.1, float("inf")], "continuation.mu_window.1"),
+    ("sweep", {**_K_SWEEP, "workers": 10**400}, "sweep.workers"),
+    ("sweep", {"parameter": "k", "values": [10**400]}, "sweep.values.0"),
+]
+
+
+@pytest.mark.parametrize("path, value, where", _REJECTED)
+def test_config_reader_rejects(tmp_path, path, value, where):
+    with pytest.raises(ConfigError, match=f"^invalid config at {where}: "):
+        load_config(_patched(base_config(tmp_path), path, value))
+
+
+@pytest.mark.parametrize("path, value, check", [
+    ("N", 4.0, lambda rc: rc.n_nodes == 4 and type(rc.n_nodes) is int),
+    ("continuation.max_steps", 7.0, lambda rc: type(rc.cont.max_steps) is int),
+    # a float count made the Newton loop's range() raise TypeError
+    ("continuation.newton_max_iter", 4.0, lambda rc: type(rc.cont.newton_max_iter) is int),
+    ("output_dir", "", lambda rc: rc.output_dir == Path("")),
+    ("sweep", {**_K_SWEEP, "workers": 2}, lambda rc: rc.raw["sweep"]["workers"] == 2),
+    ("sweep", {"parameter": "k", "values": [2.0, 3]}, lambda rc: True),
+    ("sweep", {"parameter": "eps", "values": [0, 0.5]}, lambda rc: True),
+    ("coupling", {"c_re": 0.6, "c_im": 0.8}, lambda rc: rc.coupling.c_im == 0.8),
+])
+def test_config_reader_accepts(tmp_path, path, value, check):
+    assert check(load_config(_patched(base_config(tmp_path), path, value)))
+
+
+def test_non_unit_coupling_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path, coupling={"c_re": 2.0, "c_im": 0.0}))
+    assert main(["seed", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid config at coupling: ")
+    assert "|c| = 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["omega0_const", "mu_coefficient"])
+def test_model_name_takes_no_other_key(tmp_path, key):
+    cfg = base_config(tmp_path, model={"name": "quintic", key: 1.0})
+    with pytest.raises(ConfigError, match="^invalid config at model: "):
+        load_config(cfg)
+
+
+def test_k_override_beyond_the_index_range_is_a_config_error(tmp_path, capsys):
+    # ["plus"] * k cannot be built for this k; the ansatz check rejects it first
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert main(["seed", "--config", path, "--k", str(10**20)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid config at seed: need 1 <= k <= N-1")
+    assert not (tmp_path / "out").exists()
+
+
+def test_configs_load_with_only_stdlib_and_numpy():
+    # any other top-level import fails, as it would where only numpy is installed
+    root = Path(__file__).resolve().parents[1]
+    code = ("import json, pathlib, sys\n"
+            "allowed = sys.stdlib_module_names | {'numpy', 'locsync'}\n"
+            "class Only:\n"
+            "    def find_spec(name, path=None, target=None):\n"
+            "        if name.partition('.')[0] not in allowed:\n"
+            "            raise ModuleNotFoundError(f'blocked: {name}')\n"
+            "sys.meta_path.insert(0, Only)\n"
+            "from locsync.cli import load_config\n"
+            f"for p in sorted(pathlib.Path({str(root / 'configs')!r}).glob('*.json')):\n"
+            "    load_config(json.loads(p.read_text(encoding='utf-8')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("flag, value", [("--eps", "abc"), ("--mu", "x"),
@@ -301,6 +426,7 @@ def test_simulate_horizon_below_dt_is_a_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", path]) == 2
     assert "below dt" in capsys.readouterr().err
     assert not (tmp_path / "out" / "test-run" / "simulate.json").exists()
+    assert not (tmp_path / "out" / "test-run").exists()
 
 
 def test_max_steps_override_truncates(tmp_path):

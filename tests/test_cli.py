@@ -1,15 +1,19 @@
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from locsync import continuation
+from locsync import cli, continuation
 from locsync.cli import (
+    MAX_N,
     ConfigError,
     branch_csv_header,
     load_config,
@@ -220,11 +224,37 @@ def test_configs_load_with_only_stdlib_and_numpy():
             "            raise ModuleNotFoundError(f'blocked: {name}')\n"
             "sys.meta_path.insert(0, Only)\n"
             "from locsync.cli import load_config\n"
+            # the sweep pool's modules are imported by sweep alone
+            "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
             f"for p in sorted(pathlib.Path({str(root / 'configs')!r}).glob('*.json')):\n"
             "    load_config(json.loads(p.read_text(encoding='utf-8')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("flag, section", [("--k", "seed"), ("--max-steps", "continuation")])
+def test_override_into_a_section_that_is_not_an_object_exits_2(tmp_path, capsys, flag,
+                                                                section):
+    # the flag leaves the section alone, and the reader names it
+    path = write_config(tmp_path, base_config(tmp_path, **{section: 5}))
+    assert main(["seed", "--config", path, flag, "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: invalid config at {section}: 5 is not an object\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n, argv, shown", [(10**20, [], 10**20),
+                                            (4, ["--n-nodes", str(MAX_N + 1)], MAX_N + 1)])
+def test_n_above_the_bound_exits_2_naming_n(tmp_path, capsys, n, argv, shown):
+    # rejected while reading the config, before any array is allocated
+    path = write_config(tmp_path, base_config(tmp_path, N=n))
+    assert main(["seed", "--config", path, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid config at N: {shown} is above {MAX_N}")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+    assert load_config(base_config(tmp_path, N=MAX_N)).n_nodes == MAX_N
 
 
 @pytest.mark.parametrize("flag, value", [("--eps", "abc"), ("--mu", "x"),
@@ -470,22 +500,130 @@ def test_cmd_mismatch(tmp_path):
     assert all(entry["converged"] for entry in payload["sweep"])
 
 
-def test_cmd_sweep(tmp_path, capsys):
+def _run_outputs(out: Path) -> dict:
+    """Every file below ``out`` by relative path; a summary.json without its
+    wall time and output directory."""
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "summary.json":
+            data = json.loads(data)
+            del data["wall_time_seconds"], data["config"]["output_dir"]
+        files[path.relative_to(out).as_posix()] = data
+    return files
+
+
+def _two_cpus(pid):
+    """Usable CPUs as the sweep reads them: two, so workers: 2 forks a pool."""
+    return {0, 1}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cmd_sweep(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", _two_cpus, raising=False)
     cfg = base_config(tmp_path)
-    cfg["sweep"] = {"parameter": "eps", "values": [0.02, 0.01, 0.015], "workers": 2}
+    cfg["sweep"] = {"parameter": "eps", "values": [0.02, 0.01, 0.015], "workers": workers}
     cfg["continuation"]["max_steps"] = 40
     path = write_config(tmp_path, cfg)
     assert main(["sweep", "--config", path]) == 0
+    assert multiprocessing.active_children() == []
     summary = json.loads(
         (tmp_path / "out" / "test-run-sweep.json").read_text()
     )
     assert summary["exit_codes"] == [0, 0, 0]
     for rid in summary["runs"]:
         assert (tmp_path / "out" / rid / "branch.csv").exists()
-    # serial, in the order the values are listed
+    # in the order the values are listed, whichever job ends first
     printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
     assert printed == summary["runs"] == [
         "test-run-eps0.02", "test-run-eps0.01", "test-run-eps0.015"]
+    # the same bytes as a serial, in-process sweep
+    cfg["sweep"]["workers"], cfg["output_dir"] = 1, str(tmp_path / "serial")
+    assert main(["sweep", "--config", write_config(tmp_path, cfg, "serial.json")]) == 0
+    assert _run_outputs(tmp_path / "out") == _run_outputs(tmp_path / "serial")
+
+
+class _SizeRecorder:
+    """Stands in for ProcessPoolExecutor: records the size asked for and runs
+    the jobs in-process, so no process is started whatever the size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, cpus, sizes", [
+    (10**18, 64, [3]), (None, 64, [3]), (2, 64, [2]), (10**18, 2, [2]),
+    (1, 64, []), (None, 1, [])])
+def test_sweep_pool_size_is_capped_by_jobs_and_cpus(tmp_path, capsys, monkeypatch,
+                                                    workers, cpus, sizes):
+    # a fork pool starts every one of its processes at the first submit
+    monkeypatch.setattr(_SizeRecorder, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SizeRecorder)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(cli, "cmd_continue", lambda job: print(f"{job.run_id}: ran") or 0)
+    cfg = base_config(tmp_path)
+    cfg["sweep"] = {"parameter": "eps", "values": [0.02, 0.01, 0.015]}
+    if workers is not None:
+        cfg["sweep"]["workers"] = workers
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    assert _SizeRecorder.sizes == sizes
+    assert capsys.readouterr().out.splitlines() == [
+        "test-run-eps0.02: ran", "test-run-eps0.01: ran", "test-run-eps0.015: ran"]
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_prints_in_list_order_when_a_later_job_ends_first(tmp_path, capsys,
+                                                                monkeypatch):
+    def job(rc):
+        if rc.eps == 0.02:
+            time.sleep(0.3)  # with two workers the other two jobs end first
+        print(f"{rc.run_id}: ran")
+        print(f"{rc.run_id}: note", file=sys.stderr)
+        return 0 if rc.eps == 0.02 else 1
+
+    monkeypatch.setattr(cli, "cmd_continue", job)
+    monkeypatch.setattr(os, "sched_getaffinity", _two_cpus, raising=False)
+    cfg = base_config(tmp_path)
+    cfg["sweep"] = {"parameter": "eps", "values": [0.02, 0.01, 0.015], "workers": 2}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
+    runs = ["test-run-eps0.02", "test-run-eps0.01", "test-run-eps0.015"]
+    out, err = capsys.readouterr()
+    assert out == "".join(f"{run}: ran\n" for run in runs)
+    assert err == "".join(f"{run}: note\n" for run in runs)
+    summary = json.loads((tmp_path / "out" / "test-run-sweep.json").read_text())
+    assert summary["exit_codes"] == [0, 1, 1] and summary["runs"] == runs
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_job_that_raises_surfaces_and_leaves_no_child(tmp_path, capsys, monkeypatch,
+                                                            workers):
+    def job(rc):
+        if rc.eps == 0.01:
+            raise RuntimeError(f"{rc.run_id} failed")
+        print(f"{rc.run_id}: ran")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_continue", job)
+    monkeypatch.setattr(os, "sched_getaffinity", _two_cpus, raising=False)
+    cfg = base_config(tmp_path)
+    cfg["sweep"] = {"parameter": "eps", "values": [0.02, 0.01, 0.015], "workers": workers}
+    with pytest.raises(RuntimeError, match="^test-run-eps0.01 failed$"):
+        main(["sweep", "--config", write_config(tmp_path, cfg)])
+    assert multiprocessing.active_children() == []
+    # as in a serial loop: the jobs before it printed, and no summary is written
+    assert capsys.readouterr().out == "test-run-eps0.02: ran\n"
+    assert not (tmp_path / "out" / "test-run-sweep.json").exists()
 
 
 @pytest.mark.parametrize("values", [[1, 10], ["a"], [0.5]])

@@ -375,8 +375,14 @@ def cmd_seed(rc: RunConfig) -> int:
     return 0
 
 
-def _rotation_period(rho: float) -> float:
-    return 2.0 * np.pi / abs(rho) if abs(rho) >= 1e-6 else 10.0
+def _check_horizon(rho: float) -> float:
+    """One rotation period 2 pi/|rho|, at most 10 time units.
+
+    Slowly rotating states (|rho| ~ eps) would otherwise integrate for
+    hundreds of time units, letting unstable modes amplify roundoff past
+    any meaningful tolerance, and take millions of RK4 steps.
+    """
+    return min(2.0 * np.pi / abs(rho), 10.0) if abs(rho) >= 1e-6 else 10.0
 
 
 def _relative_equilibrium_check(rc: RunConfig, states: list, horizons: list, dt=1e-3):
@@ -416,16 +422,18 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
             re_checks.append({"row": i, "mu": state.mu, "pass": False, "error": cause})
             continue
         tightened.append(tight)
-        # slowly rotating states (|rho| ~ eps) would otherwise integrate for
-        # hundreds of time units, letting unstable modes amplify roundoff past
-        # any meaningful tolerance
         re_checks.append({"row": i, "mu": tight.mu, "rho": tight.rho,
-                          "horizon": min(_rotation_period(tight.rho), 10.0)})
+                          "horizon": _check_horizon(tight.rho)})
     checked = [c for c in re_checks if "error" not in c]
-    devs, _ = _relative_equilibrium_check(rc, tightened,
-                                          [c["horizon"] for c in checked])
-    for check, dev in zip(checked, devs):
-        check.update({"deviation": dev, "pass": dev <= 1e-6})
+    devs, completed = _relative_equilibrium_check(rc, tightened,
+                                                  [c["horizon"] for c in checked])
+    for check, dev, done in zip(checked, devs, completed):
+        check.update({"deviation": dev, "pass": done and dev <= 1e-6})
+        if not done:
+            # the deviation covers only the steps before the stop
+            cause = "RK4 run turned non-finite before the horizon"
+            print(f"row {check['row']} at mu={check['mu']!r}: {cause}", file=sys.stderr)
+            check["error"] = cause
 
     fold_rows = [row for row in rows if row["is_fold"]]
     fold_mu1 = None  # the 1 - eps prediction has no relative error at eps = 0
@@ -527,7 +535,7 @@ def cmd_simulate(rc: RunConfig) -> int:
     state = seeded[2]
     sim = rc.raw.get("simulate", {})
     dt = float(sim.get("dt", 1e-3))
-    horizon = float(sim.get("horizon", _rotation_period(state.rho)))
+    horizon = float(sim.get("horizon", _check_horizon(state.rho)))
     if horizon < dt:
         print(f"config error: simulate horizon {horizon!r} is below dt {dt!r}",
               file=sys.stderr)

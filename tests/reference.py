@@ -10,7 +10,11 @@ The straightforward forms of the engine's hot path sit here too, for bitwise
 comparison: ``stacked_newton`` and ``stacked_tangent`` build each bordered
 matrix with ``np.vstack`` from a validated ``PolarState`` and equilibrate
 out of place, and ``csv_writer_branch_csv`` formats every value on its own
-and writes through ``csv.writer``.
+and writes through ``csv.writer``.  ``concatenated_chain_rhs``,
+``plain_rk4_step`` and ``masked_rotation_deviation`` are the plain
+time-domain check: the vector field with ``np.full`` frequencies and a
+concatenated ghost chain, and every RK4 step through the full finite/live
+masks.
 """
 import csv
 from typing import Literal
@@ -196,3 +200,40 @@ def csv_writer_branch_csv(branch, n: int, path) -> None:
             row += [fmt(v) for v in st.phi]
             row += ["1" if p.is_fold else "0", str(p.newton_iters)]
             writer.writerow(row)
+
+
+def concatenated_chain_rhs(spec: NonlinearitySpec, c, z, mu, eps):
+    """``dynamics.chain_rhs``."""
+    m = np.abs(z)
+    fval = np.asarray(spec.lam(m, mu)) + 1j * np.asarray(spec.omega(m, mu, eps))
+    padded = np.concatenate([z[..., :1], z, z[..., -1:]], axis=-1)
+    lap = padded[..., 2:] - 2.0 * z + padded[..., :-2]
+    return fval * z + eps * complex(c.c_re, c.c_im) * lap
+
+
+def plain_rk4_step(spec, c, z, mu, eps, dt):
+    """One step of ``dynamics.integrate``."""
+    k1 = concatenated_chain_rhs(spec, c, z, mu, eps)
+    k2 = concatenated_chain_rhs(spec, c, z + 0.5 * dt * k1, mu, eps)
+    k3 = concatenated_chain_rhs(spec, c, z + 0.5 * dt * k2, mu, eps)
+    k4 = concatenated_chain_rhs(spec, c, z + dt * k3, mu, eps)
+    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def masked_rotation_deviation(spec, c, z0, eps, mu, rho, n_steps, dt):
+    """``dynamics.rotation_deviation``: ``(deviation, completed)``."""
+    z = z0 = np.asarray(z0, dtype=complex)
+    mu = np.asarray(mu, dtype=float)[:, None]
+    rho, n_steps = np.asarray(rho, dtype=float), np.asarray(n_steps, dtype=int)
+    deviation, completed = np.zeros(rho.size), np.ones(rho.size, dtype=bool)
+    for k in range(1, int(n_steps.max(initial=0)) + 1):
+        z = plain_rk4_step(spec, c, z, mu, eps, dt)
+        finite = np.isfinite(z).all(axis=1)
+        completed &= finite | (k > n_steps)
+        z[~finite] = 0.0
+        live = completed & (k <= n_steps)
+        if not live.any():
+            break
+        rot = np.exp(1j * rho * (k * dt))[:, None] * z0
+        np.maximum(deviation, np.abs(z - rot).max(axis=1), out=deviation, where=live)
+    return deviation, completed

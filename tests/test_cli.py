@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from locsync import cli, continuation
+from locsync import cli, continuation, dynamics
 from locsync.cli import (
     MAX_N,
     ConfigError,
@@ -485,6 +485,55 @@ def test_cmd_simulate(tmp_path):
     )
     assert payload["relative_equilibrium_deviation"] <= 1e-6
     assert payload["completed"]
+
+
+def test_simulate_default_horizon_is_capped_for_slow_rotation(tmp_path):
+    # omega1 at eps 1e-3 rotates the snaking seed at rho ~ 5e-4: one period
+    # is over 11 000 time units, about 11.6 M steps at dt 1e-3
+    root = Path(__file__).resolve().parents[1] / "configs"
+    cfg = json.loads((root / "snaking_offsite.json").read_text(encoding="utf-8"))
+    cfg.update(eps=1e-3, output_dir=str(tmp_path / "out"))
+    cfg["omega1"] = {"linear_coefficient": 1.0}
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path]) == 0
+    payload = json.loads(
+        (tmp_path / "out" / cfg["run_id"] / "simulate.json").read_text())
+    assert 2 * np.pi / abs(payload["state"]["rho"]) > 1e4
+    assert payload["horizon"] == 10.0 and payload["completed"]
+    # an explicit horizon is kept as given, above the cap too
+    cfg["simulate"] = {"horizon": 10.5, "dt": 0.05}
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path]) == 0
+    payload = json.loads(
+        (tmp_path / "out" / cfg["run_id"] / "simulate.json").read_text())
+    assert payload["horizon"] == 10.5
+
+
+def test_verify_fails_a_sample_whose_rk4_run_stopped(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert main(["continue", "--config", path]) == 0
+    csv_path = tmp_path / "out" / "test-run" / "branch.csv"
+
+    def stopped_first(spec, c, z0, eps, mu, rho, n_steps, dt):
+        # a small deviation from the steps before the stop, as a row that
+        # turns non-finite late would report
+        completed = np.ones(len(z0), dtype=bool)
+        completed[0] = False
+        return np.full(len(z0), 1e-9), completed
+
+    monkeypatch.setattr(dynamics, "rotation_deviation", stopped_first)
+    capsys.readouterr()
+    assert main(["verify", "--config", path, str(csv_path)]) == 1
+    report = json.loads((csv_path.parent / "verify.json").read_text())
+    first, *rest = report["relative_equilibrium"]["samples"]
+    assert not report["relative_equilibrium"]["pass"]
+    assert first["pass"] is False and first["deviation"] == 1e-9
+    assert "non-finite" in first["error"]
+    assert rest and all(s["pass"] for s in rest)
+    assert all(set(s) == {"row", "mu", "rho", "horizon", "deviation", "pass"}
+               for s in rest)
+    err = capsys.readouterr().err
+    assert f"row {first['row']} at mu={first['mu']!r}: " in err and "non-finite" in err
 
 
 def test_cmd_mismatch(tmp_path):

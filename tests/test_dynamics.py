@@ -12,7 +12,12 @@ from locsync.dynamics import (
 )
 from locsync.lattice import BoundaryKind, CouplingKind, PolarState
 from locsync.model import bistable_roots
-from reference import rigid_rotation_deviation
+from reference import (
+    concatenated_chain_rhs,
+    masked_rotation_deviation,
+    plain_rk4_step,
+    rigid_rotation_deviation,
+)
 
 
 def test_zero_state_stays_zero(quintic):
@@ -172,6 +177,73 @@ def test_rotation_deviation_bitwise_equal_to_integrate(quintic, quintic_rotating
         traj = integrate(quintic, c, z0[b], 0.0, mu[b], 50.0, 0.5)
         assert traj.completed == completed[b]
         assert dev[b] == rigid_rotation_deviation(traj, z0[b], rho[b])
+
+
+def _oracle_cases(spec):
+    """(z0, mu, rho, n_steps, dt) batches for the bitwise comparisons."""
+    # amplitudes up to r_+ and a step well inside RK4's stability region
+    prof = bistable_roots(spec, 0.5)
+    dt = 0.05 / abs(prof.r_plus * prof.lambda_r_plus)
+    rng = np.random.default_rng(7)
+    z0 = prof.r_plus * rng.uniform(0.0, 1.0, (4, 6)) \
+        * np.exp(1j * rng.uniform(-0.3, 0.3, (4, 6)))
+    mu, rho = [0.3, 0.5, 0.6, 0.7], [0.0, 0.3, -0.2, 1.0]
+    # a start at |z| = 1e100 is non-finite after one step, one at |z| = 3
+    # with mu = -10 after a few large ones; the zero state next to them
+    # stays exactly zero, and the last row blows up or not by model
+    blow = np.zeros((4, 6), dtype=complex)
+    blow[0], blow[1], blow[3] = 1e100, 3.0, z0[0]
+    blow_mu, blow_rho = [-10.0, -10.0, 0.5, 0.5], [0.0, 0.0, 0.0, 0.4]
+    return [
+        (z0[:1], mu[:1], rho[1:2], [60], dt),
+        (z0, mu, rho, [60] * 4, dt),
+        (z0, mu, rho, [60, 25, 0, 41], dt),
+        (z0, mu, rho, [0] * 4, dt),
+        (blow, blow_mu, blow_rho, [12] * 4, 0.5),
+        (blow, blow_mu, blow_rho, [3, 5, 12, 0], 0.5),
+    ]
+
+
+COUPLINGS = {
+    "dissipative": CouplingKind.dissipative(),
+    "conservative": CouplingKind.conservative(),
+    "angle-0.7": CouplingKind(np.cos(0.7), np.sin(0.7)),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model", ["quintic", "quintic_rotating+omega1", "hbm"])
+@pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+def test_rk4_bitwise_equal_to_reference(request, model, coupling):
+    name, _, omega1 = model.partition("+")
+    spec = request.getfixturevalue(name)
+    if omega1:
+        spec = spec.with_omega1((0.1, 0.3))
+    c, eps = COUPLINGS[coupling], 0.05
+    for z0, mu, rho, n_steps, dt in _oracle_cases(spec):
+        mu_col = np.asarray(mu)[:, None]
+        assert chain_rhs(spec, c, z0, mu_col, eps).tobytes() == \
+            concatenated_chain_rhs(spec, c, z0, mu_col, eps).tobytes()
+        assert chain_rhs(spec, c, z0[0], mu[0], eps).tobytes() == \
+            concatenated_chain_rhs(spec, c, z0[0], mu[0], eps).tobytes()
+        dev, completed = rotation_deviation(spec, c, z0, eps, mu, rho, n_steps, dt)
+        if completed.all() and any(n_steps):
+            assert dev.any()
+        ref_dev, ref_completed = masked_rotation_deviation(
+            spec, c, z0, eps, mu, rho, n_steps, dt)
+        assert dev.tobytes() == ref_dev.tobytes()
+        assert completed.tolist() == ref_completed.tolist()
+        if dt == 0.5 and n_steps[0] == 12:
+            assert completed[:3].tolist() == [False, False, True]
+
+    # integrate takes the same step as the plain one, one row at a time
+    z0, mu, _, _, dt = _oracle_cases(spec)[1]
+    traj = integrate(spec, c, z0[1], eps, mu[1], 30 * dt, dt)
+    z = z0[1]
+    for sample in traj.z[1:]:
+        z = plain_rk4_step(spec, c, z, mu[1], eps, dt)
+        assert sample.tobytes() == z.tobytes()
+    assert traj.completed and len(traj.times) == 31
 
 
 def test_spectrum_uncoupled_nodes(quintic):

@@ -387,10 +387,11 @@ def _check_horizon(rho: float) -> float:
 
 def _relative_equilibrium_check(rc: RunConfig, states: list, horizons: list, dt=1e-3):
     """RK4 deviation from rigid rotation and completion of each state, as one batch."""
-    devs, completed = dynamics.rotation_deviation(
-        rc.spec, rc.coupling, [dynamics.unfold_state(s, rc.bc) for s in states],
-        rc.eps, [s.mu for s in states], [s.rho for s in states],
-        [int(round(h / dt)) for h in horizons], dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up unsets completed
+        devs, completed = dynamics.rotation_deviation(
+            rc.spec, rc.coupling, [dynamics.unfold_state(s, rc.bc) for s in states],
+            rc.eps, [s.mu for s in states], [s.rho for s in states],
+            [int(round(h / dt)) for h in horizons], dt)
     return devs.tolist(), completed.tolist()
 
 
@@ -552,6 +553,10 @@ def cmd_simulate(rc: RunConfig) -> int:
         "relative_equilibrium_deviation": dev,
     }
     _write_json(payload, rc.run_dir() / "simulate.json")
+    if not completed:  # the deviation covers only the steps before the stop
+        print(f"{rc.run_id}: simulate RK4 run turned non-finite before the horizon "
+              f"{horizon:.3f} at dt {dt!r}", file=sys.stderr)
+        return 1
     print(f"{rc.run_id}: simulate deviation {dev:.3e} over horizon {horizon:.3f}")
     return 0
 

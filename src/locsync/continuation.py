@@ -7,11 +7,11 @@ solve; dead tail phases are pinned, and at eps = 0 every phase is dead.
 One Newton iterate is one pass: shared point terms, one residual, one
 bordered Jacobian assembled in place and rows equilibrated in place, all on
 the packed vector (r, phi, rho, mu); a PolarState is built only for a result.
-Folds are turning points of mu, detected from sign changes of the
-tangent's mu component and refined by a safeguarded secant (Illinois
-regula falsi) in arclength, with a fresh tangent at each trial; a fold is a
-branch point flagged is_fold.  A run that closes is never merged.  The engine
-contains no randomness: identical inputs give bitwise-identical branches.
+Folds are turning points of mu, found by sign changes of the tangent's
+mu component and refined by a safeguarded secant (Illinois regula falsi)
+in arclength, each trial with a fresh tangent and Newton started from the
+interpolated bracket ends; a fold is flagged is_fold.  A run that closes
+is never merged.  Identical inputs give bitwise-identical branches.
 """
 from __future__ import annotations
 
@@ -353,10 +353,11 @@ class Branch:
         return np.array([p.state.mu for p in self.points])
 
 
-def _attempt_step(system, config, x_prev, tangent, ds):
+def _attempt_step(system, config, x_prev, tangent, ds, guess=None):
     predictor = x_prev + ds * tangent
-    outcome = _newton_solve(system, predictor, Bordered(x_prev, tangent, ds),
-                            config.newton_tol, config.newton_max_iter)
+    outcome = _newton_solve(system, predictor if guess is None else guess,
+                            Bordered(x_prev, tangent, ds), config.newton_tol,
+                            config.newton_max_iter)
     # Reject corrector landings far from the predictor: those are jumps onto
     # another solution sheet (worst case the trivial r=0 line), not steps
     # along the branch.  Halving ds then also adapts to fold curvature.
@@ -483,6 +484,13 @@ def _attempt_closure(system, config, x_from, tangent, x_start, solid_start):
     return None
 
 
+def _bracket_guess(lo: list, hi: list, s: float) -> np.ndarray:
+    """The state at s between bracket ends (s, t_mu, state), phases wrapped."""
+    step, n = hi[2] - lo[2], lo[2].size // 2
+    step[n: 2 * n - 1] = wrap_phase(step[n: 2 * n - 1])
+    return lo[2] + (s - lo[0]) / (hi[0] - lo[0] or 1.0) * step  # a collapsed bracket: lo
+
+
 def _fold_brackets(points: list[BranchPoint]) -> list[int]:
     """Indices i where the tangent mu-component changes sign between i, i+1."""
     out = []
@@ -503,8 +511,11 @@ def detect_folds(
     Each trial re-corrects a bordered step from the left bracket point, at
     the secant root of the tangent's mu component (the midpoint if that
     leaves the bracket), and evaluates the tangent there; the bracket shrinks
-    until the mu component drops below fold_refine_tol.  A fold point is the
-    best trial, with its tangent; failed or capped refinements stay unrefined.
+    until the mu component drops below fold_refine_tol.  Newton starts from
+    the interpolated bracket ends, on the same hyperplanes <x - x_left,
+    t_left> = s; the drift guard still measures the tangent predictor.  A
+    fold point is the best trial, with its tangent; failed or capped
+    refinements stay unrefined.
     """
     mu_lo, mu_hi = config.mu_window
     walk = [p for p in branch.points if not p.is_fold]
@@ -518,19 +529,20 @@ def detect_folds(
         x_left = left.state.pack()
         sign_left = np.sign(left.tangent[-1])
 
-        # Illinois regula falsi on t_mu(ds): t_mu changes sign linearly
-        # through a quadratic fold, so the secant converges superlinearly;
-        # halving t_mu at an end kept twice in a row stops it from stalling.
-        lo = [0.0, float(left.tangent[-1])]
-        hi = [ds_total, float(right.tangent[-1])]
+        # Illinois regula falsi on t_mu(ds), ends (ds, t_mu, state): t_mu changes
+        # sign linearly through a quadratic fold, so the secant converges
+        # superlinearly; halving t_mu at an end kept twice in a row avoids stalls.
+        lo = [0.0, float(left.tangent[-1]), x_left]
+        hi = [ds_total, float(right.tangent[-1]), right.state.pack()]
         best_state, best_tangent, best_ds = right.state, right.tangent, ds_total
         refined, kept = False, None
         for _ in range(100):
             trial = hi[0] - hi[1] * (hi[0] - lo[0]) / (hi[1] - lo[1])
             if not lo[0] < trial < hi[0]:
                 trial = 0.5 * (lo[0] + hi[0])
+            guess = _bracket_guess(lo, hi, trial)
             try:
-                outcome = _attempt_step(system, config, x_left, left.tangent, trial)
+                outcome = _attempt_step(system, config, x_left, left.tangent, trial, guess)
                 t_trial = branch_tangent(system, outcome.state,
                                          prev_tangent=left.tangent)
             except (NoConvergence, SingularJacobian):
@@ -542,7 +554,7 @@ def detect_folds(
                 refined = True
                 break
             moved, other = (lo, hi) if np.sign(tmu) == sign_left else (hi, lo)
-            moved[:] = trial, tmu
+            moved[:] = trial, tmu, outcome.state.pack()
             if other is kept:
                 other[1] *= 0.5
             kept = other

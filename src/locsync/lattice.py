@@ -3,12 +3,12 @@
 For the relative-equilibrium ansatz Z_n(t) = exp(i*rho*t) z_n with
 z_n = r_n exp(i*theta_n), gauge invariance leaves the amplitudes r_1..r_N,
 the phase differences phi_n = theta_{n+1} - theta_n, and the frequency rho
-as unknowns.  Each node contributes an amplitude equation and a phase
-equation; the chain is closed by ghost values encoding the on/off-site
-reflection on the left and an off-site truncation on the right.  The ghosts,
-cos/sin of the phases, lambda and omega are ``point_terms``: a Newton
-iterate builds them once and hands them to both ``residual`` and ``jacobian``,
-which can also scatter straight into the square bordered matrix [J; border].
+as unknowns.  Each node contributes one complex equation, evaluated in
+complex arithmetic: its real part is the amplitude equation and its
+imaginary part the phase equation.  The chain is closed by ghost values
+encoding the on/off-site reflection on the left and an off-site truncation
+on the right.  A Newton iterate builds ``point_terms`` once and hands them
+to both ``residual`` and ``jacobian``.
 """
 from __future__ import annotations
 
@@ -126,13 +126,14 @@ def ghost_values(state: PolarState, bc: BoundaryKind):
 def point_terms(spec: NonlinearitySpec, state: PolarState, eps: float,
                 bc: BoundaryKind) -> tuple:
     """What ``residual`` and ``jacobian`` share at a point, built once:
-    r_0..r_{N+1} with the ghosts, cos and sin of phi_0..phi_N, lambda, omega."""
+    r_0..r_{N+1} with the ghosts, e = exp(i phi) at phi_0..phi_N, and the
+    co-rotating f = lambda + i (omega - rho)."""
     r0, phi0, r_right, phi_right = ghost_values(state, bc)
     r_ext, phi_ext = np.empty(state.n + 2), np.empty(state.n + 1)
     r_ext[0], r_ext[1:-1], r_ext[-1] = r0, state.r, r_right
     phi_ext[0], phi_ext[1:-1], phi_ext[-1] = phi0, state.phi, phi_right
-    return (r_ext, np.cos(phi_ext), np.sin(phi_ext),
-            spec.lam(state.r, state.mu), spec.omega(state.r, state.mu, eps))
+    return (r_ext, np.exp(1j * phi_ext), spec.lam(state.r, state.mu)
+            + 1j * (spec.omega(state.r, state.mu, eps) - state.rho))
 
 
 def residual(
@@ -143,24 +144,17 @@ def residual(
     bc: BoundaryKind,
     terms: tuple | None = None,
 ) -> np.ndarray:
-    """Polar residual, interleaved (amplitude eq, phase eq) per node.
+    """Polar residual, interleaved (amplitude eq, phase eq) per node: the
+    float view of the co-rotating field divided by exp(i theta_n),
 
-    With A_n = r_{n+1} cos phi_n - 2 r_n + r_{n-1} cos phi_{n-1} and
-    B_n = r_{n+1} sin phi_n - r_{n-1} sin phi_{n-1}:
+        R_n = f_n r_n + eps c (r_{n+1} e_n - 2 r_n + r_{n-1} conj(e_{n-1}))
 
-        amplitude_n = lambda(r_n, mu) r_n + eps (c_re A_n - c_im B_n)
-        phase_n     = (omega(r_n, mu, eps) - rho) r_n + eps (c_re B_n + c_im A_n)
-
-    ``terms`` are the state's ``point_terms``, shared with ``jacobian``.
+    with f = lambda + i (omega - rho) and e_n = exp(i phi_n).  ``terms`` are
+    the state's ``point_terms``, shared with ``jacobian``.
     """
-    r_ext, cosp, sinp, lam, om = terms or point_terms(spec, state, eps, bc)
-    r = state.r
-    A = r_ext[2:] * cosp[1:] - 2.0 * r + r_ext[:-2] * cosp[:-1]
-    B = r_ext[2:] * sinp[1:] - r_ext[:-2] * sinp[:-1]
-    out = np.empty(2 * state.n)
-    out[0::2] = lam * r + eps * (c.c_re * A - c.c_im * B)
-    out[1::2] = (om - state.rho) * r + eps * (c.c_re * B + c.c_im * A)
-    return out
+    r_ext, e, f = terms or point_terms(spec, state, eps, bc)
+    lap = r_ext[2:] * e[1:] - 2.0 * state.r + r_ext[:-2] * e[:-1].conj()
+    return (f * state.r + eps * complex(c.c_re, c.c_im) * lap).view(float)
 
 
 def polar_to_complex(state: PolarState) -> np.ndarray:
@@ -171,17 +165,18 @@ def polar_to_complex(state: PolarState) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _stencil_plan(n: int, bc: BoundaryKind) -> np.ndarray:
-    """Flat (2N, 2N + 1) index of each value ``jacobian`` scatters, in order."""
+    """Flat (2N, 2N + 1) index of the real then imaginary part of each complex
+    value ``jacobian`` scatters, in order: amplitude row, then phase row."""
     node = np.arange(n)
-    ra, pa = 2 * node, 2 * node + 1  # amplitude and phase rows
-    right = np.minimum(node + 1, n - 1)  # the ghost r_{N+1} = r_N
     on_site = bc is BoundaryKind.ON_SITE
-    left = np.r_[1 if on_site else 0, node[:-1]]  # the ghost r0: r2 on-site, r1 off
-    phi = n + node[:-1]  # phi_N = 0 is constant: no right phi at the last node
     keep = slice(0 if on_site else 1, None)  # phi0 = -phi1 on-site, 0 off-site
-    rows = (ra, pa, ra, pa, ra[:-1], pa[:-1], ra, pa, ra[keep], pa[keep])
-    cols = (node, node, right, right, phi, phi, left, left) + (np.r_[n, phi][keep],) * 2
-    plan = np.concatenate([i * (2 * n + 1) + j for i, j in zip(rows, cols)])
+    phi = n + node[:-1]  # phi_N = 0 is constant: no right phi at the last node
+    rows = (node, node, node[:-1], node, node[keep])
+    cols = (node, np.minimum(node + 1, n - 1),  # the ghost r_{N+1} = r_N
+            phi, np.r_[1 if on_site else 0, node[:-1]],  # the ghost r0: r2 on-site, r1 off
+            np.r_[n, phi][keep])
+    amplitude = np.concatenate([2 * (2 * n + 1) * i + j for i, j in zip(rows, cols)])
+    plan = np.stack([amplitude, amplitude + 2 * n + 1], axis=1).ravel()  # phase row below
     plan.flags.writeable = False
     return plan
 
@@ -198,42 +193,33 @@ def jacobian(
     """Analytic Jacobian of ``residual``, shape (2N, 2N + 1).
 
     Columns: r_1..r_N, phi_1..phi_{N-1}, rho, and the mu-derivative last.
-    Ghost-value chain rules are folded in (off-site left adds the r0 terms
-    to the r_1 column, on-site to the r_2 column with phi0 = -phi1).  The
-    entries are scattered through a plan cached per (N, boundary).  With a
-    ``border`` row the result is the square bordered matrix [J; border],
-    scattered in place; ``terms`` are the state's ``point_terms``.
+    Five complex bands of dR_n, with the ghosts' chain rules folded in, are
+    scattered through a plan cached per (N, boundary): the diagonal
+    f + r (lambda_r + i omega_r) - 2 eps c, right r eps c e_n, right phi
+    i eps c r_{n+1} e_n, left r eps c conj(e_{n-1}) and left phi
+    -i eps c r_{n-1} conj(e_{n-1}).  With a ``border`` row the result is the
+    square bordered matrix [J; border], scattered in place.
     """
-    n, r, mu, rho = state.n, state.r, state.mu, state.rho
-    r_ext, cosp, sinp, lam, om = terms or point_terms(spec, state, eps, bc)
-    cre, cim = c.c_re, c.c_im
-    lam_r, lam_mu = spec.lam_r(r, mu), spec.lam_mu(r, mu)
-    om_r = spec.omega_r(r, mu, eps)
-
-    # c_re and c_im times cos and sin at phi_0..phi_N; the right neighbor
-    # reads [1:], the left one [:-1].  Negating a product is exact, so each
-    # sum has the bits of its per-node form, e.g. (-c_re sin) - c_im cos.
-    cc, ss, cs, sc = cre * cosp, cim * sinp, cre * sinp, cim * cosp
-    right_r, left_r_phase = (cc - ss)[1:], (sc - cs)[:-1]
-    rr, rl = eps * r[1:], eps * r_ext[:-2]
-    rl[0] = -rl[0]  # phi0 = -phi1 on-site; off-site, keep drops this entry
+    n, r, mu = state.n, state.r, state.mu
+    r_ext, e, f = terms or point_terms(spec, state, eps, bc)
+    ec = eps * complex(c.c_re, c.c_im)
+    right, left = ec * e[1:], ec * e[:-1].conj()
+    left_phi = -1j * r_ext[:-2]
+    left_phi[0] = -left_phi[0]  # phi0 = -phi1 on-site; off-site, keep drops it
     keep = slice(0 if bc is BoundaryKind.ON_SITE else 1, None)
-    values = np.concatenate([  # amplitude row, then phase row
-        lam + r * lam_r - 2.0 * eps * cre, (om - rho) + r * om_r - 2.0 * eps * cim,
-        eps * right_r, eps * (cs + sc)[1:],  # right r
-        rr * (-cs - sc)[1:-1], rr * right_r[:-1],  # right phi
-        eps * (cc + ss)[:-1], eps * left_r_phase,  # left r
-        (rl * left_r_phase)[keep], (rl * (-cc - ss)[:-1])[keep],  # left phi
+    values = np.concatenate([
+        f + r * (spec.lam_r(r, mu) + 1j * spec.omega_r(r, mu, eps)) - 2.0 * ec,
+        right, 1j * r[1:] * right[:-1], left, (left_phi * left)[keep],
     ])
     # No entry takes more than two values and bincount adds them to 0 in plan
-    # order, so this equals a per-node loop bit for bit (the walk's branch.csv
-    # rides on it).  The rho and mu columns are assigned after the scatter,
-    # which would turn their -0.0 at r_n = 0 into 0.0.  A flat index of the
-    # (2N, 2N + 1) plan is the same entry of the (2N + 1)-row bordered matrix.
+    # order, as a per-node loop does.  The rho and mu columns are set after
+    # the scatter, which would turn their -0.0 at r_n = 0 into 0.0.  A flat
+    # index of the (2N, 2N + 1) plan is the same entry of the bordered matrix.
     rows = 2 * n + (border is not None)
-    J = np.bincount(_stencil_plan(n, bc), values, rows * (2 * n + 1)).reshape(rows, -1)
+    J = np.bincount(_stencil_plan(n, bc), values.view(float),
+                    rows * (2 * n + 1)).reshape(rows, -1)
     J[1:2 * n:2, 2 * n - 1] = -r
-    J[0:2 * n:2, 2 * n] = lam_mu * r  # omega does not depend on mu
+    J[0:2 * n:2, 2 * n] = spec.mu_coefficient * r  # omega does not depend on mu
     if border is not None:
         J[2 * n] = border
     return J

@@ -59,8 +59,8 @@ class NonlinearitySpec:
     lambda(r, mu) = a*mu + sum_j c_j r^(2j) with ``coeffs`` = (c_0, c_1, ...)
     and ``mu_coefficient`` = a; omega = omega0 + eps*omega1(r) with
     omega1(r) = sum_j d_j r^j and ``omega1_coeffs`` = (d_0, d_1, ...), empty
-    when there is no O(eps) part.  The derivatives the analytic Jacobian
-    needs follow from the coefficients; omega does not depend on mu.  A spec
+    when there is no O(eps) part.  The Jacobian's derivatives follow from the
+    coefficients: d lambda/d mu = a, and omega does not depend on mu.  A spec
     is plain data: it hashes, pickles and compares by value.  Every method
     broadcasts over numpy arrays in r.
     """
@@ -94,9 +94,6 @@ class NonlinearitySpec:
                 power = 1.0 if j == 1 else r2 if j == 2 else r2 ** (j - 1)
                 out = out + (2 * j * cj) * r * power
         return out
-
-    def lam_mu(self, r, mu):
-        return np.full(np.shape(r), self.mu_coefficient)
 
     def omega1(self, r):
         return _power_series(self.omega1_coeffs, r)

@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +486,49 @@ def test_cmd_simulate(tmp_path):
     )
     assert payload["relative_equilibrium_deviation"] <= 1e-6
     assert payload["completed"]
+
+
+def test_simulate_exits_1_when_its_rk4_run_stops(tmp_path, capsys):
+    # dt 3.0 is far beyond the RK4 stability limit: the run blows up
+    root = Path(__file__).resolve().parents[1] / "configs"
+    cfg = json.loads((root / "simulate_rotating.json").read_text(encoding="utf-8"))
+    cfg.update(output_dir=str(tmp_path / "out"), simulate={"dt": 3.0, "horizon": 300})
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning leaks out
+        assert main(["simulate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.count("simulate RK4 run turned non-finite before the horizon") == 1
+    assert len(err.splitlines()) == 1
+    payload = json.loads(
+        (tmp_path / "out" / cfg["run_id"] / "simulate.json").read_text())
+    assert payload["completed"] is False
+
+
+def test_shipped_branches_match_the_recorded_folds(tmp_path):
+    # closure and every refined fold mu of the shipped snaking config and of
+    # the k = 1..8 isolas, against values recorded before the lattice moved
+    # to complex arithmetic and fold trials to warm starts
+    root = Path(__file__).resolve().parents[1]
+    recorded = json.loads((root / "tests" / "fold_reference.json").read_text(
+        encoding="utf-8"))
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(root / "configs" / "snaking_offsite.json"),
+                 "--output-dir", str(out)]) == 0
+    cfg = json.loads((root / "configs" / "isola_stack.json").read_text(encoding="utf-8"))
+    cfg["sweep"]["workers"] = 1
+    assert main(["sweep", "--config", write_config(tmp_path, cfg),
+                 "--output-dir", str(out)]) == 0
+    runs = {"snaking-offsite": recorded["snaking_offsite"]}
+    runs.update({f"isola-stack-k{k}": v for k, v in recorded["isola_stack"].items()})
+    assert len(runs) == 9
+    for run_id, want in runs.items():
+        summary = json.loads((out / run_id / "summary.json").read_text(encoding="utf-8"))
+        assert summary["closure"] == want["closure"], run_id
+        assert all(f["refined"] for f in summary["folds"]), run_id
+        got = [f["mu"] for f in summary["folds"]]
+        assert len(got) == len(want["fold_mu"]), run_id
+        assert np.max(np.abs(np.subtract(got, want["fold_mu"]))) <= 1e-9, run_id
 
 
 def test_simulate_default_horizon_is_capped_for_slow_rotation(tmp_path):

@@ -17,6 +17,7 @@ from locsync.continuation import (
     LatticeSystem,
     NoConvergence,
     _attempt_step,
+    _bracket_guess,
     _dead_interfaces,
     _equilibrate_rows,
     _fold_brackets,
@@ -41,9 +42,9 @@ def dissipative_system(quintic):
     return LatticeSystem(quintic, CouplingKind.dissipative(), EPS, BoundaryKind.OFF_SITE)
 
 
-def run_small_snake(quintic, system):
-    """N=4 snaking branch, both directions merged."""
-    ansatz = SeedAnsatz(1, ("minus",), "in_phase", BoundaryKind.OFF_SITE, 4)
+def run_small_snake(quintic, system, n=4):
+    """N-node snaking branch, both directions merged."""
+    ansatz = SeedAnsatz(1, ("minus",), "in_phase", BoundaryKind.OFF_SITE, n)
     seed = newton_correct(
         system,
         build_seed(quintic, 0.5, EPS, ansatz, CouplingKind.dissipative()),
@@ -477,6 +478,63 @@ def test_fold_refinement_cost(small_snake, dissipative_system, monkeypatch):
     folds = detect_folds(branch, dissipative_system, cfg)
     assert len(folds) == 6 and all(f.refined for f in folds)
     assert len(trials) <= 8 * len(folds)
+
+
+def test_bracket_guess_interpolates_phases_through_pi():
+    # ends (s, t_mu, state) with n = 2 states (r_1, r_2, phi_1, rho, mu); the
+    # ends' phases are 0.083 apart across pi
+    x_lo = np.array([0.5, 0.1, 3.1, 0.0, 0.4])
+    x_hi = np.array([0.7, 0.3, -3.1, 0.2, 0.6])
+    lo, hi = [0.2, 0.3, x_lo], [0.6, -0.1, x_hi]
+    mid = _bracket_guess(lo, hi, 0.4)
+    assert abs(abs(mid[2]) - np.pi) <= 1e-3  # not 0, where a plain average lands
+    assert np.allclose(mid[[0, 1, 3, 4]], [0.6, 0.2, 0.1, 0.5], rtol=0, atol=1e-15)
+    assert np.array_equal(_bracket_guess(lo, hi, 0.2), x_lo)
+    assert np.allclose(_bracket_guess(lo, hi, 0.6), x_hi + [0, 0, 2 * np.pi, 0, 0],
+                       rtol=0, atol=1e-15)
+    # a bracket that shrank to one arclength gives its end, not a division by 0
+    assert np.array_equal(_bracket_guess(lo, [0.2, -0.1, x_hi], 0.2), x_lo)
+
+
+def test_warm_started_step_is_checked_against_the_tangent_predictor(
+        small_snake, dissipative_system):
+    # a start 2.5 ds off the predictor still lands on the predictor's point,
+    # and the drift guard (2 ds) measures that point against the predictor
+    branch, cfg, _ = small_snake
+    prev = [p for p in branch.points if not p.is_fold][10]
+    x_prev, ds = prev.state.pack(), 0.02
+    plain = _attempt_step(dissipative_system, cfg, x_prev, prev.tangent, ds)
+    guess = x_prev + ds * prev.tangent
+    guess[0] += 2.5 * ds
+    warm = _attempt_step(dissipative_system, cfg, x_prev, prev.tangent, ds, guess)
+    assert np.max(np.abs(warm.state.pack() - plain.state.pack())) <= 1e-9
+
+
+def test_fold_trials_start_from_their_bracket(quintic, dissipative_system, monkeypatch):
+    # each fold trial's Newton starts from the interpolated bracket ends, so
+    # it needs about one iteration (2.6 from the tangent predictor)
+    iterations, in_folds = [], []
+    real_newton, real_detect = continuation._newton_solve, continuation.detect_folds
+
+    def newton(*args, **kwargs):
+        outcome = real_newton(*args, **kwargs)
+        if in_folds:
+            iterations.append(outcome.iterations)
+        return outcome
+
+    def detect(*args, **kwargs):
+        in_folds.append(True)
+        try:
+            return real_detect(*args, **kwargs)
+        finally:
+            in_folds.pop()
+
+    monkeypatch.setattr(continuation, "_newton_solve", newton)
+    monkeypatch.setattr(continuation, "detect_folds", detect)
+    branch, _, _ = run_small_snake(quintic, dissipative_system, n=10)
+    assert len(branch.folds) == 18 and all(f.refined for f in branch.folds)
+    assert len(iterations) >= len(branch.folds)
+    assert sum(iterations) <= 1.5 * len(iterations)
 
 
 def test_closed_isola(small_isola):

@@ -207,12 +207,68 @@ def fd_jacobian(spec, c, state, eps, bc):
     return out
 
 
-def loop_jacobian(spec, c, state, eps, bc):
-    """Per-node reference assembly of the analytic Jacobian.
+def _col_r(idx, n, on_site):  # extended lattice index -> amplitude column
+    if idx == 0:
+        return 1 if on_site else 0
+    return n - 1 if idx == n + 1 else idx - 1
 
-    Adds each node's terms in the order diagonal, right r, right phi, left
-    r, left phi; ``jacobian`` must reproduce it bit for bit.
+
+def _col_phi(idx, n, on_site):  # interface index -> (phase column, chain factor)
+    if idx == 0:
+        return (n, -1.0) if on_site else (None, 0.0)
+    return (None, 0.0) if idx == n else (n + idx - 1, 1.0)
+
+
+def loop_jacobian(spec, c, state, eps, bc):
+    """Per-node reference assembly of the analytic Jacobian, in complex form.
+
+    Adds each node's complex entries of dR_n in the order diagonal, right r,
+    right phi, left r, left phi: the real part to the node's amplitude row,
+    the imaginary part to its phase row.  Each value is computed on
+    one-element slices, so every product runs through the same NumPy loop
+    as in ``jacobian`` (which may fuse a complex multiply-add, where Python
+    complex scalars would not); ``jacobian`` must reproduce it bit for bit.
     """
+    n, r, mu, rho = state.n, state.r, state.mu, state.rho
+    on_site = bc is BoundaryKind.ON_SITE
+    r0, phi0, r_right, _ = ghost_values(state, bc)
+    r_ext = np.concatenate([[r0], r, [r_right]])
+    phi_ext = np.concatenate([[phi0], state.phi, [0.0]])
+    ec = eps * complex(c.c_re, c.c_im)
+    J = np.zeros((2 * n, 2 * n + 1))
+
+    def add(i, col, value):
+        J[2 * i, col] += value.real[0]
+        J[2 * i + 1, col] += value.imag[0]
+
+    for i in range(n):
+        node, ri = i + 1, r[i:i + 1]
+        f = spec.lam(ri, mu) + 1j * (spec.omega(ri, mu, eps) - rho)
+        add(i, i, f + ri * (spec.lam_r(ri, mu) + 1j * spec.omega_r(ri, mu, eps))
+            - 2.0 * ec)
+        J[2 * i + 1, 2 * n - 1] = -r[i]
+        J[2 * i, 2 * n] = spec.mu_coefficient * r[i]
+        right = ec * np.exp(1j * phi_ext[node:node + 1])
+        add(i, _col_r(node + 1, n, on_site), right)
+        jphi, _ = _col_phi(node, n, on_site)
+        if jphi is not None:
+            add(i, jphi, 1j * r_ext[node + 1:node + 2] * right)
+        left = ec * np.exp(1j * phi_ext[node - 1:node]).conj()
+        add(i, _col_r(node - 1, n, on_site), left)
+        jphi, fac = _col_phi(node - 1, n, on_site)
+        if jphi is not None:
+            left_phi = -1j * r_ext[node - 1:node]
+            if fac < 0.0:
+                left_phi = -left_phi
+            add(i, jphi, left_phi * left)
+    return J
+
+
+def real_loop_jacobian(spec, c, state, eps, bc):
+    """The analytic Jacobian assembled per node in real arithmetic: cos and
+    sin of each phase times c_re and c_im, as the ten real bands of the
+    (amplitude, phase) row pair.  A second oracle, independent of complex
+    multiplication; it agrees with ``jacobian`` to a few ulps per row."""
     n, r, mu, rho = state.n, state.r, state.mu, state.rho
     on_site = bc is BoundaryKind.ON_SITE
     r0, phi0, r_right, _ = ghost_values(state, bc)
@@ -220,18 +276,8 @@ def loop_jacobian(spec, c, state, eps, bc):
     phi_ext = np.concatenate([[phi0], state.phi, [0.0]])
     cosp, sinp = np.cos(phi_ext), np.sin(phi_ext)
     cre, cim = c.c_re, c.c_im
-    lam, lam_r, lam_mu = spec.lam(r, mu), spec.lam_r(r, mu), spec.lam_mu(r, mu)
+    lam, lam_r = spec.lam(r, mu), spec.lam_r(r, mu)
     om, om_r = spec.omega(r, mu, eps), spec.omega_r(r, mu, eps)
-
-    def col_r(idx):  # extended lattice index -> amplitude column
-        if idx == 0:
-            return 1 if on_site else 0
-        return n - 1 if idx == n + 1 else idx - 1
-
-    def col_phi(idx):  # interface index -> (phase column, chain factor)
-        if idx == 0:
-            return (n, -1.0) if on_site else (None, 0.0)
-        return (None, 0.0) if idx == n else (n + idx - 1, 1.0)
 
     J = np.zeros((2 * n, 2 * n + 1))
     for i in range(n):
@@ -239,21 +285,21 @@ def loop_jacobian(spec, c, state, eps, bc):
         J[ra, i] += lam[i] + r[i] * lam_r[i] - 2.0 * eps * cre
         J[pa, i] += (om[i] - rho) + r[i] * om_r[i] - 2.0 * eps * cim
         J[pa, 2 * n - 1] = -r[i]
-        J[ra, 2 * n] = lam_mu[i] * r[i]
+        J[ra, 2 * n] = spec.mu_coefficient * r[i]
         cn, sn = cosp[node], sinp[node]
-        jr = col_r(node + 1)
+        jr = _col_r(node + 1, n, on_site)
         J[ra, jr] += eps * (cre * cn - cim * sn)
         J[pa, jr] += eps * (cre * sn + cim * cn)
-        jphi, fac = col_phi(node)
+        jphi, fac = _col_phi(node, n, on_site)
         if jphi is not None:
             rr = r_ext[node + 1]
             J[ra, jphi] += fac * eps * rr * (-cre * sn - cim * cn)
             J[pa, jphi] += fac * eps * rr * (cre * cn - cim * sn)
         cm, sm = cosp[node - 1], sinp[node - 1]
-        jl = col_r(node - 1)
+        jl = _col_r(node - 1, n, on_site)
         J[ra, jl] += eps * (cre * cm + cim * sm)
         J[pa, jl] += eps * (-cre * sm + cim * cm)
-        jphi, fac = col_phi(node - 1)
+        jphi, fac = _col_phi(node - 1, n, on_site)
         if jphi is not None:
             rl = r_ext[node - 1]
             J[ra, jphi] += fac * eps * rl * (-cre * sm + cim * cm)
@@ -264,9 +310,7 @@ def loop_jacobian(spec, c, state, eps, bc):
 MIXED = CouplingKind(np.cos(0.7), np.sin(0.7))  # c = e^{0.7i}: both parts nonzero
 
 
-def test_jacobian_bitwise_equal_to_loop_reference(quintic_rotating, couplings, boundaries):
-    spec = rich_spec(quintic_rotating)
-    rng = np.random.default_rng(15)
+def _jacobian_cases(rng):
     cases = []
     for n in (2, 3, 5, 10, 32) * 4:
         st = rand_state(rng, n)
@@ -278,8 +322,13 @@ def test_jacobian_bitwise_equal_to_loop_reference(quintic_rotating, couplings, b
     # keep the loop's -0.0 there
     zero = rand_state(rng, 10)
     zero.r[[0, 1, 4, 8, 9]] = 0.0
-    cases += [(zero, 0.02), (zero, 0.0)]
-    for st, eps in cases:
+    return cases + [(zero, 0.02), (zero, 0.0)]
+
+
+def test_jacobian_bitwise_equal_to_loop_reference(quintic_rotating, couplings, boundaries):
+    spec = rich_spec(quintic_rotating)
+    rng = np.random.default_rng(15)
+    for st, eps in _jacobian_cases(rng):
         border = rng.normal(size=2 * st.n + 1)
         border[::3] = -0.0  # signed zeros in the border row as well
         for c in couplings + (MIXED,):
@@ -294,6 +343,20 @@ def test_jacobian_bitwise_equal_to_loop_reference(quintic_rotating, couplings, b
                 got = jacobian(spec, c, st, eps, bc, terms, border=border)
                 assert got.tobytes() == np.vstack([want, border]).tobytes()
                 assert jacobian(spec, c, st, eps, bc, terms).tobytes() == want.tobytes()
+
+
+def test_jacobian_within_ulps_of_real_form_loop(quintic_rotating, couplings, boundaries):
+    # complex products round differently from the real form's c_re cos -
+    # c_im sin, so the bound is 4 ulps of each row's largest entry
+    spec = rich_spec(quintic_rotating)
+    rng = np.random.default_rng(15)
+    for st, eps in _jacobian_cases(rng):
+        for c in couplings + (MIXED,):
+            for bc in boundaries:
+                got = jacobian(spec, c, st, eps, bc)
+                want = real_loop_jacobian(spec, c, st, eps, bc)
+                bound = 4.0 * np.finfo(float).eps * np.abs(want).max(axis=1)
+                assert np.all(np.abs(got - want).max(axis=1) <= bound)
 
 
 def test_jacobian_vs_finite_differences(quintic_rotating, couplings, boundaries):

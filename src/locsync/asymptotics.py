@@ -85,12 +85,6 @@ def _core_denominators(spec, mu, r0):
     return d
 
 
-def _left_ghost_root(r0: np.ndarray, bc: BoundaryKind) -> float:
-    if bc is BoundaryKind.OFF_SITE:
-        return float(r0[0])
-    return float(r0[1]) if r0.size >= 2 else 0.0
-
-
 def core_correction(
     spec: NonlinearitySpec,
     mu: float,
@@ -109,10 +103,9 @@ def core_correction(
     """
     k = r0.size
     d = _core_denominators(spec, mu, r0)
-    ext = np.concatenate([[_left_ghost_root(r0, bc)], r0, [0.0]])
-    phi_ext = np.concatenate(
-        [[-phi[0] if bc is BoundaryKind.ON_SITE else 0.0], phi[: k]]
-    )
+    ext = np.concatenate([[0.0], r0, [0.0]])
+    ext[0] = ext[1 + bc.mirror]  # the left ghost; past the core it is 0.0
+    phi_ext = np.concatenate([[-phi[0] if bc.mirror else 0.0], phi[: k]])
     a0 = ext[2:] * np.cos(phi_ext[1:]) - 2.0 * r0 + ext[:-2] * np.cos(phi_ext[:-1])
     b0 = ext[2:] * np.sin(phi_ext[1:]) - ext[:-2] * np.sin(phi_ext[:-1])
     return -(coupling.c_re * a0 - coupling.c_im * b0) / d

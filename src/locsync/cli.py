@@ -491,9 +491,13 @@ def cmd_mismatch(rc: RunConfig) -> int:
     except (model.ModelError, asymptotics.AsymptoticsError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    k = rc.ansatz.k
+    if k < 2:  # the r+/r- interface phase is phi_{k-1}
+        print(f"config error: invalid config at seed.k: mismatch needs k >= 2, got {k}",
+              file=sys.stderr)
+        return 2
     if not _make_dir(rc.run_dir()):
         return 2
-    k = rc.ansatz.k
     pattern = tuple(["plus"] * (k - 1) + ["minus"])
     sweep = []
     for eps in MISMATCH_EPS_SWEEP:

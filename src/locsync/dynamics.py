@@ -162,9 +162,7 @@ def unfold_state(state: PolarState, bc: BoundaryKind) -> np.ndarray:
     reflect across n = 1 into 2N - 1 nodes.
     """
     z = polar_to_complex(state)
-    if bc is BoundaryKind.OFF_SITE:
-        return np.concatenate([z[::-1], z])
-    return np.concatenate([z[:0:-1], z])
+    return np.concatenate([z[bc.mirror:][::-1], z])
 
 
 def linearization_spectrum(
@@ -172,48 +170,28 @@ def linearization_spectrum(
     c: CouplingKind,
     state: PolarState,
     eps: float,
-    bc: BoundaryKind = BoundaryKind.OFF_SITE,
+    bc: BoundaryKind,
 ) -> np.ndarray:
     """Eigenvalues of the co-rotating linearization at a relative equilibrium.
 
-    The co-rotating field g(w) = f(|w|) w - i rho w + eps c (Delta w) is
-    differentiated as a real 2N x 2N system in (Re w, Im w) with the
-    state's ghost closure.  Diagnostic only; the gauge mode contributes one
-    eigenvalue at zero.
+    The co-rotating field g(w) = f(|w|) w - i rho w + eps c (Delta w) has the
+    derivative a dw + b Re(conj(u) dw) + eps c Delta dw, with a = f - i rho,
+    b = w f'(|w|) and u = w/|w| per node, and Delta closed by the state's
+    ghosts.  It is taken as a real 2N x 2N system in (Re w, Im w).
+    Diagnostic only; the gauge mode contributes one eigenvalue at zero.
     """
     z = polar_to_complex(state)
-    n = z.size
-    x, y = z.real, z.imag
-    m = np.abs(z)
-    mu, rho = state.mu, state.rho
-
-    lam = np.asarray(spec.lam(m, mu), dtype=float)
-    om = np.asarray(spec.omega(m, mu, eps), dtype=float)
-    lam_r = np.asarray(spec.lam_r(m, mu), dtype=float)
-    om_r = np.asarray(spec.omega_r(m, mu, eps), dtype=float)
-    safe_m = np.where(m > 1e-15, m, 1.0)
-    gx = np.where(m > 1e-15, x / safe_m, 0.0)
-    gy = np.where(m > 1e-15, y / safe_m, 0.0)
-
-    jac = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        w = om[i] - rho
-        # d/dx_i, d/dy_i of u_i = lam x - w y and v_i = lam y + w x
-        jac[i, i] += lam[i] + lam_r[i] * gx[i] * x[i] - om_r[i] * gx[i] * y[i]
-        jac[i, n + i] += lam_r[i] * gy[i] * x[i] - w - om_r[i] * gy[i] * y[i]
-        jac[n + i, i] += w + lam_r[i] * gx[i] * y[i] + om_r[i] * gx[i] * x[i]
-        jac[n + i, n + i] += lam[i] + lam_r[i] * gy[i] * y[i] + om_r[i] * gy[i] * x[i]
-
-    # coupling: eps * c * (ghost-closed discrete Laplacian)
-    lap = np.zeros((n, n))
-    for i in range(n):
-        lap[i, i] -= 2.0
-        lap[i, i - 1 if i > 0 else (1 if bc is BoundaryKind.ON_SITE else 0)] += 1.0
-        lap[i, i + 1 if i < n - 1 else n - 1] += 1.0
-    cre, cim = eps * c.c_re, eps * c.c_im
-    jac[:n, :n] += cre * lap
-    jac[:n, n:] += -cim * lap
-    jac[n:, :n] += cim * lap
-    jac[n:, n:] += cre * lap
-
+    n, m, mu = z.size, np.abs(z), state.mu
+    u = np.where(m > 1e-15, z / np.where(m > 1e-15, m, 1.0), 0.0)
+    a = spec.lam(m, mu) + 1j * (spec.omega(m, mu, eps) - state.rho)
+    b = z * (spec.lam_r(m, mu) + 1j * spec.omega_r(m, mu, eps))
+    lap = np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)
+    lap[0, bc.mirror] += 1.0  # the left ghost
+    lap[-1, -1] += 1.0  # the right ghost r_{N+1} = r_N
+    lin = np.diag(a) + eps * complex(c.c_re, c.c_im) * lap  # the complex-linear part
+    jac = np.block([[lin.real, -lin.imag], [lin.imag, lin.real]])
+    # b Re(conj(u) dw): a rank-one 2 x 2 block on each node's (Re w, Im w)
+    node = np.arange(n)
+    jac.reshape(2, n, 2, n)[:, node, :, node] += \
+        b.view(float).reshape(n, 2, 1) * u.view(float).reshape(n, 1, 2)
     return np.linalg.eigvals(jac)

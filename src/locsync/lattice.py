@@ -5,10 +5,11 @@ z_n = r_n exp(i*theta_n), gauge invariance leaves the amplitudes r_1..r_N,
 the phase differences phi_n = theta_{n+1} - theta_n, and the frequency rho
 as unknowns.  Each node contributes one complex equation, evaluated in
 complex arithmetic: its real part is the amplitude equation and its
-imaginary part the phase equation.  The chain is closed by ghost values
-encoding the on/off-site reflection on the left and an off-site truncation
-on the right.  A Newton iterate builds ``point_terms`` once and hands them
-to both ``residual`` and ``jacobian``.
+imaginary part the phase equation.  The chain is closed by ghost values:
+on the left the reflection of a symmetric pattern, whose one rule is
+``BoundaryKind.mirror``; on the right an off-site truncation.  A Newton
+iterate builds ``point_terms`` once and hands them to both ``residual`` and
+``jacobian``.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ __all__ = [
     "BoundaryKind",
     "CouplingKind",
     "PolarState",
-    "ghost_values",
     "point_terms",
     "residual",
     "jacobian",
@@ -40,8 +40,20 @@ class LatticeError(ValueError):
 
 
 class BoundaryKind(enum.Enum):
+    """Where the reflection plane of a symmetric pattern cuts the left end.
+
+    The left ghost r_0 copies node ``mirror`` (0-based): node 2 on-site,
+    where the plane passes through node 1, and node 1 off-site, where it
+    lies between node 1 and the ghost.  The phase ghost follows:
+    phi_0 = -phi_1 when ``mirror`` is set, else +0.0.
+    """
+
     ON_SITE = "on_site"
     OFF_SITE = "off_site"
+
+    @property
+    def mirror(self) -> int:
+        return int(self is BoundaryKind.ON_SITE)
 
 
 @dataclass(frozen=True)
@@ -108,30 +120,18 @@ class PolarState:
         return cls(x[:n], x[n:2 * n - 1], x[2 * n - 1], x[2 * n])
 
 
-def ghost_values(state: PolarState, bc: BoundaryKind):
-    """(r0, phi0, r_right, phi_right) closing the chain.
-
-    Left: on-site (r0, phi0) = (r2, -phi1), off-site (r0, phi0) = (r1, 0).
-    Right: always off-site, (r_{N+1}, phi_N) = (r_N, 0).
-    """
-    if state.n < 2:
-        raise LatticeError("chain needs at least 2 nodes")
-    if bc is BoundaryKind.ON_SITE:
-        r0, phi0 = state.r[1], -state.phi[0]
-    else:
-        r0, phi0 = state.r[0], 0.0
-    return float(r0), float(phi0), float(state.r[-1]), 0.0
-
-
 def point_terms(spec: NonlinearitySpec, state: PolarState, eps: float,
                 bc: BoundaryKind) -> tuple:
     """What ``residual`` and ``jacobian`` share at a point, built once:
     r_0..r_{N+1} with the ghosts, e = exp(i phi) at phi_0..phi_N, and the
-    co-rotating f = lambda + i (omega - rho)."""
-    r0, phi0, r_right, phi_right = ghost_values(state, bc)
+    co-rotating f = lambda + i (omega - rho).  The left ghosts are
+    (r[mirror], -phi_1 or +0.0), the right ones (r_N, 0.0)."""
+    if state.n < 2:
+        raise LatticeError("chain needs at least 2 nodes")
     r_ext, phi_ext = np.empty(state.n + 2), np.empty(state.n + 1)
-    r_ext[0], r_ext[1:-1], r_ext[-1] = r0, state.r, r_right
-    phi_ext[0], phi_ext[1:-1], phi_ext[-1] = phi0, state.phi, phi_right
+    r_ext[0], r_ext[1:-1], r_ext[-1] = state.r[bc.mirror], state.r, state.r[-1]
+    phi_ext[0] = -state.phi[0] if bc.mirror else 0.0
+    phi_ext[1:-1], phi_ext[-1] = state.phi, 0.0
     return (r_ext, np.exp(1j * phi_ext), spec.lam(state.r, state.mu)
             + 1j * (spec.omega(state.r, state.mu, eps) - state.rho))
 
@@ -168,12 +168,11 @@ def _stencil_plan(n: int, bc: BoundaryKind) -> np.ndarray:
     """Flat (2N, 2N + 1) index of the real then imaginary part of each complex
     value ``jacobian`` scatters, in order: amplitude row, then phase row."""
     node = np.arange(n)
-    on_site = bc is BoundaryKind.ON_SITE
-    keep = slice(0 if on_site else 1, None)  # phi0 = -phi1 on-site, 0 off-site
+    keep = slice(1 - bc.mirror, None)  # phi0 = -phi1 on-site, 0 off-site
     phi = n + node[:-1]  # phi_N = 0 is constant: no right phi at the last node
     rows = (node, node, node[:-1], node, node[keep])
     cols = (node, np.minimum(node + 1, n - 1),  # the ghost r_{N+1} = r_N
-            phi, np.r_[1 if on_site else 0, node[:-1]],  # the ghost r0: r2 on-site, r1 off
+            phi, np.r_[bc.mirror, node[:-1]],  # the ghost r0 = r[mirror]
             np.r_[n, phi][keep])
     amplitude = np.concatenate([2 * (2 * n + 1) * i + j for i, j in zip(rows, cols)])
     plan = np.stack([amplitude, amplitude + 2 * n + 1], axis=1).ravel()  # phase row below
@@ -206,7 +205,7 @@ def jacobian(
     right, left = ec * e[1:], ec * e[:-1].conj()
     left_phi = -1j * r_ext[:-2]
     left_phi[0] = -left_phi[0]  # phi0 = -phi1 on-site; off-site, keep drops it
-    keep = slice(0 if bc is BoundaryKind.ON_SITE else 1, None)
+    keep = slice(1 - bc.mirror, None)
     values = np.concatenate([
         f + r * (spec.lam_r(r, mu) + 1j * spec.omega_r(r, mu, eps)) - 2.0 * ec,
         right, 1j * r[1:] * right[:-1], left, (left_phi * left)[keep],

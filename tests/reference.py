@@ -14,7 +14,8 @@ and writes through ``csv.writer``.  ``concatenated_chain_rhs``,
 ``plain_rk4_step`` and ``masked_rotation_deviation`` are the plain
 time-domain check: the vector field with ``np.full`` frequencies and a
 concatenated ghost chain, and every RK4 step through the full finite/live
-masks.
+masks.  ``mirrored_chain`` unfolds a half-chain by hand, apart from the
+boundary rule under test.
 """
 import csv
 from typing import Literal
@@ -31,7 +32,7 @@ from locsync.continuation import (
     _solid_unit,
 )
 from locsync.dynamics import Trajectory
-from locsync.lattice import PolarState, canonicalize, wrap_phase
+from locsync.lattice import BoundaryKind, PolarState, canonicalize, wrap_phase
 from locsync.model import NonlinearitySpec, bistable_roots, rest_state_roots
 
 
@@ -237,3 +238,9 @@ def masked_rotation_deviation(spec, c, z0, eps, mu, rho, n_steps, dt):
         rot = np.exp(1j * rho * (k * dt))[:, None] * z0
         np.maximum(deviation, np.abs(z - rot).max(axis=1), out=deviation, where=live)
     return deviation, completed
+
+
+def mirrored_chain(z: np.ndarray, bc: BoundaryKind) -> np.ndarray:
+    """The full symmetric chain of the half-chain ``z``: off-site node 1 is
+    repeated across the reflection plane, on-site it is the centre."""
+    return np.concatenate([z[::-1] if bc is BoundaryKind.OFF_SITE else z[:0:-1], z])

@@ -36,7 +36,13 @@ from locsync.lattice import (
     residual,
 )
 from locsync.model import bistable_roots, builtin_spec
-from reference import isola_curve, rigid_rotation_deviation, snaking_curve, snaking_domain
+from reference import (
+    isola_curve,
+    mirrored_chain,
+    rigid_rotation_deviation,
+    snaking_curve,
+    snaking_domain,
+)
 
 N_NODES = 10
 
@@ -310,7 +316,7 @@ def test_criterion_6_property_suite(quintic, quintic_rotating, snake_off):
             for bc in BoundaryKind:
                 pol = residual(spec, c, st, eps, bc)
                 z = polar_to_complex(st)
-                cres = chain_rhs(spec, c, unfold_state(st, bc), st.mu, eps)[-n:] \
+                cres = chain_rhs(spec, c, mirrored_chain(z, bc), st.mu, eps)[-n:] \
                     - 1j * st.rho * z
                 theta = np.concatenate([[0.0], np.cumsum(st.phi)])
                 back = cres * np.exp(-1j * theta)

@@ -69,6 +69,9 @@ def test_core_correction_on_site_ghost(quintic):
     lam_r = lambda r: 4 * r - 4 * r**3
     num0 = 2 * rm - rp - rp  # on-site ghost r0 = r2 = r+
     assert sigma[0] == pytest.approx(num0 / (lam(rm) + rm * lam_r(rm)), rel=1e-9)
+    # a one-node core: the ghost r2 lies past the core, where r0 is 0
+    sigma = in_phase_correction(quintic, 0.6, ("minus",), BoundaryKind.ON_SITE)
+    assert sigma[0] == pytest.approx(2 * rm / (lam(rm) + rm * lam_r(rm)), rel=1e-9)
 
 
 def test_core_correction_degenerate_guard(quintic):

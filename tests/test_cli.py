@@ -593,6 +593,17 @@ def test_cmd_mismatch(tmp_path):
     assert all(entry["converged"] for entry in payload["sweep"])
 
 
+def test_mismatch_with_a_one_node_core_is_a_config_error(tmp_path, capsys):
+    # k = 1 has no r+/r- interface: phi_{k-1} would be the chain's last phase
+    config = Path(__file__).resolve().parents[1] / "configs" / "mismatch_below_threshold.json"
+    code = main(["mismatch", "--config", str(config), "--k", "1",
+                 "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "seed.k" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def _run_outputs(out: Path) -> dict:
     """Every file below ``out`` by relative path; a summary.json without its
     wall time and output directory."""

@@ -10,11 +10,12 @@ from locsync.dynamics import (
     rotation_deviation,
     unfold_state,
 )
-from locsync.lattice import BoundaryKind, CouplingKind, PolarState
+from locsync.lattice import BoundaryKind, CouplingKind, PolarState, polar_to_complex
 from locsync.model import bistable_roots
 from reference import (
     concatenated_chain_rhs,
     masked_rotation_deviation,
+    mirrored_chain,
     plain_rk4_step,
     rigid_rotation_deviation,
 )
@@ -98,6 +99,8 @@ def test_unfold_shapes_and_symmetry(quintic):
     assert off.shape == (6,) and on.shape == (5,)
     assert np.allclose(off, off[::-1])
     assert np.allclose(on, on[::-1])
+    for bc, full in ((BoundaryKind.OFF_SITE, off), (BoundaryKind.ON_SITE, on)):
+        assert full.tobytes() == mirrored_chain(polar_to_complex(st), bc).tobytes()
 
 
 def test_relative_equilibrium_of_branch_state(quintic, quintic_rotating):
@@ -272,3 +275,22 @@ def test_spectrum_gauge_mode(quintic):
     eigs = linearization_spectrum(quintic, CouplingKind.dissipative(), st, eps,
                                   BoundaryKind.OFF_SITE)
     assert np.sum(np.abs(eigs) < 1e-8) == 1
+
+
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+def test_spectrum_lies_in_the_unfolded_chain_spectrum(quintic, bc):
+    # the symmetric half-chain's eigenvalues are eigenvalues of the full
+    # chain; a wrong left ghost moves them by O(eps)
+    eps = 0.01
+    for c in (CouplingKind.dissipative(), CouplingKind.conservative(),
+              CouplingKind(np.cos(0.7), np.sin(0.7))):
+        template = "conservative" if c.c_re == 0.0 else "in_phase"
+        ansatz = SeedAnsatz(3, ("plus",) * 3, template, bc, 8)
+        st = newton_correct(LatticeSystem(quintic, c, eps, bc),
+                            build_seed(quintic, 0.5, eps, ansatz, c))
+        z = mirrored_chain(polar_to_complex(st), bc)
+        full = PolarState(np.abs(z), np.angle(z[1:] * z[:-1].conj()), st.rho, st.mu)
+        half = linearization_spectrum(quintic, c, st, eps, bc)
+        whole = linearization_spectrum(quintic, c, full, eps, BoundaryKind.OFF_SITE)
+        assert half.size == 16 and whole.size == 2 * z.size
+        assert np.abs(half[:, None] - whole).min(axis=1).max() <= 1e-12

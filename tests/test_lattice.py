@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import quintic_roots
-from locsync.dynamics import chain_rhs, unfold_state
+from locsync.dynamics import chain_rhs
 from locsync.lattice import (
     BoundaryKind,
     CouplingKind,
     LatticeError,
     PolarState,
     canonicalize,
-    ghost_values,
     jacobian,
     point_terms,
     polar_to_complex,
@@ -17,6 +16,7 @@ from locsync.lattice import (
     wrap_phase,
 )
 from locsync.model import bistable_roots
+from reference import mirrored_chain
 
 
 def rand_state(rng, n, positive=False):
@@ -49,19 +49,34 @@ def test_pack_unpack_roundtrip():
     assert back.rho == st.rho and back.mu == st.mu
 
 
-def test_ghost_values_off_site():
+def test_point_terms_ghosts_off_site(quintic):
     st = PolarState([0.4, 0.9], [0.3], 0.0, 0.5)
-    r0, phi0, r_right, phi_right = ghost_values(st, BoundaryKind.OFF_SITE)
-    assert (r0, phi0) == (0.4, 0.0)
-    assert (r_right, phi_right) == (0.9, 0.0)
+    r_ext, e, _ = point_terms(quintic, st, 0.01, BoundaryKind.OFF_SITE)
+    assert (r_ext[0], r_ext[-1]) == (0.4, 0.9)  # (r1, r_N)
+    # phi0 = phi_N = +0.0: exp(i phi) is exactly 1 + 0j, with a positive zero
+    assert e[0].tobytes() == e[-1].tobytes() == np.complex128(1.0).tobytes()
 
 
-def test_ghost_values_on_site():
-    st = PolarState([0.4, 0.9], [0.3], 0.0, 0.5)
-    r0, phi0, _, _ = ghost_values(st, BoundaryKind.ON_SITE)
-    assert (r0, phi0) == (0.9, -0.3)
+def test_point_terms_ghosts_on_site(quintic):
+    st = PolarState([0.4, 0.9, 0.2], [0.3, -0.5], 0.0, 0.5)
+    r_ext, e, _ = point_terms(quintic, st, 0.01, BoundaryKind.ON_SITE)
+    assert (r_ext[0], r_ext[-1]) == (0.9, 0.2)  # (r2, r_N)
+    assert e[0] == pytest.approx(np.exp(-0.3j), abs=1e-16)  # phi0 = -phi1
+    assert e[-1].tobytes() == np.complex128(1.0).tobytes()
     zero = PolarState([0.4, 0.9], [0.0], 0.0, 0.5)
-    assert ghost_values(zero, BoundaryKind.ON_SITE)[1] == 0.0
+    assert point_terms(quintic, zero, 0.01, BoundaryKind.ON_SITE)[1][0] == 1.0
+
+
+def test_chain_of_one_node_is_rejected(quintic, couplings, boundaries):
+    st = PolarState([0.4], [], 0.0, 0.5)
+    for bc in boundaries:
+        with pytest.raises(LatticeError, match="at least 2 nodes"):
+            point_terms(quintic, st, 0.01, bc)
+        for c in couplings:
+            with pytest.raises(LatticeError):
+                residual(quintic, c, st, 0.01, bc)
+            with pytest.raises(LatticeError):
+                jacobian(quintic, c, st, 0.01, bc)
 
 
 def test_residual_vanishes_at_uncoupled_roots(quintic_rotating):
@@ -181,7 +196,7 @@ def test_polar_complex_equivalence(quintic_rotating, couplings, boundaries):
             for bc in boundaries:
                 pol = residual(spec, c, st, eps, bc)
                 z = polar_to_complex(st)
-                cres = chain_rhs(spec, c, unfold_state(st, bc), st.mu, eps)[-st.n:] \
+                cres = chain_rhs(spec, c, mirrored_chain(z, bc), st.mu, eps)[-st.n:] \
                     - 1j * st.rho * z
                 theta = np.concatenate([[0.0], np.cumsum(st.phi)])
                 back = cres * np.exp(-1j * theta)
@@ -231,8 +246,8 @@ def loop_jacobian(spec, c, state, eps, bc):
     """
     n, r, mu, rho = state.n, state.r, state.mu, state.rho
     on_site = bc is BoundaryKind.ON_SITE
-    r0, phi0, r_right, _ = ghost_values(state, bc)
-    r_ext = np.concatenate([[r0], r, [r_right]])
+    r0, phi0 = (r[1], -state.phi[0]) if on_site else (r[0], 0.0)
+    r_ext = np.concatenate([[r0], r, [r[-1]]])
     phi_ext = np.concatenate([[phi0], state.phi, [0.0]])
     ec = eps * complex(c.c_re, c.c_im)
     J = np.zeros((2 * n, 2 * n + 1))
@@ -271,8 +286,8 @@ def real_loop_jacobian(spec, c, state, eps, bc):
     multiplication; it agrees with ``jacobian`` to a few ulps per row."""
     n, r, mu, rho = state.n, state.r, state.mu, state.rho
     on_site = bc is BoundaryKind.ON_SITE
-    r0, phi0, r_right, _ = ghost_values(state, bc)
-    r_ext = np.concatenate([[r0], r, [r_right]])
+    r0, phi0 = (r[1], -state.phi[0]) if on_site else (r[0], 0.0)
+    r_ext = np.concatenate([[r0], r, [r[-1]]])
     phi_ext = np.concatenate([[phi0], state.phi, [0.0]])
     cosp, sinp = np.cos(phi_ext), np.sin(phi_ext)
     cre, cim = c.c_re, c.c_im

@@ -158,22 +158,18 @@ def build_seed(
 @dataclass(frozen=True)
 class FoldPrediction:
     mu: float
-    amplitude: float | None
-    correction_exponent: float  # relative correction is O(eps**exponent)
+    amplitude: float
 
 
 def fold_prediction_mu0(eps: float) -> FoldPrediction:
     """Leading recruitment-fold location near mu = 0.
 
     mu = (3/2) cbrt(2) eps^(2/3) with recruiting amplitude cbrt(eps/2),
-    both up to relative O(eps^(1/3)) corrections.
+    both up to relative O(eps^(1/3)) corrections; both are 0 at eps = 0.
     """
-    if eps == 0.0:
-        return FoldPrediction(mu=0.0, amplitude=0.0, correction_exponent=1.0 / 3.0)
     return FoldPrediction(
         mu=MU0_FOLD_CONSTANT * eps ** (2.0 / 3.0),
         amplitude=MU0_FOLD_AMPLITUDE * eps ** (1.0 / 3.0),
-        correction_exponent=1.0 / 3.0,
     )
 
 

@@ -4,6 +4,12 @@ Configs are JSON and validated fail-closed (unknown keys rejected).  Every
 run writes into its own directory below ``output_dir``; branch data goes to
 ``branch.csv`` with 17-significant-digit floats so byte-identical reruns
 are reproducible.
+
+Commands return 0, or 1 for a run whose outputs are written but whose
+result failed; any other failure is raised, and ``_run`` alone maps it to
+its exit code and one stderr line: 2 for a config, model or ansatz error
+(``config error: ...``), 3 for a continuation error (the run id, seed and
+cause), and a ``CommandError``'s own code and message.
 """
 from __future__ import annotations
 
@@ -30,6 +36,14 @@ MAX_N = 4096  # a dense (2N+1) x (2N+1) float64 bordered matrix is then about 0.
 
 class ConfigError(ValueError):
     pass
+
+
+class CommandError(Exception):
+    """A failure whose stderr line is ``message`` as given, with exit ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 @dataclass(frozen=True)
@@ -235,17 +249,17 @@ def write_branch_csv(branch: continuation.Branch, n: int, path: Path) -> None:
 
 
 def read_branch_csv(path: Path, n: int) -> list[dict]:
-    """Parse branch rows back into states; raises ConfigError on bad rows."""
+    """Parse branch rows back into states; a bad file raises CommandError (exit 2)."""
     expected = len(branch_csv_header(n))
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != branch_csv_header(n):
-            raise ConfigError(f"unexpected branch.csv header in {path}")
+            raise CommandError(2, f"unexpected branch.csv header in {path}")
         for line in reader:
             if len(line) != expected:
-                raise ConfigError(f"corrupted branch.csv row: {line[:3]}...")
+                raise CommandError(2, f"corrupted branch.csv row: {line[:3]}...")
             try:
                 vals = [float(v) for v in line]
                 rows.append({
@@ -258,10 +272,10 @@ def read_branch_csv(path: Path, n: int) -> list[dict]:
                                         vals[3], vals[2]),
                 })
             except (ValueError, OverflowError) as err:
-                raise ConfigError(
-                    f"corrupted branch.csv row at step {line[0]}: {err}") from err
+                raise CommandError(
+                    2, f"corrupted branch.csv row at step {line[0]}: {err}") from err
     if not rows:
-        raise ConfigError(f"no branch rows in {path}")
+        raise CommandError(2, f"no branch rows in {path}")
     return rows
 
 
@@ -274,15 +288,12 @@ def _state_dict(state: PolarState) -> dict:
     }
 
 
-def _make_dir(path: Path) -> bool:
-    """Create an output directory before computing; False, saying why, if not."""
+def _make_dir(path: Path) -> None:
+    """Create an output directory before computing."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        print(f"config error: cannot create output directory {path}: {err}",
-              file=sys.stderr)
-        return False
-    return True
+        raise ConfigError(f"cannot create output directory {path}: {err}") from err
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -291,20 +302,12 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def _corrected_seed(rc: RunConfig):
-    """(system, seed, corrected seed), or the exit code: 2 for a model that
-    is not bistable at the seed mu, 3 for a seed Newton cannot correct."""
+    """The system, the asymptotic seed and its Newton correction."""
     system = rc.system()
-    try:
-        seed = asymptotics.build_seed(rc.spec, rc.mu_seed, rc.eps, rc.ansatz, rc.coupling)
-        corrected = continuation.newton_correct(
-            system, seed, tol=rc.cont.newton_tol, max_iter=rc.cont.newton_max_iter
-        )
-    except (model.ModelError, asymptotics.AsymptoticsError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except continuation.ContinuationError as err:
-        print(f"seed correction failed: {err}", file=sys.stderr)
-        return 3
+    seed = asymptotics.build_seed(rc.spec, rc.mu_seed, rc.eps, rc.ansatz, rc.coupling)
+    corrected = continuation.newton_correct(
+        system, seed, tol=rc.cont.newton_tol, max_iter=rc.cont.newton_max_iter
+    )
     return system, seed, corrected
 
 
@@ -322,17 +325,10 @@ def compute_branch(system: continuation.LatticeSystem, seed: PolarState,
 
 def cmd_continue(rc: RunConfig) -> int:
     t0 = time.perf_counter()
-    seeded = _corrected_seed(rc)
-    if isinstance(seeded, int):
-        return seeded
-    if not _make_dir(rc.run_dir()):
-        return 2
-    try:
-        branch = compute_branch(seeded[0], seeded[2], rc.cont)
-    except continuation.ContinuationError as err:
-        print(f"seed correction failed: {err}", file=sys.stderr)
-        return 3
+    system, _, corrected = _corrected_seed(rc)
     out = rc.run_dir()
+    _make_dir(out)
+    branch = compute_branch(system, corrected, rc.cont)
     write_branch_csv(branch, rc.n_nodes, out / "branch.csv")
     summary = {
         "run_id": rc.run_id,
@@ -360,12 +356,8 @@ def cmd_continue(rc: RunConfig) -> int:
 
 
 def cmd_seed(rc: RunConfig) -> int:
-    seeded = _corrected_seed(rc)
-    if isinstance(seeded, int):
-        return seeded
-    if not _make_dir(rc.run_dir()):
-        return 2
-    system, seed, corrected = seeded
+    system, seed, corrected = _corrected_seed(rc)
+    _make_dir(rc.run_dir())
     payload = {"run_id": rc.run_id, "seed": _state_dict(seed),
                "seed_residual": system.residual_norm(seed),
                "corrected": _state_dict(corrected),
@@ -397,15 +389,9 @@ def _relative_equilibrium_check(rc: RunConfig, states: list, horizons: list, dt=
 
 def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
     if not branch_path.exists():
-        print(f"branch file not found: {branch_path}", file=sys.stderr)
-        return 2
-    try:
-        rows = read_branch_csv(branch_path, rc.n_nodes)
-    except ConfigError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    if not _make_dir(rc.run_dir()):
-        return 2
+        raise CommandError(2, f"branch file not found: {branch_path}")
+    rows = read_branch_csv(branch_path, rc.n_nodes)
+    _make_dir(rc.run_dir())
     system = rc.system()
     residuals = [system.residual_norm(row["state"]) for row in rows]
     max_res = max(residuals) if residuals else 0.0
@@ -486,18 +472,11 @@ MISMATCH_EPS_SWEEP = (1e-2, 1e-3, 1e-4)
 
 
 def cmd_mismatch(rc: RunConfig) -> int:
-    try:
-        bound = asymptotics.mismatch_bound(rc.spec, rc.mu_seed)
-    except (model.ModelError, asymptotics.AsymptoticsError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    bound = asymptotics.mismatch_bound(rc.spec, rc.mu_seed)
     k = rc.ansatz.k
     if k < 2:  # the r+/r- interface phase is phi_{k-1}
-        print(f"config error: invalid config at seed.k: mismatch needs k >= 2, got {k}",
-              file=sys.stderr)
-        return 2
-    if not _make_dir(rc.run_dir()):
-        return 2
+        _fail("seed.k", f"mismatch needs k >= 2, got {k}")
+    _make_dir(rc.run_dir())
     pattern = tuple(["plus"] * (k - 1) + ["minus"])
     sweep = []
     for eps in MISMATCH_EPS_SWEEP:
@@ -534,19 +513,13 @@ def cmd_mismatch(rc: RunConfig) -> int:
 
 
 def cmd_simulate(rc: RunConfig) -> int:
-    seeded = _corrected_seed(rc)
-    if isinstance(seeded, int):
-        return seeded
-    state = seeded[2]
+    state = _corrected_seed(rc)[2]
     sim = rc.raw.get("simulate", {})
     dt = float(sim.get("dt", 1e-3))
     horizon = float(sim.get("horizon", _check_horizon(state.rho)))
     if horizon < dt:
-        print(f"config error: simulate horizon {horizon!r} is below dt {dt!r}",
-              file=sys.stderr)
-        return 2
-    if not _make_dir(rc.run_dir()):
-        return 2
+        raise ConfigError(f"simulate horizon {horizon!r} is below dt {dt!r}")
+    _make_dir(rc.run_dir())
     (dev,), (completed,) = _relative_equilibrium_check(rc, [state], [horizon], dt)
     payload = {
         "run_id": rc.run_id,
@@ -565,18 +538,35 @@ def cmd_simulate(rc: RunConfig) -> int:
     return 0
 
 
+def _run(command, rc: RunConfig, *args) -> int:
+    """``command(rc, *args)``'s exit code, with each failure it raises mapped
+    to its code and one stderr line."""
+    try:
+        return command(rc, *args)
+    except (ConfigError, model.ModelError, asymptotics.AsymptoticsError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except continuation.ContinuationError as err:
+        print(f"{rc.run_id}: seed correction failed at mu={rc.mu_seed!r} "
+              f"(k={rc.ansatz.k}, template {rc.ansatz.phase_template}): {err}",
+              file=sys.stderr)
+        return 3
+    except CommandError as err:
+        print(err, file=sys.stderr)
+        return err.code
+
+
 def _run_job(job: RunConfig) -> tuple[int, str, str]:
-    """``cmd_continue(job)``: its exit code and the text it printed to stdout and stderr."""
+    """``continue`` on ``job``: its exit code and the text it printed to stdout and stderr."""
     with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
-        return cmd_continue(job), out.getvalue(), err.getvalue()
+        return _run(cmd_continue, job), out.getvalue(), err.getvalue()
 
 
 def cmd_sweep(rc: RunConfig) -> int:
     """``continue`` per sweep value on min(workers, jobs, usable CPUs) forked processes."""
     sweep = rc.raw.get("sweep")
     if sweep is None:
-        print("config has no 'sweep' section", file=sys.stderr)
-        return 2
+        raise CommandError(2, "config has no 'sweep' section")
     parameter, values = sweep["parameter"], sweep["values"]
     # Every job is built and validated before the first one runs, so a bad
     # value fails the whole sweep up front.
@@ -591,17 +581,12 @@ def cmd_sweep(rc: RunConfig) -> int:
             data["seed"].pop("pattern", None)
         data["run_id"] = run_id = f"{rc.run_id}-{parameter}{value:g}"
         if run_id in value_of:  # the second run would overwrite the first
-            print(f"config error: sweep values {value_of[run_id]!r} and {value!r} "
-                  f"both give run id {run_id!r}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"sweep values {value_of[run_id]!r} and {value!r} "
+                              f"both give run id {run_id!r}")
         value_of[run_id] = value
-        try:
-            configs.append(load_config(data))
-        except ConfigError as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return 2
-    if not all(map(_make_dir, [rc.output_dir] + [job.run_dir() for job in configs])):
-        return 2
+        configs.append(load_config(data))
+    for path in [rc.output_dir] + [job.run_dir() for job in configs]:
+        _make_dir(path)
 
     import multiprocessing  # here, not at the top: about 25 ms of every command's start-up
     from concurrent.futures import ProcessPoolExecutor
@@ -679,10 +664,10 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    if args.command == "verify":
-        return cmd_verify(rc, Path(args.branch))
-    return {"continue": cmd_continue, "seed": cmd_seed, "mismatch": cmd_mismatch,
-            "simulate": cmd_simulate, "sweep": cmd_sweep}[args.command](rc)
+    command = {"continue": cmd_continue, "seed": cmd_seed, "verify": cmd_verify,
+               "mismatch": cmd_mismatch, "simulate": cmd_simulate,
+               "sweep": cmd_sweep}[args.command]
+    return _run(command, rc, *([Path(args.branch)] if args.command == "verify" else []))
 
 
 if __name__ == "__main__":

@@ -348,13 +348,18 @@ def test_reproducibility_byte_identical(tmp_path):
     assert sa == sb
 
 
-def test_exit_code_bad_config(tmp_path):
+def test_exit_code_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"model": {"name": "quintic"}}', encoding="utf-8")
     assert main(["continue", "--config", str(bad)]) == 2
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{", encoding="utf-8")
     assert main(["continue", "--config", str(notjson)]) == 2
+    capsys.readouterr()
+    # a valid config with no sweep section: no config error prefix, no run
+    assert main(["sweep", "--config", write_config(tmp_path, base_config(tmp_path))]) == 2
+    assert capsys.readouterr().err == "config has no 'sweep' section\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_exit_code_follows_the_verdict(tmp_path):
@@ -408,9 +413,11 @@ def test_verify_at_eps_zero_reports_no_mu1_fold_error(tmp_path, capsys):
     assert not report["residual_check"]["pass"]
 
 
-def test_exit_code_missing_branch_file(tmp_path):
+def test_exit_code_missing_branch_file(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tmp_path))
     assert main(["verify", "--config", path, str(tmp_path / "nope.csv")]) == 2
+    assert capsys.readouterr().err == f"branch file not found: {tmp_path / 'nope.csv'}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_corrupted_csv(tmp_path):
@@ -865,7 +872,7 @@ def test_isola_run_and_verify_via_cli(tmp_path):
     assert report["relative_equilibrium"]["pass"]
 
 
-def test_k_sweep_isolas(tmp_path):
+def test_k_sweep_isolas(tmp_path, capsys):
     cfg = base_config(
         tmp_path,
         run_id="stack",
@@ -883,9 +890,21 @@ def test_k_sweep_isolas(tmp_path):
             (tmp_path / "out" / rid / "summary.json").read_text()
         )
         assert summary["closure"] == "closed_isola"
+    capsys.readouterr()
+    # at mu 0.51 the conservative template seeds the k = 5 isola of N = 10
+    # too far from it for Newton: that job exits 3 naming itself, k = 4 still runs
+    cfg.update(N=10, seed={"k": 1, "mu": 0.51})
+    cfg["sweep"] = {"parameter": "k", "values": [4, 5], "workers": 1}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg, "stack.json")]) == 1
+    summary = json.loads((tmp_path / "out" / "stack-sweep.json").read_text())
+    assert summary["exit_codes"] == [0, 3]
+    out, err = capsys.readouterr()
+    assert out == "stack-k4: closure=closed_isola folds=4 points=120\n"
+    assert err == ("stack-k5: seed correction failed at mu=0.51 (k=5, template "
+                   "conservative): Newton did not reach tol=1e-10 within 12 iterations\n")
 
 
-def test_cmd_seed_newton_failure_exit_3(tmp_path):
+def test_cmd_seed_newton_failure_exit_3(tmp_path, capsys):
     cfg = base_config(
         tmp_path,
         N=8,
@@ -893,8 +912,12 @@ def test_cmd_seed_newton_failure_exit_3(tmp_path):
     )
     cfg["omega1"] = {"linear_coefficient": 5.0}
     path = write_config(tmp_path, cfg, "blocked.json")
-    assert main(["seed", "--config", path]) == 3
-    assert main(["continue", "--config", path]) == 3
+    line = ("test-run: seed correction failed at mu=0.75 (k=4, template in_phase): "
+            "Newton did not reach tol=1e-10 within 12 iterations\n")
+    for command in ("seed", "continue", "simulate"):
+        assert main([command, "--config", path]) == 3, command
+        assert capsys.readouterr() == ("", line), command
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_residual_failure_exit_3(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,9 @@
 """Leading-order formulas: seeds, fold predictors and the mismatch bound.
 
-Everything here is closed-form in the bistability roots.  Seeds feed the
-continuation engine; the fold predictors are what ``verify`` compares
-computed folds with, and the mismatch bound is what ``mismatch`` reports.
+Everything here is closed-form in the bistability roots (r_minus, r_plus).
+Seeds feed the continuation engine; the fold predictors are what ``verify``
+compares computed folds with (the mu = 0 predictor is the fold mu as a
+plain float), and the mismatch bound is what ``mismatch`` reports.
 The recruitment rule names the node that folds first on a conservative
 branch.
 """
@@ -20,7 +21,6 @@ __all__ = [
     "AsymptoticsError",
     "DegenerateDenominatorError",
     "SeedAnsatz",
-    "FoldPrediction",
     "MismatchReport",
     "RecruitmentPrediction",
     "core_correction",
@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 MU0_FOLD_CONSTANT = 1.5 * 2.0 ** (1.0 / 3.0)   # (3/2) * cbrt(2)
-MU0_FOLD_AMPLITUDE = 2.0 ** (-1.0 / 3.0)
 
 
 class AsymptoticsError(ValueError):
@@ -72,8 +71,8 @@ class SeedAnsatz:
 
 
 def _core_roots(spec, mu, pattern):
-    prof = bistable_roots(spec, mu)
-    return np.array([prof.r_plus if p == "plus" else prof.r_minus for p in pattern])
+    r_minus, r_plus = bistable_roots(spec, mu)
+    return np.array([r_plus if p == "plus" else r_minus for p in pattern])
 
 
 def _core_denominators(spec, mu, r0):
@@ -155,22 +154,13 @@ def build_seed(
     return PolarState(r, phi, spec.omega0, mu)
 
 
-@dataclass(frozen=True)
-class FoldPrediction:
-    mu: float
-    amplitude: float
+def fold_prediction_mu0(eps: float) -> float:
+    """Leading recruitment-fold mu near mu = 0, in normal-form units.
 
-
-def fold_prediction_mu0(eps: float) -> FoldPrediction:
-    """Leading recruitment-fold location near mu = 0.
-
-    mu = (3/2) cbrt(2) eps^(2/3) with recruiting amplitude cbrt(eps/2),
-    both up to relative O(eps^(1/3)) corrections; both are 0 at eps = 0.
+    mu = (3/2) cbrt(2) eps^(2/3), up to a relative O(eps^(1/3)) correction;
+    it is 0 at eps = 0.
     """
-    return FoldPrediction(
-        mu=MU0_FOLD_CONSTANT * eps ** (2.0 / 3.0),
-        amplitude=MU0_FOLD_AMPLITUDE * eps ** (1.0 / 3.0),
-    )
+    return MU0_FOLD_CONSTANT * eps ** (2.0 / 3.0)
 
 
 def mu0_normalization(spec: NonlinearitySpec) -> float:
@@ -211,12 +201,12 @@ def mismatch_bound(spec: NonlinearitySpec, mu: float) -> MismatchReport:
     interface phase toward sin(phi_k) = (r-/r+)(omega1(r-) - omega1(r+));
     no such phase exists once |omega1(r-) - omega1(r+)| exceeds r+/r-.
     """
-    prof = bistable_roots(spec, mu)
-    w1m = float(spec.omega1(prof.r_minus))
-    w1p = float(spec.omega1(prof.r_plus))
+    r_minus, r_plus = bistable_roots(spec, mu)
+    w1m = float(spec.omega1(r_minus))
+    w1p = float(spec.omega1(r_plus))
     delta = abs(w1m - w1p)
-    threshold = prof.r_plus / prof.r_minus
-    sin_phi = (prof.r_minus / prof.r_plus) * (w1m - w1p)
+    threshold = r_plus / r_minus
+    sin_phi = (r_minus / r_plus) * (w1m - w1p)
     return MismatchReport(
         mu=float(mu),
         delta=delta,

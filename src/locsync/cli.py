@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NoReturn
 
@@ -124,9 +124,10 @@ def _build_spec(cfg: dict) -> model.NonlinearitySpec:
             _fail("model", f"'name' takes no other key, got {sorted(mcfg)}")
         spec = model.builtin_spec(_choice(mcfg["name"], "model.name"))
     elif "polynomial_lambda" in mcfg:
-        spec = model.polynomial_spec(
+        spec = model.NonlinearitySpec(
+            "polynomial",
             _list(mcfg["polynomial_lambda"], "model.polynomial_lambda", _number, 1),
-            omega0_const=_number(mcfg.get("omega0_const", 0.0), "model.omega0_const"),
+            omega0=_number(mcfg.get("omega0_const", 0.0), "model.omega0_const"),
             mu_coefficient=_number(mcfg.get("mu_coefficient", 0.0), "model.mu_coefficient"),
         )
     else:
@@ -249,31 +250,37 @@ def write_branch_csv(branch: continuation.Branch, n: int, path: Path) -> None:
 
 
 def read_branch_csv(path: Path, n: int) -> list[dict]:
-    """Parse branch rows back into states; a bad file raises CommandError (exit 2)."""
-    expected = len(branch_csv_header(n))
+    """Parse branch rows back into states, streamed; a file that is missing,
+    unreadable or bad raises CommandError (exit 2)."""
+    header = branch_csv_header(n)
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != branch_csv_header(n):
-            raise CommandError(2, f"unexpected branch.csv header in {path}")
-        for line in reader:
-            if len(line) != expected:
-                raise CommandError(2, f"corrupted branch.csv row: {line[:3]}...")
-            try:
-                vals = [float(v) for v in line]
-                rows.append({
-                    "step": int(vals[0]),
-                    "arclength": vals[1],
-                    "r_l2": vals[4],
-                    "is_fold": bool(int(vals[-2])),
-                    "newton_iters": int(vals[-1]),
-                    "state": PolarState(vals[5:5 + n], vals[5 + n:5 + 2 * n - 1],
-                                        vals[3], vals[2]),
-                })
-            except (ValueError, OverflowError) as err:
-                raise CommandError(
-                    2, f"corrupted branch.csv row at step {line[0]}: {err}") from err
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != header:
+                raise CommandError(2, f"unexpected branch.csv header in {path}")
+            for line in reader:
+                if len(line) != len(header):
+                    raise CommandError(2, f"corrupted branch.csv row: {line[:3]}...")
+                try:
+                    vals = [float(v) for v in line]
+                    rows.append({
+                        "step": int(vals[0]),
+                        "arclength": vals[1],
+                        "r_l2": vals[4],
+                        "is_fold": bool(int(vals[-2])),
+                        "newton_iters": int(vals[-1]),
+                        "state": PolarState(vals[5:5 + n], vals[5 + n:5 + 2 * n - 1],
+                                            vals[3], vals[2]),
+                    })
+                except (ValueError, OverflowError) as err:
+                    raise CommandError(
+                        2, f"corrupted branch.csv row at step {line[0]}: {err}") from err
+    except FileNotFoundError:
+        raise CommandError(2, f"branch file not found: {path}") from None
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise CommandError(2, f"cannot read branch file {path}: {reason}") from err
     if not rows:
         raise CommandError(2, f"no branch rows in {path}")
     return rows
@@ -388,13 +395,10 @@ def _relative_equilibrium_check(rc: RunConfig, states: list, horizons: list, dt=
 
 
 def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
-    if not branch_path.exists():
-        raise CommandError(2, f"branch file not found: {branch_path}")
     rows = read_branch_csv(branch_path, rc.n_nodes)
     _make_dir(rc.run_dir())
     system = rc.system()
-    residuals = [system.residual_norm(row["state"]) for row in rows]
-    max_res = max(residuals) if residuals else 0.0
+    max_res = max(system.residual_norm(row["state"]) for row in rows)
 
     sample_idx = sorted(set(np.linspace(0, len(rows) - 1, 5).astype(int).tolist()))
     re_checks, tightened = [], []
@@ -434,7 +438,7 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
     fold_mu0 = None
     if low and rc.eps > 0:
         smallest = min(low)
-        mu0_pred = asymptotics.fold_prediction_mu0(rc.eps).mu
+        mu0_pred = asymptotics.fold_prediction_mu0(rc.eps)
         try:
             normalized = smallest / (asymptotics.mu0_normalization(rc.spec) * mu0_pred)
         except (model.ModelError, asymptotics.AsymptoticsError):
@@ -477,16 +481,13 @@ def cmd_mismatch(rc: RunConfig) -> int:
     if k < 2:  # the r+/r- interface phase is phi_{k-1}
         _fail("seed.k", f"mismatch needs k >= 2, got {k}")
     _make_dir(rc.run_dir())
-    pattern = tuple(["plus"] * (k - 1) + ["minus"])
+    mixed = asymptotics.SeedAnsatz(k, ("plus",) * (k - 1) + ("minus",), "in_phase",
+                                   rc.bc, rc.n_nodes)
     sweep = []
     for eps in MISMATCH_EPS_SWEEP:
-        system = continuation.LatticeSystem(rc.spec, rc.coupling, eps, rc.bc)
-        ansatz = asymptotics.SeedAnsatz(k, pattern, "in_phase", rc.bc, rc.n_nodes)
-        seed = asymptotics.build_seed(rc.spec, rc.mu_seed, eps, ansatz, rc.coupling)
         entry = {"eps": eps}
         try:
-            corrected = continuation.newton_correct(
-                system, seed, tol=rc.cont.newton_tol, max_iter=rc.cont.newton_max_iter)
+            corrected = _corrected_seed(replace(rc, eps=eps, ansatz=mixed))[2]
             entry["converged"] = True
             entry["sin_phi_k"] = float(np.sin(corrected.phi[k - 2]))
             entry["sin_phi_deviation"] = abs(entry["sin_phi_k"] - bound.sin_phi_limit)

@@ -296,7 +296,8 @@ def branch_tangent(
     state: PolarState,
     prev_tangent: np.ndarray | None = None,
     direction: int = 1,
-    newton_tol: float = 1e-10,
+    *,
+    newton_tol: float,
 ) -> np.ndarray:
     """Unit tangent along the branch, oriented along a reference direction.
 
@@ -304,9 +305,11 @@ def branch_tangent(
     where ref is the previous tangent, or the mu axis signed by direction.
     Each dead interface phase j is pinned inside the square system: its
     column becomes a unit column on the phase row of node j+1, and its
-    tangent entry is set to zero.  At eps = 0 every phase is dead.  Non-solid
-    coordinates are zeroed before normalizing.  Raises SingularJacobian when
-    the bordered system is singular; callers fall back to the secant.
+    tangent entry is set to zero.  ``newton_tol`` is the corrector's, so the
+    tangent pins the phases the corrector pins; at eps = 0 every phase is
+    dead.  Non-solid coordinates are zeroed before normalizing.  Raises
+    SingularJacobian when the bordered system is singular; callers fall back
+    to the secant.
     """
     n = state.n
     if prev_tangent is None:
@@ -392,7 +395,8 @@ def continue_branch(
             f"seed residual {res0:.3e} exceeds newton_tol={config.newton_tol}"
         )
 
-    tangent = branch_tangent(system, seed, direction=direction)
+    tangent = branch_tangent(system, seed, direction=direction,
+                             newton_tol=config.newton_tol)
     points = [BranchPoint(seed.copy(), 0.0, tangent, False, 0)]
     x_start = seed.pack()
     solid_start = _solid_mask(seed)
@@ -429,8 +433,8 @@ def continue_branch(
             if outcome.iterations and np.all(np.isfinite(outcome.tangent)):
                 new_tangent = _solid_unit(outcome.tangent, new_state)
             else:
-                new_tangent = branch_tangent(system, new_state,
-                                             prev_tangent=prev.tangent)
+                new_tangent = branch_tangent(system, new_state, prev_tangent=prev.tangent,
+                                             newton_tol=config.newton_tol)
         except SingularJacobian:
             secant = x_new - x_prev
             norm = float(np.linalg.norm(secant))
@@ -543,8 +547,8 @@ def detect_folds(
             guess = _bracket_guess(lo, hi, trial)
             try:
                 outcome = _attempt_step(system, config, x_left, left.tangent, trial, guess)
-                t_trial = branch_tangent(system, outcome.state,
-                                         prev_tangent=left.tangent)
+                t_trial = branch_tangent(system, outcome.state, prev_tangent=left.tangent,
+                                         newton_tol=config.newton_tol)
             except (NoConvergence, SingularJacobian):
                 break
             tmu = float(t_trial[-1])

@@ -68,9 +68,7 @@ def chain_rhs(
     array of shape (..., 1); each row is computed exactly as on its own.
     """
     m = np.abs(z)
-    # a constant frequency is one scalar, not an array of omega0
-    omega = spec.omega(m, mu, eps) if spec.omega1_coeffs else spec.omega0
-    fval = spec.lam(m, mu) + 1j * omega
+    fval = spec.lam(m, mu) + 1j * spec.omega(m, mu, eps)
     # indices -1 and n clip to the end nodes: the ghost-padded chain
     padded = z.take(np.arange(-1, z.shape[-1] + 1), axis=-1, mode="clip")
     lap = padded[..., 2:] - 2.0 * z + padded[..., :-2]

@@ -5,15 +5,17 @@ f = lambda + i*omega.  The real part lambda(r, mu) controls the amplitude
 dynamics: an even polynomial in r plus a linear mu term, with two positive
 roots r_-(mu) < r_+(mu) on the unit parameter interval.  The imaginary part
 is split into a constant and an O(eps) part, omega = omega0 + eps*omega1(r),
-with omega1 a polynomial in r.  Both are stored as coefficients; this module
-is the only one that evaluates them, and it takes the roots of lambda from
-its coefficients as a polynomial in r^2.  The bistability hypothesis is
-checked where the roots are taken: ``bistable_roots`` raises
+with omega1 a polynomial in r; without an omega1 part omega is the scalar
+omega0.  Both are stored as coefficients, and a spec is built one way, from
+its coefficients; this module is the only one that evaluates them, and it
+takes the roots of lambda from its coefficients as a polynomial in r^2.
+``bistable_roots`` returns the pair (r_minus, r_plus) and raises
 ``NotBistableError`` unless lambda(., mu) has exactly two positive roots.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,14 +25,12 @@ __all__ = [
     "NotBistableError",
     "ParameterRangeError",
     "NonlinearitySpec",
-    "BistabilityProfile",
+    "BistableRoots",
     "builtin_spec",
-    "polynomial_spec",
     "bistable_roots",
     "rest_state_roots",
 ]
 
-NEAR_FOLD_GAP = 1e-6      # roots closer than this are flagged, not rejected
 _DOUBLE_ROOT_RTOL = 1e-7  # |Im u| / |u| below which a root of lambda in u is real
 
 
@@ -43,9 +43,7 @@ class UnknownSpecError(ModelError):
 
 
 class NotBistableError(ModelError):
-    def __init__(self, message: str, root_count: int):
-        super().__init__(message)
-        self.root_count = root_count
+    pass
 
 
 class ParameterRangeError(ModelError):
@@ -61,8 +59,10 @@ class NonlinearitySpec:
     omega1(r) = sum_j d_j r^j and ``omega1_coeffs`` = (d_0, d_1, ...), empty
     when there is no O(eps) part.  The Jacobian's derivatives follow from the
     coefficients: d lambda/d mu = a, and omega does not depend on mu.  A spec
-    is plain data: it hashes, pickles and compares by value.  Every method
-    broadcasts over numpy arrays in r.
+    is plain data: it hashes, pickles and compares by value, and its numbers
+    are stored as floats, so a spec given ints equals one given floats.
+    Every method broadcasts over numpy arrays in r; with no omega1 part,
+    ``omega`` is the scalar omega0.
     """
 
     name: str
@@ -72,6 +72,10 @@ class NonlinearitySpec:
     omega1_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
+        for key in ("coeffs", "omega1_coeffs"):
+            object.__setattr__(self, key, tuple(float(v) for v in getattr(self, key)))
+        for key in ("mu_coefficient", "omega0"):
+            object.__setattr__(self, key, float(getattr(self, key)))
         # a nonzero c_j is what gives lam the shape of r
         if not any(self.coeffs):
             raise ModelError(f"{self.name}: every lambda coefficient c_j is zero")
@@ -100,7 +104,7 @@ class NonlinearitySpec:
 
     def omega(self, r, mu, eps):
         if not self.omega1_coeffs:
-            return np.full(np.shape(r), self.omega0)
+            return self.omega0
         return self.omega0 + eps * self.omega1(r)
 
     def omega_r(self, r, mu, eps):
@@ -112,7 +116,7 @@ class NonlinearitySpec:
         return replace(
             self,
             name=name if name is not None else self.name + "+omega1",
-            omega1_coeffs=tuple(float(v) for v in coeffs),
+            omega1_coeffs=coeffs,
         )
 
 
@@ -125,15 +129,9 @@ def _power_series(coeffs, x):
     return sum(terms[1:], terms[0])
 
 
-@dataclass(frozen=True)
-class BistabilityProfile:
-    mu: float
+class BistableRoots(NamedTuple):
     r_minus: float
     r_plus: float
-    lambda_r_minus: float
-    lambda_r_plus: float
-    lambda_at_zero: float
-    near_fold: bool = False
 
 
 def builtin_spec(name: str) -> NonlinearitySpec:
@@ -146,31 +144,12 @@ def builtin_spec(name: str) -> NonlinearitySpec:
                       - (12 pi^4/5) r^2 + 2 mu), omega = 0
     """
     if name in ("quintic", "quintic_rotating"):
-        return polynomial_spec((0.0, 2.0, -1.0), mu_coefficient=-1.0, name=name,
-                               omega0_const=1.0 if name == "quintic_rotating" else 0.0)
+        return NonlinearitySpec(name, (0.0, 2.0, -1.0), mu_coefficient=-1.0,
+                                omega0=1.0 if name == "quintic_rotating" else 0.0)
     if name == "hbm":
-        return polynomial_spec((0.0, 12.0 * np.pi**4 / 5.0, -12.0 * np.pi**2 / 8.0),
-                               mu_coefficient=-2.0, name="hbm")
+        return NonlinearitySpec("hbm", (0.0, 12.0 * np.pi**4 / 5.0, -12.0 * np.pi**2 / 8.0),
+                                mu_coefficient=-2.0)
     raise UnknownSpecError(f"unknown built-in nonlinearity {name!r}")
-
-
-def polynomial_spec(
-    coeffs,
-    omega0_const: float = 0.0,
-    mu_coefficient: float = 0.0,
-    name: str = "polynomial",
-) -> NonlinearitySpec:
-    """Even polynomial nonlinearity lambda = sum_j c_j r^(2j) + a*mu.
-
-    ``coeffs`` lists (c0, c1, c2, ...);  ``mu_coefficient`` is the optional
-    linear-in-mu term a (the quintic is coeffs=(0, 2, -1), a=-1).
-    """
-    return NonlinearitySpec(
-        name=name,
-        coeffs=tuple(float(v) for v in coeffs),
-        mu_coefficient=float(mu_coefficient),
-        omega0=float(omega0_const),
-    )
 
 
 def _newton_polish(f, fprime, x, maxit=10):
@@ -208,11 +187,11 @@ def _positive_r_roots(spec: NonlinearitySpec, mu: float) -> list[float]:
     return sorted(_newton_polish(f, fr, float(x)) for x in np.sqrt(u))
 
 
-def bistable_roots(spec: NonlinearitySpec, mu: float) -> BistabilityProfile:
-    """Both positive roots of lambda(., mu) with derivative values.
+def bistable_roots(spec: NonlinearitySpec, mu: float) -> BistableRoots:
+    """Both positive roots of lambda(., mu), r_minus < r_plus.
 
-    Valid for mu in (0, 1]; at the fold limit a coincident pair is returned
-    with the near_fold flag set instead of raising.
+    Valid for mu in (0, 1]; at the fold limit the coincident pair is
+    returned instead of raising.
     """
     if not (0.0 < mu <= 1.0):
         raise ParameterRangeError(f"mu={mu} outside the bistability interval (0, 1]")
@@ -220,22 +199,13 @@ def bistable_roots(spec: NonlinearitySpec, mu: float) -> BistabilityProfile:
     if len(roots) != 2:
         found = {0: "no positive roots", 1: "one positive root"}.get(
             len(roots), f"{len(roots)} positive roots")
-        raise NotBistableError(f"not bistable at mu={mu}: {found}", len(roots))
-    r_minus, r_plus = roots
-    return BistabilityProfile(
-        mu=float(mu),
-        r_minus=r_minus,
-        r_plus=r_plus,
-        lambda_r_minus=float(spec.lam_r(r_minus, mu)),
-        lambda_r_plus=float(spec.lam_r(r_plus, mu)),
-        lambda_at_zero=float(spec.lam(0.0, mu)),
-        near_fold=bool(r_plus - r_minus < NEAR_FOLD_GAP),
-    )
+        raise NotBistableError(f"not bistable at mu={mu}: {found}")
+    return BistableRoots(*roots)
 
 
 def rest_state_roots(spec: NonlinearitySpec) -> tuple[float, float]:
     """(r_minus, r_plus) limits at mu = 0, where r_minus = 0 by the pitchfork."""
     candidates = [x for x in _positive_r_roots(spec, 0.0) if x > 1e-4]
     if not candidates:
-        raise NotBistableError("no positive root of lambda(., 0) found", 0)
+        raise NotBistableError("no positive root of lambda(., 0) found")
     return 0.0, max(candidates)

@@ -163,7 +163,7 @@ def stacked_newton(system, state, mode=FIXED_MU, tol=1e-10, max_iter=12):
         x[n: 2 * n - 1] = wrap_phase(x[n: 2 * n - 1])
 
 
-def stacked_tangent(system, state, prev_tangent=None, direction=1, newton_tol=1e-10):
+def stacked_tangent(system, state, prev_tangent=None, direction=1, *, newton_tol):
     """``continuation.branch_tangent``."""
     n = state.n
     if prev_tangent is None:

@@ -205,7 +205,7 @@ def _smallest_fold_ratios(snake_off, snake_small_eps):
 def test_criterion_4_fold_asymptotics_mu0_literal(snake_off, snake_small_eps):
     """Smallest fold / eps^(2/3) -> 1.8899 in raw units (known red)."""
     ratios = _smallest_fold_ratios(snake_off, snake_small_eps)
-    target = fold_prediction_mu0(1.0).mu  # (3/2) cbrt(2)
+    target = fold_prediction_mu0(1.0)  # (3/2) cbrt(2)
     errs = {eps: abs(r / target - 1.0) for eps, r in ratios.items()}
     print(f"\nACCEPTANCE 4 (literal paper-unit constant): "
           f"ratios {({e: round(r, 4) for e, r in ratios.items()})} vs 1.8899, "
@@ -220,7 +220,7 @@ def test_criterion_4_fold_asymptotics_mu0_normalized(snake_off, snake_small_eps)
     """Same data against the normalization-corrected constant 3 eps^(2/3)."""
     ratios = _smallest_fold_ratios(snake_off, snake_small_eps)
     spec = builtin_spec("quintic")
-    target = mu0_normalization(spec) * fold_prediction_mu0(1.0).mu
+    target = mu0_normalization(spec) * fold_prediction_mu0(1.0)
     assert target == pytest.approx(3.0, rel=1e-6)
     errs = {eps: abs(r / target - 1.0) for eps, r in ratios.items()}
     assert errs[1e-3] < errs[1e-2]

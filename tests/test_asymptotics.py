@@ -45,9 +45,9 @@ def test_core_correction_all_plus_interior_zero(quintic):
 
 def test_core_correction_last_node(quintic):
     # sigma_k = r+/(r+ lambda_r) = 1/lambda_r(r+) since lambda(r+) = 0
-    prof = bistable_roots(quintic, 0.75)
+    r_plus = bistable_roots(quintic, 0.75).r_plus
     sigma = in_phase_correction(quintic, 0.75, ("plus",) * 4, BoundaryKind.OFF_SITE)
-    assert sigma[-1] == pytest.approx(1.0 / prof.lambda_r_plus, rel=1e-10)
+    assert sigma[-1] == pytest.approx(1.0 / quintic.lam_r(r_plus, 0.75), rel=1e-10)
     assert sigma[-1] == pytest.approx(-0.408248290463863, abs=1e-9)
 
 
@@ -75,8 +75,8 @@ def test_core_correction_on_site_ghost(quintic):
 
 
 def test_core_correction_degenerate_guard(quintic):
-    fold = bistable_roots(quintic, 1.0)
-    assert fold.near_fold
+    r_minus, r_plus = bistable_roots(quintic, 1.0)
+    assert r_plus - r_minus < 1e-6
     with pytest.raises(DegenerateDenominatorError):
         in_phase_correction(quintic, 1.0, ("plus", "plus"), BoundaryKind.OFF_SITE)
 
@@ -117,8 +117,8 @@ def test_build_seed_dissipative_newton(quintic):
     seed = build_seed(quintic, 0.5, eps, ansatz, CouplingKind.dissipative())
     out = _newton_solve(system, seed, FIXED_MU, 1e-10, 12)
     assert out.iterations <= 6
-    prof = bistable_roots(quintic, 0.5)
-    predicted_r3 = prof.r_plus + eps / prof.lambda_r_plus
+    r_plus = bistable_roots(quintic, 0.5).r_plus
+    predicted_r3 = r_plus + eps / quintic.lam_r(r_plus, 0.5)
     assert abs(out.state.r[2] - predicted_r3) <= 5 * eps**2
     assert np.max(np.abs(out.state.phi)) <= 10 * eps
 
@@ -228,19 +228,18 @@ def test_isola_curve_range_errors(quintic):
 
 
 def test_fold_prediction_mu0():
-    pred = fold_prediction_mu0(0.01)
-    assert pred.mu == pytest.approx(1.889882 * 0.01 ** (2 / 3), rel=1e-6)
-    assert pred.mu == pytest.approx(0.08772053, abs=1e-6)
-    assert pred.amplitude == pytest.approx(2 ** (-1 / 3) * 0.01 ** (1 / 3), rel=1e-12)
-    assert fold_prediction_mu0(0.0).mu == 0.0
-    mus = [fold_prediction_mu0(e).mu for e in (0.0, 1e-4, 1e-3, 1e-2)]
+    mu = fold_prediction_mu0(0.01)
+    assert mu == pytest.approx(1.889882 * 0.01 ** (2 / 3), rel=1e-6)
+    assert mu == pytest.approx(0.08772053, abs=1e-6)
+    assert fold_prediction_mu0(0.0) == 0.0
+    mus = [fold_prediction_mu0(e) for e in (0.0, 1e-4, 1e-3, 1e-2)]
     assert all(a < b for a, b in zip(mus[:-1], mus[1:]))
 
 
 def test_mu0_normalization_quintic(quintic):
     # lambda(r,0) ~ 2 r^2 and r_+(0) = sqrt(2): factor (sqrt(2)*sqrt(2))^(2/3)
     assert mu0_normalization(quintic) == pytest.approx(2 ** (2 / 3), rel=1e-6)
-    assert mu0_normalization(quintic) * fold_prediction_mu0(1.0).mu == \
+    assert mu0_normalization(quintic) * fold_prediction_mu0(1.0) == \
         pytest.approx(3.0, rel=1e-6)
 
 

@@ -418,10 +418,30 @@ def test_exit_code_missing_branch_file(tmp_path, capsys):
     assert main(["verify", "--config", path, str(tmp_path / "nope.csv")]) == 2
     assert capsys.readouterr().err == f"branch file not found: {tmp_path / 'nope.csv'}\n"
     assert not (tmp_path / "out").exists()
+    # a path that exists but is a directory is unreadable, not a traceback
+    assert main(["verify", "--config", path, str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"cannot read branch file {tmp_path}: Is a directory\n"
+    assert not (tmp_path / "out").exists()
 
 
-def test_exit_code_corrupted_csv(tmp_path):
+def test_exit_code_corrupted_csv(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tmp_path))
+    # a byte that is not UTF-8: exit 2 with the path, before any run directory
+    undecodable = tmp_path / "undecodable.csv"
+    undecodable.write_bytes(",".join(branch_csv_header(4)).encode() + b"\r\n0,\xff\r\n")
+    assert main(["verify", "--config", path, str(undecodable)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read branch file {undecodable}: 'utf-8' codec")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # a field above the csv module's size limit
+    oversized = tmp_path / "oversized.csv"
+    oversized.write_text(",".join(branch_csv_header(4)) + "\r\n" + "1" * 200_000 + "\r\n",
+                         encoding="utf-8")
+    assert main(["verify", "--config", path, str(oversized)]) == 2
+    assert capsys.readouterr().err == f"cannot read branch file {oversized}: " \
+        "field larger than field limit (131072)\n"
+    assert not (tmp_path / "out").exists()
     main(["continue", "--config", path])
     run_dir = tmp_path / "out" / "test-run"
     csv_path = run_dir / "branch.csv"

@@ -35,6 +35,7 @@ from reference import stacked_newton, stacked_tangent
 
 
 EPS = 0.01
+TOL = ContinuationConfig().newton_tol  # the walks' corrector tolerance
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +153,7 @@ def test_newton_bordered_mode(quintic, dissipative_system):
                            BoundaryKind.OFF_SITE)
     seed = newton_correct(system, build_seed(quintic, 0.5, EPS, ansatz,
                                              CouplingKind.dissipative()))
-    t = branch_tangent(system, seed, direction=+1)
+    t = branch_tangent(system, seed, direction=+1, newton_tol=TOL)
     ds = 0.01
     x_prev = seed.pack()
     corrected = newton_correct(
@@ -168,12 +169,12 @@ def test_tangent_is_unit_null_vector(quintic, dissipative_system):
                            BoundaryKind.OFF_SITE)
     seed = newton_correct(system, build_seed(quintic, 0.5, EPS, ansatz,
                                              CouplingKind.dissipative()))
-    t = branch_tangent(system, seed, direction=+1)
+    t = branch_tangent(system, seed, direction=+1, newton_tol=TOL)
     assert np.linalg.norm(t) == pytest.approx(1.0, abs=1e-12)
     assert t[-1] > 0.0  # oriented toward increasing mu
     jac = system.jacobian(seed)
     assert np.max(np.abs(jac @ t)) <= 1e-8
-    t_down = branch_tangent(system, seed, direction=-1)
+    t_down = branch_tangent(system, seed, direction=-1, newton_tol=TOL)
     assert t_down[-1] < 0.0
 
 
@@ -182,12 +183,14 @@ def test_bordered_tangent_matches_svd_reference(small_snake, dissipative_system)
     # the SVD projection define the same unit null vector.
     branch, _, seed = small_snake
     for direction in (-1, 1):
-        assert np.allclose(branch_tangent(dissipative_system, seed, direction=direction),
+        assert np.allclose(branch_tangent(dissipative_system, seed, direction=direction,
+                                          newton_tol=TOL),
                            svd_tangent(dissipative_system, seed, direction=direction),
                            rtol=0.0, atol=1e-10)
     walk = [p for p in branch.points if not p.is_fold]
     for prev, p in zip(walk[:-1], walk[1:]):
-        got = branch_tangent(dissipative_system, p.state, prev_tangent=prev.tangent)
+        got = branch_tangent(dissipative_system, p.state, prev_tangent=prev.tangent,
+                             newton_tol=TOL)
         want = svd_tangent(dissipative_system, p.state, prev_tangent=prev.tangent)
         assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -197,7 +200,8 @@ def test_walk_tangent_close_to_fresh_tangent(small_snake, dissipative_system):
     branch, _, _ = small_snake
     walk = [p for p in branch.points if not p.is_fold]
     for prev, p in zip(walk[:-1], walk[1:]):
-        fresh = branch_tangent(dissipative_system, p.state, prev_tangent=prev.tangent)
+        fresh = branch_tangent(dissipative_system, p.state, prev_tangent=prev.tangent,
+                               newton_tol=TOL)
         assert np.max(np.abs(p.tangent - fresh)) <= 1e-3
 
 
@@ -209,6 +213,9 @@ def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
         "system", "state", "mode", "tol", "max_iter"]
     assert list(inspect.signature(branch_tangent).parameters) == [
         "system", "state", "prev_tangent", "direction", "newton_tol"]
+    # no default: every caller passes the corrector's tolerance
+    assert inspect.signature(branch_tangent).parameters["newton_tol"].default \
+        is inspect.Parameter.empty
     snake, _, seed = small_snake
     isola, _, isola_system = small_isola
     ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 10)
@@ -229,8 +236,10 @@ def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
     assert got.state.pack().tobytes() == stacked_newton(
         dissipative_system, tail)[0].pack().tobytes()
     for direction in (-1, 1):
-        assert branch_tangent(dissipative_system, seed, direction=direction).tobytes() \
-            == stacked_tangent(dissipative_system, seed, direction=direction).tobytes()
+        assert branch_tangent(dissipative_system, seed, direction=direction,
+                              newton_tol=TOL).tobytes() \
+            == stacked_tangent(dissipative_system, seed, direction=direction,
+                               newton_tol=TOL).tobytes()
     for branch, system in ((snake, dissipative_system), (isola, isola_system)):
         walk = [p for p in branch.points if not p.is_fold]
         for prev, p in zip(walk[:-1], walk[1:]):
@@ -245,9 +254,9 @@ def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
             assert got.state.pack().tobytes() == want_state.pack().tobytes()
             if want_it:
                 assert got.tangent.tobytes() == want_t.tobytes()
-            got_t = branch_tangent(system, p.state, prev_tangent=prev.tangent)
+            got_t = branch_tangent(system, p.state, prev_tangent=prev.tangent, newton_tol=TOL)
             assert got_t.tobytes() == stacked_tangent(
-                system, p.state, prev_tangent=prev.tangent).tobytes()
+                system, p.state, prev_tangent=prev.tangent, newton_tol=TOL).tobytes()
 
 
 def test_newton_iterate_is_one_residual_and_one_bordered_jacobian(
@@ -272,7 +281,7 @@ def test_newton_iterate_is_one_residual_and_one_bordered_jacobian(
     assert out.iterations > 0
     assert calls == {"residual": out.iterations + 1, "jacobian": out.iterations,
                      "border": 0}
-    t = branch_tangent(dissipative_system, out.state, direction=+1)
+    t = branch_tangent(dissipative_system, out.state, direction=+1, newton_tol=TOL)
     calls.update(residual=0, jacobian=0, border=0)
     x_prev = out.state.pack()
     step = _attempt_step(dissipative_system, ContinuationConfig(), x_prev, t, 0.01)
@@ -303,7 +312,7 @@ def test_non_finite_predictor_fails_before_iterating(quintic, dissipative_system
     ansatz = SeedAnsatz(2, ("plus",) * 2, "in_phase", BoundaryKind.OFF_SITE, 6)
     seed = newton_correct(dissipative_system, build_seed(
         quintic, 0.5, EPS, ansatz, CouplingKind.dissipative()))
-    t = branch_tangent(dissipative_system, seed, direction=+1)
+    t = branch_tangent(dissipative_system, seed, direction=+1, newton_tol=TOL)
     monkeypatch.setattr(continuation, "residual", no_call)
     for bad in (np.nan, np.inf, -np.inf):
         tangent = t.copy()
@@ -323,9 +332,36 @@ def test_tangent_at_eps_zero_pins_every_phase(quintic):
     prof = bistable_roots(quintic, 0.6)
     st = PolarState([prof.r_plus, prof.r_minus, 0.0], [0.3, -0.2], 0.0, 0.6)
     assert _dead_interfaces(st, 0.0, 1e-10).all()
-    t = branch_tangent(system, st, direction=+1)
+    t = branch_tangent(system, st, direction=+1, newton_tol=TOL)
     assert np.all(t[3:5] == 0.0) and t[-1] > 0.0
     assert np.max(np.abs(system.jacobian(st) @ t)) <= 1e-12
+
+
+def test_tangents_pin_the_phases_the_corrector_pins(quintic):
+    # At newton_tol 1e-8 the corrector pins one more tail phase of this
+    # isola's seed than the 1e-10 rule does, and that phase moves the
+    # tangent: the walk's and the fold trials' tangents must use the former.
+    bc, c = BoundaryKind.ON_SITE, CouplingKind.conservative()
+    system = LatticeSystem(quintic, c, EPS, bc)
+    cfg = ContinuationConfig(ds_init=0.01, ds_max=0.05, newton_tol=1e-8)
+    ansatz = SeedAnsatz(1, ("plus",), "conservative", bc, 10)
+    seed = newton_correct(system, build_seed(quintic, 0.5, EPS, ansatz, c),
+                          tol=cfg.newton_tol)
+    assert _dead_interfaces(seed, EPS, 1e-8).sum() > _dead_interfaces(seed, EPS, 1e-10).sum()
+    pinned = branch_tangent(system, seed, direction=+1, newton_tol=1e-8)
+    assert pinned.tobytes() != branch_tangent(system, seed, direction=+1,
+                                              newton_tol=1e-10).tobytes()
+    branch = continue_branch(system, seed, +1, cfg)
+    assert branch.points[0].tangent.tobytes() == pinned.tobytes()
+    walk = [p for p in branch.points if not p.is_fold]
+    refined = [p for p in branch.folds if p.refined]
+    assert len(refined) == 4
+    for fold in refined:  # a refined fold keeps its trial's tangent
+        left = max((p for p in walk if p.arclength < fold.arclength),
+                   key=lambda p: p.arclength)
+        assert fold.tangent.tobytes() == branch_tangent(
+            system, fold.state, prev_tangent=left.tangent,
+            newton_tol=cfg.newton_tol).tobytes()
 
 
 def test_continuation_makes_no_svd(quintic, dissipative_system, monkeypatch):
@@ -452,7 +488,7 @@ def test_fold_refinement_tangent_tolerance(small_snake, dissipative_system, quin
     for rec in branch.folds:
         nearest = min(walk, key=lambda p: abs(p.arclength - rec.arclength))
         t = branch_tangent(dissipative_system, rec.state,
-                           prev_tangent=nearest.tangent)
+                           prev_tangent=nearest.tangent, newton_tol=TOL)
         assert abs(t[-1]) <= 10 * cfg.fold_refine_tol
 
 

@@ -185,10 +185,10 @@ def test_rotation_deviation_bitwise_equal_to_integrate(quintic, quintic_rotating
 def _oracle_cases(spec):
     """(z0, mu, rho, n_steps, dt) batches for the bitwise comparisons."""
     # amplitudes up to r_+ and a step well inside RK4's stability region
-    prof = bistable_roots(spec, 0.5)
-    dt = 0.05 / abs(prof.r_plus * prof.lambda_r_plus)
+    r_plus = bistable_roots(spec, 0.5).r_plus
+    dt = 0.05 / abs(r_plus * spec.lam_r(r_plus, 0.5))
     rng = np.random.default_rng(7)
-    z0 = prof.r_plus * rng.uniform(0.0, 1.0, (4, 6)) \
+    z0 = r_plus * rng.uniform(0.0, 1.0, (4, 6)) \
         * np.exp(1j * rng.uniform(-0.3, 0.3, (4, 6)))
     mu, rho = [0.3, 0.5, 0.6, 0.7], [0.0, 0.3, -0.2, 1.0]
     # a start at |z| = 1e100 is non-finite after one step, one at |z| = 3
@@ -254,13 +254,13 @@ def test_spectrum_uncoupled_nodes(quintic):
     st_plus = PolarState([prof.r_plus, 0.0], [0.0], 0.0, 0.5)
     eigs = linearization_spectrum(quintic, CouplingKind.dissipative(), st_plus,
                                   0.0, BoundaryKind.OFF_SITE)
-    expected = prof.r_plus * prof.lambda_r_plus
+    expected = prof.r_plus * quintic.lam_r(prof.r_plus, 0.5)
     assert np.min(np.abs(eigs - expected)) <= 1e-8
     assert expected < 0.0
     st_minus = PolarState([prof.r_minus, 0.0], [0.0], 0.0, 0.5)
     eigs_m = linearization_spectrum(quintic, CouplingKind.dissipative(), st_minus,
                                     0.0, BoundaryKind.OFF_SITE)
-    unstable = prof.r_minus * prof.lambda_r_minus
+    unstable = prof.r_minus * quintic.lam_r(prof.r_minus, 0.5)
     assert np.min(np.abs(eigs_m - unstable)) <= 1e-8
     assert unstable > 0.0
 

@@ -6,12 +6,12 @@ import pytest
 from conftest import quintic_roots
 from locsync.model import (
     ModelError,
+    NonlinearitySpec,
     NotBistableError,
     ParameterRangeError,
     UnknownSpecError,
     bistable_roots,
     builtin_spec,
-    polynomial_spec,
     rest_state_roots,
 )
 
@@ -48,18 +48,12 @@ def test_bistable_roots_quintic(quintic):
     rm, rp = quintic_roots(0.75)
     assert prof.r_minus == pytest.approx(rm, rel=1e-12)
     assert prof.r_plus == pytest.approx(rp, rel=1e-12)
-    # lambda_r = 4r - 4r^3 at the roots
-    assert prof.lambda_r_plus == pytest.approx(4 * rp - 4 * rp**3, rel=1e-10)
-    assert prof.lambda_r_minus == pytest.approx(4 * rm - 4 * rm**3, rel=1e-10)
-    assert prof.lambda_r_plus == pytest.approx(-2.449489742783178, abs=1e-9)
-    assert prof.lambda_r_minus == pytest.approx(1.4142135623730951, abs=1e-9)
-    assert prof.lambda_at_zero == -0.75
-    assert not prof.near_fold
+    assert tuple(prof) == (prof.r_minus, prof.r_plus)
 
 
 def test_bistable_roots_fold_limit(quintic):
-    prof = bistable_roots(quintic, 1.0)
-    assert prof.near_fold
+    prof = bistable_roots(quintic, 1.0)  # the coincident pair, not an error
+    assert prof.r_plus - prof.r_minus < 1e-6
     assert prof.r_minus == pytest.approx(1.0, abs=1e-6)
     assert prof.r_plus == pytest.approx(1.0, abs=1e-6)
 
@@ -71,7 +65,7 @@ def test_bistable_roots_range_error(quintic, mu):
 
 
 def test_bistable_roots_monostable():
-    mono = polynomial_spec([0.0, 1.0], mu_coefficient=-1.0, name="monostable")
+    mono = NonlinearitySpec("monostable", [0.0, 1.0], mu_coefficient=-1.0)
     with pytest.raises(NotBistableError, match="one positive root"):
         bistable_roots(mono, 0.5)
 
@@ -105,24 +99,23 @@ def test_monotone_bracketing(quintic):
 BISTABILITY_GRID = np.linspace(0.1, 0.9, 9)
 
 
-@pytest.mark.parametrize("spec, root_count", [
-    (builtin_spec("quintic"), 2),
-    (builtin_spec("hbm"), 2),
-    (polynomial_spec([0.0, 1.0], mu_coefficient=-1.0, name="monostable"), 1),
-    (polynomial_spec([-1.0], name="no_roots"), 0),
+@pytest.mark.parametrize("spec, found", [
+    (builtin_spec("quintic"), None),
+    (builtin_spec("hbm"), None),
+    (NonlinearitySpec("monostable", [0.0, 1.0], mu_coefficient=-1.0), "one positive root"),
+    (NonlinearitySpec("no_roots", [-1.0]), "no positive roots"),
 ], ids=["quintic", "hbm", "monostable", "no_roots"])
-def test_bistability_hypotheses(spec, root_count):
-    if root_count != 2:
+def test_bistability_hypotheses(spec, found):
+    if found is not None:
         for mu in BISTABILITY_GRID:
-            with pytest.raises(NotBistableError) as exc:
+            with pytest.raises(NotBistableError, match=f"not bistable at mu={mu}: {found}$"):
                 bistable_roots(spec, mu)
-            assert exc.value.root_count == root_count
         return
     profiles = [bistable_roots(spec, mu) for mu in BISTABILITY_GRID]
-    for p in profiles:
+    for mu, p in zip(BISTABILITY_GRID, profiles):
         assert 0.0 < p.r_minus < p.r_plus
-        assert p.lambda_at_zero < 0.0
-        assert p.lambda_r_plus < 0.0 < p.lambda_r_minus
+        assert spec.lam(0.0, mu) < 0.0
+        assert spec.lam_r(p.r_plus, mu) < 0.0 < spec.lam_r(p.r_minus, mu)
     # r_- rises out of the pitchfork at mu = 0; the gap closes toward mu = 1
     r_minus = [p.r_minus for p in profiles]
     gap = [p.r_plus - p.r_minus for p in profiles]
@@ -136,17 +129,17 @@ def test_rest_state_roots(quintic):
     assert rp == pytest.approx(np.sqrt(2.0), rel=1e-10)
 
 
-def test_polynomial_spec_matches_quintic(quintic):
-    poly = polynomial_spec([0.0, 2.0, -1.0], mu_coefficient=-1.0)
+def test_polynomial_lambda_matches_quintic(quintic):
+    poly = NonlinearitySpec("polynomial", [0.0, 2.0, -1.0], mu_coefficient=-1.0)
     for r in (0.0, 0.4, 1.3):
         for mu in (0.1, 0.8):
             assert poly.lam(r, mu) == pytest.approx(quintic.lam(r, mu), abs=1e-14)
             assert poly.lam_r(r, mu) == pytest.approx(quintic.lam_r(r, mu), abs=1e-14)
 
 
-def test_polynomial_spec_literal_meaning():
+def test_polynomial_lambda_literal_meaning():
     # the documented file-interface form: lambda = c0 + c1 r^2 + c2 r^4
-    poly = polynomial_spec([0.5, -1.0, 0.25], omega0_const=2.0)
+    poly = NonlinearitySpec("polynomial", [0.5, -1.0, 0.25], omega0=2.0)
     r = 1.2
     assert poly.lam(r, 0.7) == pytest.approx(0.5 - r**2 + 0.25 * r**4)
     assert poly.omega0 == 2.0
@@ -185,18 +178,24 @@ def test_linear_omega1_bitwise_equal_to_closure(quintic_rotating, c):
     builtin_spec("quintic"),
     builtin_spec("quintic_rotating"),
     builtin_spec("hbm"),
-    polynomial_spec([0.5, -1.0, 0.25], omega0_const=2.0, mu_coefficient=0.3),
+    NonlinearitySpec("polynomial", [0.5, -1.0, 0.25], mu_coefficient=0.3, omega0=2.0),
     builtin_spec("quintic").with_omega1((0.0, 1.0), name="quintic+omega1[1.0*r]"),
+    pytest.param(NonlinearitySpec("quintic", [0, 2, -1], mu_coefficient=-1),
+                 id="quintic_from_ints"),
 ], ids=lambda spec: spec.name)
 def test_spec_pickles_hashes_and_compares_equal(spec):
     copy = pickle.loads(pickle.dumps(spec))
     assert copy == spec
     assert hash(copy) == hash(spec)
+    if spec.name == "quintic":  # ints are stored as the floats the built-in has
+        quintic = builtin_spec("quintic")
+        assert spec == quintic and hash(spec) == hash(quintic)
+        assert pickle.dumps(spec) == pickle.dumps(quintic)
 
 
 def test_all_zero_lambda_coefficients_rejected():
     with pytest.raises(ModelError, match="every lambda coefficient"):
-        polynomial_spec([0.0, 0.0], mu_coefficient=-1.0)
+        NonlinearitySpec("polynomial", [0.0, 0.0], mu_coefficient=-1.0)
 
 
 def test_quintic_bitwise_equal_to_closed_form(quintic):
@@ -220,7 +219,7 @@ def test_quintic_bitwise_equal_to_closed_form(quintic):
 
 @pytest.mark.parametrize("spec", [
     builtin_spec("hbm"),
-    polynomial_spec([0.3, 1.5, -2.0, 0.4], mu_coefficient=0.7),
+    NonlinearitySpec("polynomial", [0.3, 1.5, -2.0, 0.4], mu_coefficient=0.7),
 ], ids=lambda spec: spec.name)
 def test_derivatives_match_finite_differences(spec):
     r = np.linspace(0.05, 1.5, 30)
@@ -234,10 +233,9 @@ def test_derivatives_match_finite_differences(spec):
 
 def test_bistable_roots_above_r_10():
     # r- = 5.412 and r+ = 13.066: r+ lies beyond any fixed search window
-    spec = polynomial_spec([0.0, 0.02, -1e-4], mu_coefficient=-1.0)
+    spec = NonlinearitySpec("polynomial", [0.0, 0.02, -1e-4], mu_coefficient=-1.0)
     prof = bistable_roots(spec, 0.5)
     u_minus, u_plus = 100.0 - 50.0 * np.sqrt(2.0), 100.0 + 50.0 * np.sqrt(2.0)
     assert prof.r_minus == pytest.approx(np.sqrt(u_minus), rel=1e-13)
     assert prof.r_plus == pytest.approx(np.sqrt(u_plus), rel=1e-13)
-    assert prof.lambda_r_plus < 0.0 < prof.lambda_r_minus
-    assert not prof.near_fold
+    assert spec.lam_r(prof.r_plus, 0.5) < 0.0 < spec.lam_r(prof.r_minus, 0.5)

@@ -355,11 +355,9 @@ def cmd_continue(rc: RunConfig) -> int:
     _write_json(summary, out / "summary.json")
     print(f"{rc.run_id}: closure={branch.closure} folds={len(branch.folds)} "
           f"points={len(branch.points)}")
-    if branch.closure == continuation.OPEN:
-        print(f"{rc.run_id}: branch ended open at mu={branch.points[-1].state.mu!r}",
-              file=sys.stderr)
-        return 1
-    return 0
+    for mu in branch.open_ends:
+        print(f"{rc.run_id}: branch ended open at mu={mu!r}", file=sys.stderr)
+    return 1 if branch.closure == continuation.OPEN else 0
 
 
 def cmd_seed(rc: RunConfig) -> int:

@@ -15,6 +15,7 @@ is never merged.  Identical inputs give bitwise-identical branches.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -152,6 +153,13 @@ class _NewtonOutcome(NamedTuple):
     state: PolarState
     iterations: int
     tangent: np.ndarray | None  # bordered: tangent column of the last solve
+    x: np.ndarray  # state.pack(), bit for bit
+    solid: np.ndarray | None = None  # _attempt_step: the state's _solid_mask
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector, the sqrt(v . v) np.linalg.norm takes."""
+    return math.sqrt(v.dot(v))
 
 
 def _dead_interfaces(state: PolarState, eps: float, tol: float) -> np.ndarray:
@@ -165,8 +173,8 @@ def _dead_interfaces(state: PolarState, eps: float, tol: float) -> np.ndarray:
     """
     if eps <= 0.0:
         return np.ones(state.n - 1, dtype=bool)
-    thr = 0.1 * tol / eps
-    return np.maximum(np.abs(state.r[:-1]), np.abs(state.r[1:])) < thr
+    r = np.abs(state.r)
+    return np.maximum(r[:-1], r[1:]) < 0.1 * tol / eps
 
 
 SOLID_PHASE_AMPLITUDE = 1e-3
@@ -181,21 +189,21 @@ def _solid_mask(state: PolarState) -> np.ndarray:
     are only determined up to solver noise.
     """
     n = state.n
+    r = np.abs(state.r)
     mask = np.ones(2 * n + 1, dtype=bool)
-    pair_max = np.maximum(np.abs(state.r[:-1]), np.abs(state.r[1:]))
-    mask[n: 2 * n - 1] = pair_max >= SOLID_PHASE_AMPLITUDE
+    mask[n: 2 * n - 1] = np.maximum(r[:-1], r[1:]) >= SOLID_PHASE_AMPLITUDE
     return mask
 
 
-def _solid_unit(t: np.ndarray, state: PolarState) -> np.ndarray:
-    """t with non-solid coordinates zeroed, normalized.
+def _solid_unit(t: np.ndarray, solid: np.ndarray) -> np.ndarray:
+    """t with the coordinates outside the ``_solid_mask`` zeroed, normalized.
 
     The physical branch direction lives in the solid coordinates; keeping
     gray tail-phase components would let solver noise accumulate into the
     tangent step after step.
     """
-    t = np.where(_solid_mask(state), t, 0.0)
-    norm = float(np.linalg.norm(t))
+    t = np.where(solid, t, 0.0)
+    norm = _norm(t)
     if not norm >= 1e-8:
         raise SingularJacobian("tangent vanishes on the solid coordinates")
     return t / norm
@@ -209,20 +217,22 @@ class _PackedView:
 
     def __init__(self, x: np.ndarray, n: int):
         self.r, self.phi, self.n = x[:n], x[n: 2 * n - 1], n
-        self.rho, self.mu = float(x[2 * n - 1]), float(x[2 * n])
+        self.rho, self.mu = x.item(2 * n - 1), x.item(2 * n)
 
 
 def _newton_solve(system: LatticeSystem, state: PolarState | np.ndarray, mode,
                   tol: float, max_iter: int) -> _NewtonOutcome:
     """Newton from a state or its packed vector; one residual, and unless it
-    converged one bordered Jacobian, per iterate, sharing ``point_terms``."""
-    x = state.pack() if isinstance(state, PolarState) else state
-    if not np.all(np.isfinite(x)):
+    converged one bordered Jacobian, per iterate, sharing ``point_terms``.
+    It updates its own copy of the vector in place and hands it back as ``x``."""
+    x = state.pack() if isinstance(state, PolarState) else np.array(state, dtype=float)
+    if not np.isfinite(x).all():
         raise LatticeError("non-finite entries in state")
     n = (x.size - 1) // 2
     bordered = isinstance(mode, Bordered)
     if not bordered and mode != FIXED_MU:
         raise ValueError(f"unknown Newton mode {mode!r}")
+    spec, c, eps, bc = system.spec, system.coupling, system.eps, system.bc
 
     # Converge a notch below tol so that pinning dead tail phases (which
     # perturbs the residual by at most 0.4 tol) cannot push a reported
@@ -231,46 +241,44 @@ def _newton_solve(system: LatticeSystem, state: PolarState | np.ndarray, mode,
     tangent = None
     for it in range(max_iter + 1):
         current = _PackedView(x, n)
-        terms = point_terms(system.spec, current, system.eps, system.bc)
-        f = system.residual(current, terms)
+        terms = point_terms(spec, current, eps, bc)
+        f = residual(spec, c, current, eps, bc, terms)
+        err = np.abs(f).max()
         if bordered:
-            cons = float(np.dot(x - mode.x_prev, mode.tangent)) - mode.ds
-            converged = max(np.max(np.abs(f)), abs(cons)) <= conv_tol
-        else:
-            converged = np.max(np.abs(f)) <= conv_tol
-        if converged:
-            out = PolarState.unpack(x, n)  # a copy: pin its dead phases in place
-            out.phi[_dead_interfaces(out, system.eps, tol)] = 0.0
-            if np.min(out.r) < -1e-9:
+            cons = float((x - mode.x_prev).dot(mode.tangent)) - mode.ds
+            err = max(err, abs(cons))
+        if err <= conv_tol:
+            current.phi[_dead_interfaces(current, eps, tol)] = 0.0  # in x
+            out = PolarState(current.r, current.phi, current.rho, current.mu)  # a copy
+            if out.r.min() < -1e-9:
                 # Exact only for r-even nonlinearities; keep the raw state if
                 # an odd omega part would push the residual back over tol.
                 flipped = canonicalize(out)
-                if float(np.max(np.abs(system.residual(flipped)))) <= tol:
-                    out = flipped
-            return _NewtonOutcome(out, it, tangent)
+                if system.residual_norm(flipped) <= tol:
+                    out, x = flipped, flipped.pack()
+            return _NewtonOutcome(out, it, tangent, x)
         if it == max_iter:
             break
 
         if bordered:
             # second column: the tangent [J; t_prev] t = e_last, for free
-            a = system.jacobian(current, terms, border=mode.tangent)
+            a = jacobian(spec, c, current, eps, bc, terms, mode.tangent)
             rhs = np.zeros((2 * n + 1, 2))
-            rhs[:-1, 0] = -f
-            rhs[-1] = -cons, 1.0
+            np.negative(f, out=rhs[:-1, 0])
+            rhs[-1, 0], rhs[-1, 1] = -cons, 1.0
         else:
-            a = system.jacobian(current, terms)[:, : 2 * n]
+            a = jacobian(spec, c, current, eps, bc, terms)[:, : 2 * n]
             rhs = -f[:, None]
         sol = _solve(a, rhs)
         delta = sol[:, 0]
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             raise SingularJacobian("non-finite Newton step")
         if bordered:
             tangent = sol[:, 1]
-            x = x + delta
+            x += delta
         else:
-            x = x.copy()
             x[: 2 * n] += delta
-        x[n: 2 * n - 1] = wrap_phase(x[n: 2 * n - 1])
+        wrap_phase(current.phi)
 
     raise NoConvergence(f"Newton did not reach tol={tol} within {max_iter} iterations")
 
@@ -325,7 +333,7 @@ def branch_tangent(
     rhs[-1] = 1.0
     t = _solve(a, rhs)[:, 0]
     t[n + j] = 0.0
-    return _solid_unit(t, state)
+    return _solid_unit(t, _solid_mask(state))
 
 
 @dataclass(frozen=True)
@@ -346,6 +354,7 @@ class BranchPoint:
 class Branch:
     points: list[BranchPoint]
     closure: str = OPEN
+    open_ends: tuple[float, ...] = ()  # mu of each end whose run stopped open
 
     @property
     def folds(self) -> list[BranchPoint]:
@@ -366,12 +375,12 @@ def _attempt_step(system, config, x_prev, tangent, ds, guess=None):
     # along the branch.  Halving ds then also adapts to fold curvature.
     # Only solid coordinates count; tail phases drift freely at solver noise.
     solid = _solid_mask(outcome.state)
-    drift = float(np.linalg.norm((outcome.state.pack() - predictor)[solid]))
+    drift = _norm((outcome.x - predictor)[solid])
     if drift > 2.0 * abs(ds):
         raise NoConvergence(
             f"corrector drifted {drift:.3e} from the predictor at ds={ds:.3e}"
         )
-    return outcome
+    return outcome._replace(solid=solid)
 
 
 def continue_branch(
@@ -398,7 +407,7 @@ def continue_branch(
     tangent = branch_tangent(system, seed, direction=direction,
                              newton_tol=config.newton_tol)
     points = [BranchPoint(seed.copy(), 0.0, tangent, False, 0)]
-    x_start = seed.pack()
+    x_start = x_prev = seed.pack()
     solid_start = _solid_mask(seed)
     arclength = 0.0
     ds = config.ds_init
@@ -410,7 +419,6 @@ def continue_branch(
             break
 
         prev = points[-1]
-        x_prev = prev.state.pack()
         outcome = None
         while True:
             try:
@@ -424,20 +432,19 @@ def continue_branch(
             termination = OPEN
             break
 
-        new_state = outcome.state
-        x_new = new_state.pack()
+        new_state, x_new = outcome.state, outcome.x
         try:
             # The corrector's final solve already carries the tangent, with
             # t . t_prev = 1 fixing its orientation; it is one Newton step
             # stale, which the walk tolerates and fold refinement does not.
-            if outcome.iterations and np.all(np.isfinite(outcome.tangent)):
-                new_tangent = _solid_unit(outcome.tangent, new_state)
+            if outcome.iterations and np.isfinite(outcome.tangent).all():
+                new_tangent = _solid_unit(outcome.tangent, outcome.solid)
             else:
                 new_tangent = branch_tangent(system, new_state, prev_tangent=prev.tangent,
                                              newton_tol=config.newton_tol)
         except SingularJacobian:
             secant = x_new - x_prev
-            norm = float(np.linalg.norm(secant))
+            norm = _norm(secant)
             if norm == 0.0:
                 termination = OPEN
                 break
@@ -446,6 +453,7 @@ def continue_branch(
         arclength += ds
         points.append(BranchPoint(new_state, arclength, new_tangent, False,
                                   outcome.iterations))
+        x_prev = x_new
 
         if outcome.iterations <= 3:
             ds = min(ds * 1.3, config.ds_max)
@@ -456,18 +464,18 @@ def continue_branch(
             break
 
         if arclength > 10.0 * config.ds_init:
-            gap = float(np.linalg.norm((x_new - x_start)[solid_start]))
+            gap = _norm((x_new - x_start)[solid_start])
             if gap < max(2.0 * ds, 2.0 * config.ds_init):
                 landing = _attempt_closure(system, config, x_new, new_tangent,
                                            x_start, solid_start)
                 if landing is not None:
-                    arclength += float(np.linalg.norm(landing.state.pack() - x_new))
+                    arclength += _norm(landing.x - x_new)
                     points.append(BranchPoint(landing.state, arclength, new_tangent,
                                               False, landing.iterations))
                     termination = CLOSED_ISOLA
                     break
 
-    branch = Branch(points=points, closure=termination or OPEN)
+    branch = Branch(points, termination, (points[-1].mu,) if termination == OPEN else ())
     branch.points += detect_folds(branch, system, config)
     branch.points.sort(key=lambda p: (p.arclength, not p.is_fold))
     return branch
@@ -482,7 +490,7 @@ def _attempt_closure(system, config, x_from, tangent, x_start, solid_start):
                                 config.newton_tol, config.newton_max_iter)
     except (NoConvergence, SingularJacobian):
         return None
-    gap = float(np.linalg.norm((outcome.state.pack() - x_start)[solid_start]))
+    gap = _norm((outcome.x - x_start)[solid_start])
     if gap < config.closure_tol:
         return outcome
     return None
@@ -491,7 +499,7 @@ def _attempt_closure(system, config, x_from, tangent, x_start, solid_start):
 def _bracket_guess(lo: list, hi: list, s: float) -> np.ndarray:
     """The state at s between bracket ends (s, t_mu, state), phases wrapped."""
     step, n = hi[2] - lo[2], lo[2].size // 2
-    step[n: 2 * n - 1] = wrap_phase(step[n: 2 * n - 1])
+    wrap_phase(step[n: 2 * n - 1])
     return lo[2] + (s - lo[0]) / (hi[0] - lo[0] or 1.0) * step  # a collapsed bracket: lo
 
 
@@ -558,7 +566,7 @@ def detect_folds(
                 refined = True
                 break
             moved, other = (lo, hi) if np.sign(tmu) == sign_left else (hi, lo)
-            moved[:] = trial, tmu, outcome.state.pack()
+            moved[:] = trial, tmu, outcome.x
             if other is kept:
                 other[1] *= 0.5
             kept = other
@@ -572,7 +580,8 @@ def merge_branches(minus: Branch, plus: Branch) -> Branch:
 
     The minus-direction points are reversed and re-parametrized so the
     merged arclength increases monotonically.  A run that closed is a whole
-    isola and is never merged.
+    isola and is never merged.  The merged closure is the worse end's:
+    open over step_limit over window_exit, so a failed end is never hidden.
     """
     offset = minus.points[-1].arclength
     points: list[BranchPoint] = []
@@ -583,5 +592,5 @@ def merge_branches(minus: Branch, plus: Branch) -> Branch:
     for p in plus.points[1:]:
         points.append(replace(p, arclength=offset + p.arclength))
     reasons = {minus.closure, plus.closure}
-    closure = next((c for c in (WINDOW_EXIT, STEP_LIMIT) if c in reasons), OPEN)
-    return Branch(points=points, closure=closure)
+    closure = next((c for c in (OPEN, STEP_LIMIT, WINDOW_EXIT) if c in reasons), OPEN)
+    return Branch(points, closure, minus.open_ends + plus.open_ends)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +52,8 @@ class BoundaryKind(enum.Enum):
     ON_SITE = "on_site"
     OFF_SITE = "off_site"
 
-    @property
-    def mirror(self) -> int:
-        return int(self is BoundaryKind.ON_SITE)
+    def __init__(self, value: str):
+        self.mirror = int(value == "on_site")  # a plain attribute: read per iterate
 
 
 @dataclass(frozen=True)
@@ -88,17 +88,17 @@ class PolarState:
     mu: float
 
     def __post_init__(self):
-        self.r = np.atleast_1d(np.asarray(self.r, dtype=float)).copy()
-        self.phi = np.atleast_1d(np.asarray(self.phi, dtype=float)).copy() \
-            if np.size(self.phi) else np.zeros(0)
+        self.r = np.array(self.r, dtype=float, ndmin=1)  # a copy
+        self.phi = np.array(self.phi, dtype=float, ndmin=1) if np.size(self.phi) \
+            else np.zeros(0)
         self.rho = float(self.rho)
         self.mu = float(self.mu)
         if self.phi.shape != (self.r.size - 1,):
             raise LatticeError(
                 f"need len(phi) = len(r) - 1, got {self.phi.size} and {self.r.size}"
             )
-        if not (np.all(np.isfinite(self.r)) and np.all(np.isfinite(self.phi))
-                and np.isfinite(self.rho) and np.isfinite(self.mu)):
+        if not (np.isfinite(self.r).all() and np.isfinite(self.phi).all()
+                and math.isfinite(self.rho) and math.isfinite(self.mu)):
             raise LatticeError("non-finite entries in state")
 
     @property
@@ -164,15 +164,15 @@ def polar_to_complex(state: PolarState) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _stencil_plan(n: int, bc: BoundaryKind) -> np.ndarray:
+def _stencil_plan(n: int, mirror: int) -> np.ndarray:
     """Flat (2N, 2N + 1) index of the real then imaginary part of each complex
     value ``jacobian`` scatters, in order: amplitude row, then phase row."""
     node = np.arange(n)
-    keep = slice(1 - bc.mirror, None)  # phi0 = -phi1 on-site, 0 off-site
+    keep = slice(1 - mirror, None)  # phi0 = -phi1 on-site, 0 off-site
     phi = n + node[:-1]  # phi_N = 0 is constant: no right phi at the last node
     rows = (node, node, node[:-1], node, node[keep])
     cols = (node, np.minimum(node + 1, n - 1),  # the ghost r_{N+1} = r_N
-            phi, np.r_[bc.mirror, node[:-1]],  # the ghost r0 = r[mirror]
+            phi, np.r_[mirror, node[:-1]],  # the ghost r0 = r[mirror]
             np.r_[n, phi][keep])
     amplitude = np.concatenate([2 * (2 * n + 1) * i + j for i, j in zip(rows, cols)])
     plan = np.stack([amplitude, amplitude + 2 * n + 1], axis=1).ravel()  # phase row below
@@ -215,19 +215,22 @@ def jacobian(
     # the scatter, which would turn their -0.0 at r_n = 0 into 0.0.  A flat
     # index of the (2N, 2N + 1) plan is the same entry of the bordered matrix.
     rows = 2 * n + (border is not None)
-    J = np.bincount(_stencil_plan(n, bc), values.view(float),
+    J = np.bincount(_stencil_plan(n, bc.mirror), values.view(float),
                     rows * (2 * n + 1)).reshape(rows, -1)
-    J[1:2 * n:2, 2 * n - 1] = -r
-    J[0:2 * n:2, 2 * n] = spec.mu_coefficient * r  # omega does not depend on mu
+    np.negative(r, out=J[1:2 * n:2, 2 * n - 1])
+    np.multiply(spec.mu_coefficient, r, out=J[0:2 * n:2, 2 * n])  # omega has no mu
     if border is not None:
         J[2 * n] = border
     return J
 
 
 def wrap_phase(phi: np.ndarray) -> np.ndarray:
-    """Wrap angles into (-pi, pi]."""
-    w = np.mod(np.asarray(phi, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-    return np.where(w == -np.pi, np.pi, w)
+    """Wrap angles into (-pi, pi], in place for a float array; returns it."""
+    w = np.asarray(phi, dtype=float)
+    np.mod(np.add(w, np.pi, out=w), 2.0 * np.pi, out=w)  # (phi + pi) mod 2 pi
+    w -= np.pi
+    w[w == -np.pi] = np.pi
+    return w
 
 
 def canonicalize(state: PolarState) -> PolarState:

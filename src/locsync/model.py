@@ -62,7 +62,7 @@ class NonlinearitySpec:
     is plain data: it hashes, pickles and compares by value, and its numbers
     are stored as floats, so a spec given ints equals one given floats.
     Every method broadcasts over numpy arrays in r; with no omega1 part,
-    ``omega`` is the scalar omega0.
+    ``omega`` is the scalar omega0, and with a constant or no omega1 ``omega_r`` is 0.0.
     """
 
     name: str
@@ -94,9 +94,9 @@ class NonlinearitySpec:
         r2 = r * r
         out = 0.0 * r
         for j, cj in enumerate(self.coeffs[1:], start=1):
-            if cj:  # r2**0 = 1 and r2**1 = r2 exactly, without calling pow
-                power = 1.0 if j == 1 else r2 if j == 2 else r2 ** (j - 1)
-                out = out + (2 * j * cj) * r * power
+            if cj:  # r2**1 = r2 exactly, without calling pow; j = 1 has no power
+                term = (2 * j * cj) * r
+                out = out + (term if j == 1 else term * (r2 if j == 2 else r2 ** (j - 1)))
         return out
 
     def omega1(self, r):
@@ -109,7 +109,7 @@ class NonlinearitySpec:
 
     def omega_r(self, r, mu, eps):
         derivative = tuple(j * dj for j, dj in enumerate(self.omega1_coeffs))[1:]
-        return eps * _power_series(derivative, r)
+        return eps * _power_series(derivative, r) if any(derivative) else 0.0
 
     def with_omega1(self, coeffs, name=None) -> "NonlinearitySpec":
         """Return a copy with omega1(r) = sum_j coeffs[j] r^j attached."""

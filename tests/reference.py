@@ -9,7 +9,11 @@ for the batched ``dynamics.rotation_deviation``.
 The straightforward forms of the engine's hot path sit here too, for bitwise
 comparison: ``stacked_newton`` and ``stacked_tangent`` build each bordered
 matrix with ``np.vstack`` from a validated ``PolarState`` and equilibrate
-out of place, and ``csv_writer_branch_csv`` formats every value on its own
+out of place; ``empty_point_terms``, ``loop_lam_r``, ``array_omega_r`` and
+``where_wrap_phase`` write the ghosts into ``np.empty`` arrays, multiply
+every derivative term by its power (1.0 at j = 1), return an array of
+zeros for a spec without omega1, and wrap out of place; and
+``csv_writer_branch_csv`` formats every value on its own
 and writes through ``csv.writer``.  ``concatenated_chain_rhs``,
 ``plain_rk4_step`` and ``masked_rotation_deviation`` are the plain
 time-domain check: the vector field with ``np.full`` frequencies and a
@@ -29,10 +33,11 @@ from locsync.continuation import (
     Bordered,
     SingularJacobian,
     _dead_interfaces,
+    _solid_mask,
     _solid_unit,
 )
 from locsync.dynamics import Trajectory
-from locsync.lattice import BoundaryKind, PolarState, canonicalize, wrap_phase
+from locsync.lattice import BoundaryKind, PolarState, canonicalize
 from locsync.model import NonlinearitySpec, bistable_roots, rest_state_roots
 
 
@@ -116,6 +121,40 @@ def rigid_rotation_deviation(traj: Trajectory, z0: np.ndarray, rho: float) -> fl
     return float(np.max(np.abs(traj.z - rot)))
 
 
+def empty_point_terms(spec, state, eps, bc):
+    """``lattice.point_terms``."""
+    r_ext, phi_ext = np.empty(state.n + 2), np.empty(state.n + 1)
+    r_ext[0], r_ext[1:-1], r_ext[-1] = state.r[bc.mirror], state.r, state.r[-1]
+    phi_ext[0] = -state.phi[0] if bc.mirror else 0.0
+    phi_ext[1:-1], phi_ext[-1] = state.phi, 0.0
+    return (r_ext, np.exp(1j * phi_ext), spec.lam(state.r, state.mu)
+            + 1j * (spec.omega(state.r, state.mu, eps) - state.rho))
+
+
+def loop_lam_r(spec, r, mu):
+    """``NonlinearitySpec.lam_r``."""
+    r2 = r * r
+    out = 0.0 * r
+    for j, cj in enumerate(spec.coeffs[1:], start=1):
+        if cj:
+            power = 1.0 if j == 1 else r2 if j == 2 else r2 ** (j - 1)
+            out = out + (2 * j * cj) * r * power
+    return out
+
+
+def array_omega_r(spec, r, mu, eps):
+    """``NonlinearitySpec.omega_r``."""
+    derivative = tuple(j * dj for j, dj in enumerate(spec.omega1_coeffs))[1:]
+    terms = [dj * (r if j == 1 else r**j) for j, dj in enumerate(derivative) if dj]
+    return eps * (sum(terms[1:], terms[0]) if terms else np.zeros(np.shape(r)))
+
+
+def where_wrap_phase(phi):
+    """``lattice.wrap_phase``."""
+    w = np.mod(np.asarray(phi, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    return np.where(w == -np.pi, np.pi, w)
+
+
 def _equilibrated(a, b):
     scale = np.max(np.abs(a), axis=1)
     scale = np.where(scale > 1e-300, scale, 1.0)
@@ -160,7 +199,7 @@ def stacked_newton(system, state, mode=FIXED_MU, tol=1e-10, max_iter=12):
         else:
             x = x.copy()
             x[: 2 * n] += sol[:, 0]
-        x[n: 2 * n - 1] = wrap_phase(x[n: 2 * n - 1])
+        x[n: 2 * n - 1] = where_wrap_phase(x[n: 2 * n - 1])
 
 
 def stacked_tangent(system, state, prev_tangent=None, direction=1, *, newton_tol):
@@ -182,7 +221,7 @@ def stacked_tangent(system, state, prev_tangent=None, direction=1, *, newton_tol
     except np.linalg.LinAlgError as err:
         raise SingularJacobian(str(err)) from err
     t[n + j] = 0.0
-    return _solid_unit(t, state)
+    return _solid_unit(t, _solid_mask(state))
 
 
 def csv_writer_branch_csv(branch, n: int, path) -> None:

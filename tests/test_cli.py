@@ -387,9 +387,11 @@ def test_verify_reports_newton_failure_at_eps_zero(tmp_path, capsys):
     run_dir = tmp_path / "out" / cfg["run_id"]
     summary = json.loads((run_dir / "summary.json").read_text())
     assert summary["closure"] == "open"
-    last_mu = summary["endpoints"]["last"]["mu"]
-    assert capsys.readouterr().err == (
-        f"{cfg['run_id']}: branch ended open at mu={last_mu!r}\n")
+    # both runs fail, near mu 0.49994 and 0.50006: one line per end, in branch order
+    ends = summary["endpoints"]
+    assert capsys.readouterr().err == "".join(
+        f"{cfg['run_id']}: branch ended open at mu={ends[end]['mu']!r}\n"
+        for end in ("first", "last"))
     csv_path = run_dir / "branch.csv"
     assert main(["verify", "--config", path, str(csv_path)]) == 1
     report = json.loads((csv_path.parent / "verify.json").read_text())
@@ -398,6 +400,25 @@ def test_verify_reports_newton_failure_at_eps_zero(tmp_path, capsys):
     assert {"row", "mu", "error"} <= set(failed[0])
     assert failed[0]["error"].startswith("SingularJacobian")
     assert f"row {failed[0]['row']} at mu=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed_mu, failed_end", [(0.4, "last"), (0.6, "first")])
+def test_merged_branch_reports_its_failed_end(tmp_path, capsys, seed_mu, failed_end):
+    # At theta = 0.35 one run leaves the mu window and the other stops on a
+    # corrector failure at mu 0.6811, inside the window: the branch is open,
+    # not a window exit, and the failed end is named.  From mu 0.4 it is the
+    # +1 run's end, the last point; from mu 0.6 the -1 run's, the first.
+    root = Path(__file__).resolve().parents[1] / "configs"
+    cfg = json.loads((root / "snaking_offsite.json").read_text(encoding="utf-8"))
+    cfg.update(N=8, coupling={"c_re": np.cos(0.35), "c_im": np.sin(0.35)},
+               seed={"k": 1, "mu": seed_mu, "template": "conservative"},
+               output_dir=str(tmp_path / "out"))
+    assert main(["continue", "--config", write_config(tmp_path, cfg)]) == 1
+    summary = json.loads((tmp_path / "out" / cfg["run_id"] / "summary.json").read_text())
+    assert summary["closure"] == "open"
+    mu = summary["endpoints"][failed_end]["mu"]
+    assert 0.68 < mu < 0.69
+    assert capsys.readouterr().err == f"{cfg['run_id']}: branch ended open at mu={mu!r}\n"
 
 
 def test_verify_at_eps_zero_reports_no_mu1_fold_error(tmp_path, capsys):

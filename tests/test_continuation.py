@@ -9,6 +9,7 @@ from locsync.continuation import (
     CLOSED_ISOLA,
     FIXED_MU,
     STEP_LIMIT,
+    OPEN,
     WINDOW_EXIT,
     Bordered,
     Branch,
@@ -610,3 +611,66 @@ def test_merge_branches_arclength_monotone(small_snake):
     branch, _, _ = small_snake
     arcs = [p.arclength for p in branch.points]
     assert all(a <= b + 1e-12 for a, b in zip(arcs[:-1], arcs[1:]))
+
+
+def test_merged_closure_is_the_worse_end():
+    # a failed end must not hide behind the other run's window exit
+    point = BranchPoint(PolarState([0.5, 0.1], [0.0], 0.0, 0.5), 0.0, np.zeros(5))
+    ranked = (OPEN, STEP_LIMIT, WINDOW_EXIT)
+    for i, worse in enumerate(ranked):
+        for other in ranked[i:]:
+            for minus, plus in ((worse, other), (other, worse)):
+                merged = merge_branches(Branch([point], minus), Branch([point], plus))
+                assert merged.closure == worse
+    ends = merge_branches(Branch([point], OPEN, (0.25,)), Branch([point], OPEN, (0.75,)))
+    assert ends.open_ends == (0.25, 0.75)  # along the merged branch: the -1 run's first
+
+
+def test_corrector_outcome_carries_the_packed_state(quintic, dissipative_system, small_snake):
+    # The walk, the drift guard, the closure test and the fold brackets read
+    # outcome.x instead of packing the state again: it must hold the state's
+    # bits after the dead tail phases are pinned and after the flip of
+    # negative amplitudes.
+    ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 10)
+    raw = build_seed(quintic, 0.5, EPS, ansatz, CouplingKind.dissipative())
+    dead = _dead_interfaces(raw, EPS, TOL)
+    assert dead.any()
+    raw.phi[dead] = 0.3
+    out = _newton_solve(dissipative_system, raw, FIXED_MU, TOL, 12)
+    assert out.iterations > 0 and np.all(out.state.phi[dead] == 0.0)
+    assert out.x.tobytes() == out.state.pack().tobytes()
+    # node 2 negated, its two interface phases shifted by pi: the same
+    # solution, which the corrector hands back flipped
+    neg = out.state.copy()
+    neg.r[1] = -neg.r[1]
+    neg.phi[:2] += (np.pi, -np.pi)
+    flipped = _newton_solve(dissipative_system, neg, FIXED_MU, TOL, 12)
+    assert flipped.state.r.min() >= 0.0
+    assert flipped.x.tobytes() == flipped.state.pack().tobytes()
+    branch, cfg, _ = small_snake
+    walk = [p for p in branch.points if not p.is_fold]
+    for prev in walk[::7]:
+        step = _attempt_step(dissipative_system, cfg, prev.state.pack(), prev.tangent, 0.02)
+        assert step.x.tobytes() == step.state.pack().tobytes()
+        assert np.array_equal(step.solid, _solid_mask(step.state))
+
+
+def test_tracer_call_sites_are_looked_up_at_call_time(quintic, dissipative_system,
+                                                      monkeypatch):
+    # The bench tracer wraps continuation.residual, continuation.jacobian and
+    # np.linalg.solve; a refactor that inlined them would read 0 there.
+    calls = dict.fromkeys(("residual", "jacobian", "solve"), 0)
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("residual", "jacobian"):
+        monkeypatch.setattr(continuation, name, counted(name, getattr(continuation, name)))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    branch, _, _ = run_small_snake(quintic, dissipative_system)
+    assert len(branch.folds) == 6
+    assert calls["residual"] > calls["jacobian"] > 0
+    assert calls["solve"] == calls["jacobian"]  # every Jacobian is solved once

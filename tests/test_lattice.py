@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,13 @@ from locsync.lattice import (
     wrap_phase,
 )
 from locsync.model import bistable_roots
-from reference import mirrored_chain
+from reference import (
+    array_omega_r,
+    empty_point_terms,
+    loop_lam_r,
+    mirrored_chain,
+    where_wrap_phase,
+)
 
 
 def rand_state(rng, n, positive=False):
@@ -259,7 +267,7 @@ def loop_jacobian(spec, c, state, eps, bc):
     for i in range(n):
         node, ri = i + 1, r[i:i + 1]
         f = spec.lam(ri, mu) + 1j * (spec.omega(ri, mu, eps) - rho)
-        add(i, i, f + ri * (spec.lam_r(ri, mu) + 1j * spec.omega_r(ri, mu, eps))
+        add(i, i, f + ri * (loop_lam_r(spec, ri, mu) + 1j * array_omega_r(spec, ri, mu, eps))
             - 2.0 * ec)
         J[2 * i + 1, 2 * n - 1] = -r[i]
         J[2 * i, 2 * n] = spec.mu_coefficient * r[i]
@@ -337,27 +345,50 @@ def _jacobian_cases(rng):
     # keep the loop's -0.0 there
     zero = rand_state(rng, 10)
     zero.r[[0, 1, 4, 8, 9]] = 0.0
-    return cases + [(zero, 0.02), (zero, 0.0)]
+    # phases at and just inside +-pi, beyond it, and -0.0
+    edge = rand_state(rng, 7)
+    edge.phi[:] = [np.pi, -np.pi, 3.0 * np.pi, -0.0, np.nextafter(np.pi, 0.0),
+                   np.nextafter(-np.pi, 0.0)]
+    # the eps = 0 seed's far field: exact zeros in both amplitudes and phases
+    tail = rand_state(rng, 8, positive=True)
+    tail.r[3:], tail.phi[2:] = 0.0, 0.0
+    return cases + [(zero, 0.02), (zero, 0.0), (edge, 0.01), (tail, 0.0)]
 
 
 def test_jacobian_bitwise_equal_to_loop_reference(quintic_rotating, couplings, boundaries):
-    spec = rich_spec(quintic_rotating)
     rng = np.random.default_rng(15)
     for st, eps in _jacobian_cases(rng):
         border = rng.normal(size=2 * st.n + 1)
         border[::3] = -0.0  # signed zeros in the border row as well
-        for c in couplings + (MIXED,):
-            for bc in boundaries:
-                want = loop_jacobian(spec, c, st, eps, bc)
-                assert jacobian(spec, c, st, eps, bc).tobytes() == want.tobytes()
-                # the Newton loop's path: terms built once, shared by the
-                # residual and the bordered assembly
-                terms = point_terms(spec, st, eps, bc)
-                assert residual(spec, c, st, eps, bc, terms).tobytes() \
-                    == residual(spec, c, st, eps, bc).tobytes()
-                got = jacobian(spec, c, st, eps, bc, terms, border=border)
-                assert got.tobytes() == np.vstack([want, border]).tobytes()
-                assert jacobian(spec, c, st, eps, bc, terms).tobytes() == want.tobytes()
+        # with and without an omega1 part: omega_r is an array or the scalar 0.0
+        specs = (quintic_rotating, rich_spec(quintic_rotating))
+        for c, bc, spec in itertools.product(couplings + (MIXED,), boundaries, specs):
+            want = loop_jacobian(spec, c, st, eps, bc)
+            assert jacobian(spec, c, st, eps, bc).tobytes() == want.tobytes()
+            # the Newton loop's path: terms built once, shared by the
+            # residual and the bordered assembly
+            terms = point_terms(spec, st, eps, bc)
+            assert residual(spec, c, st, eps, bc, terms).tobytes() \
+                == residual(spec, c, st, eps, bc).tobytes()
+            got = jacobian(spec, c, st, eps, bc, terms, border=border)
+            assert got.tobytes() == np.vstack([want, border]).tobytes()
+            assert jacobian(spec, c, st, eps, bc, terms).tobytes() == want.tobytes()
+
+
+def test_point_terms_bitwise_equal_to_reference(quintic, quintic_rotating, hbm,
+                                                couplings, boundaries):
+    # point_terms keeps the bits of its reference form, the ghosts written
+    # into np.empty arrays, and so does the residual built on them
+    rng = np.random.default_rng(16)
+    for st, eps in _jacobian_cases(rng):
+        for spec, bc in itertools.product((quintic, hbm, rich_spec(quintic_rotating)),
+                                          boundaries):
+            want = empty_point_terms(spec, st, eps, bc)
+            got = point_terms(spec, st, eps, bc)
+            assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+            for c in couplings + (MIXED,):
+                assert residual(spec, c, st, eps, bc).tobytes() \
+                    == residual(spec, c, st, eps, bc, want).tobytes()
 
 
 def test_jacobian_within_ulps_of_real_form_loop(quintic_rotating, couplings, boundaries):
@@ -406,6 +437,23 @@ def test_jacobian_uncoupled_amplitude_diagonal(quintic):
     for i in range(st.n):
         expected = quintic.lam(st.r[i], st.mu) + st.r[i] * quintic.lam_r(st.r[i], st.mu)
         assert jac[2 * i, i] == pytest.approx(float(expected), rel=1e-12)
+
+
+def test_wrap_phase_in_place_bitwise_equal_to_reference():
+    rng = np.random.default_rng(17)
+    phi = np.concatenate([
+        [0.0, -0.0, np.pi, -np.pi, 3.0 * np.pi, -3.0 * np.pi, np.nextafter(np.pi, 4.0),
+         np.nextafter(-np.pi, -4.0), 1e-300, 2.0 * np.pi],
+        rng.normal(0.0, 10.0, 200)])
+    want = where_wrap_phase(phi)
+    x = phi.copy()
+    assert wrap_phase(x) is x and x.tobytes() == want.tobytes()
+    # a strided slice of the packed vector is wrapped where it lies
+    packed = np.repeat(phi, 2)
+    wrap_phase(packed[::2])
+    assert packed[::2].tobytes() == want.tobytes()
+    assert packed[1::2].tobytes() == phi.tobytes()
+    assert wrap_phase(-np.pi) == np.pi  # a scalar comes back as a new array
 
 
 def test_wrap_phase_range():

@@ -14,6 +14,7 @@ from locsync.model import (
     builtin_spec,
     rest_state_roots,
 )
+from reference import array_omega_r, loop_lam_r
 
 
 def test_quintic_saddle_node_root(quintic):
@@ -156,6 +157,30 @@ def test_with_omega1(quintic):
                        rtol=1e-15, atol=1e-15)
     assert np.allclose(rich.omega_r(r, 0.5, 0.01),
                        0.01 * (0.3 - 0.2 * r + 0.15 * r**2), rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("spec", [
+    builtin_spec("quintic"),
+    builtin_spec("hbm"),
+    NonlinearitySpec("sextic", (0.5, -1.0, 0.25, 0.125), mu_coefficient=-1.0),
+    NonlinearitySpec("quadratic", (0.5, 2.0), mu_coefficient=-1.0),  # lam_r(-0.0) = -0.0
+    builtin_spec("quintic_rotating").with_omega1((0.3,)),
+    builtin_spec("quintic").with_omega1((0.0, 0.3, 0.1)),
+    builtin_spec("quintic").with_omega1((0.2, 0.3, -0.1, 0.05)),
+], ids=["quintic", "hbm", "sextic", "quadratic", "constant_omega1", "quadratic_omega1",
+        "cubic_omega1"])
+def test_lam_r_and_omega_r_bitwise_equal_to_reference(spec):
+    # omega_r reaches the Jacobian only through lam_r + i omega_r, so that
+    # sum is what must keep its bits when omega_r is the scalar 0.0
+    rng = np.random.default_rng(8)
+    for r in (rng.uniform(0.0, 2.0, 33), rng.standard_normal(17),
+              np.array([0.0, -0.0, 1.0, -1.0, 1e-160]), 0.7, -0.0):
+        assert np.asarray(spec.lam_r(r, 0.5)).tobytes() == \
+            np.asarray(loop_lam_r(spec, r, 0.5)).tobytes()
+        for eps in (0.0, 1e-4, 0.01):
+            got = spec.lam_r(r, 0.5) + 1j * spec.omega_r(r, 0.5, eps)
+            want = loop_lam_r(spec, r, 0.5) + 1j * array_omega_r(spec, r, 0.5, eps)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("c", [1.0, 5.0, -0.7, 0.123456789])

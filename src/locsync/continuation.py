@@ -16,7 +16,7 @@ is never merged.  Identical inputs give bitwise-identical branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -584,13 +584,11 @@ def merge_branches(minus: Branch, plus: Branch) -> Branch:
     open over step_limit over window_exit, so a failed end is never hidden.
     """
     offset = minus.points[-1].arclength
-    points: list[BranchPoint] = []
-    for p in reversed(minus.points):
-        # flip the tangent so orientation follows the merged traversal
-        points.append(replace(p, arclength=offset - p.arclength,
-                              tangent=-p.tangent))
-    for p in plus.points[1:]:
-        points.append(replace(p, arclength=offset + p.arclength))
+    # the minus run's tangents flip so orientation follows the merged traversal
+    points = [BranchPoint(p.state, offset - p.arclength, -p.tangent, p.is_fold,
+                          p.newton_iters, p.refined) for p in reversed(minus.points)]
+    points += [BranchPoint(p.state, offset + p.arclength, p.tangent, p.is_fold,
+                           p.newton_iters, p.refined) for p in plus.points[1:]]
     reasons = {minus.closure, plus.closure}
     closure = next((c for c in (OPEN, STEP_LIMIT, WINDOW_EXIT) if c in reasons), OPEN)
     return Branch(points, closure, minus.open_ends + plus.open_ends)

@@ -1,26 +1,26 @@
 """Time-domain verification of computed lattice states.
 
-Integrates the complex oscillator chain with fixed-step RK4 and checks
-that converged steady states are relative equilibria, i.e. rigid rotations
-Z_n(t) = exp(i rho t) z_n, by a batched RK4 relative-equilibrium check
-that tracks each state's deviation per step instead of storing trajectories.
-A linearization spectrum of the co-rotating vector field is provided as a
-diagnostic.
+Integrates the complex oscillator chain with fixed-step RK4 and checks, in
+one batched run that stores no trajectory, that converged steady states are
+relative equilibria: rigid rotations Z_n(t) = exp(i rho t) z_n.  The
+linearization spectrum of the co-rotating field is a diagnostic.
 
-``chain_rhs`` is the only vector field, and it builds no array of
-constants; ``integrate`` and ``rotation_deviation`` share one RK4 step,
-which calls it by module name at every stage.  While every row of a batch
-is live and finite, a step's deviation update is one ``np.maximum``; the
-finite/live masks run only once a row stops or a shorter run ends.  Every
-floating-point operation and its order are those of the plain RK4 step,
-so deviations and ``completed`` flags are bitwise unchanged by these
-shortcuts.  A row that turns non-finite stops with ``completed`` unset,
-and ``verify`` fails such a sample.  ``verify``, and ``simulate`` by
-default, run each state for one rotation period 2 pi/|rho|, at most 10
-time units.
+``chain_rhs`` is the only vector field; ``integrate`` and
+``rotation_deviation`` share one RK4 step, which calls it by module name
+at every stage.  ``rotation_deviation`` steps only the rows whose answer
+can still change, compacting the batch as rows leave.  Leaving at rho = 0
+after a step that returns a row bit for bit unchanged is exact: the step
+is a function of the row's bits alone, so every later step would repeat
+it, and the target exp(i rho t) z0 is z0 itself.  Rows never mix (a
+stage is elementwise, the deviation a per-row max), and every operation
+and its order are those of the plain RK4 step, so deviations and
+``completed`` flags are bitwise those of stepping every row to its end.
+``verify``, and ``simulate`` by default, run each state for one rotation
+period 2 pi/|rho|, at most 10 time units.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +54,14 @@ class Trajectory:
             raise ValueError("sample array shape mismatch")
 
 
+@functools.lru_cache(maxsize=None)
+def _clip_index(n: int) -> np.ndarray:
+    """-1..n, which ``take`` clips to the end nodes: the ghost-padded chain."""
+    index = np.arange(-1, n + 1)
+    index.flags.writeable = False
+    return index
+
+
 def chain_rhs(
     spec: NonlinearitySpec,
     c: CouplingKind,
@@ -69,8 +77,7 @@ def chain_rhs(
     """
     m = np.abs(z)
     fval = spec.lam(m, mu) + 1j * spec.omega(m, mu, eps)
-    # indices -1 and n clip to the end nodes: the ghost-padded chain
-    padded = z.take(np.arange(-1, z.shape[-1] + 1), axis=-1, mode="clip")
+    padded = z.take(_clip_index(z.shape[-1]), axis=-1, mode="clip")
     lap = padded[..., 2:] - 2.0 * z + padded[..., :-2]
     return fval * z + eps * complex(c.c_re, c.c_im) * lap
 
@@ -119,37 +126,39 @@ def rotation_deviation(spec, c, z0, eps, mu, rho, n_steps, dt):
 
     Row b of ``z0`` (shape (B, n)) takes ``n_steps[b]`` steps of size ``dt``
     at its own ``mu[b]`` and is compared with its own rotation ``rho[b]``.
-    A row that turns non-finite stops there, keeps the deviation of its
-    finite steps and is reported with ``completed[b]`` unset, as
-    ``integrate`` does.  Returns ``(deviation, completed)``, both (B,).
+    It leaves the batch after its last step; at a non-finite step, keeping
+    the deviation of its finite steps with ``completed[b]`` unset, as
+    ``integrate`` does; or, at ``rho[b] == 0``, after a step that returns
+    it bit for bit unchanged.  Returns ``(deviation, completed)``, both (B,).
     """
-    z = z0 = np.asarray(z0, dtype=complex)
+    z0 = np.asarray(z0, dtype=complex)
     mu = np.asarray(mu, dtype=float)[:, None]
     rho, n_steps = np.asarray(rho, dtype=float), np.asarray(n_steps, dtype=int)
     deviation, completed = np.zeros(rho.size), np.ones(rho.size, dtype=bool)
-    i_rho = (1j * rho)[:, None]
-    # until the shortest run ends, and while no row has stopped, every row is
-    # live: the masks below would all be true, so a finite ``row`` (hence a
-    # finite z) goes straight into ``deviation``
-    last = int(n_steps.max(initial=0))
-    all_live = int(n_steps.min(initial=last))
-    for k in range(1, last + 1):
-        z = _rk4_step(spec, c, z, mu, eps, dt)
-        row = np.abs(z - np.exp(i_rho * (k * dt)) * z0).max(axis=1)
-        if k <= all_live and np.isfinite(row).all():
-            np.maximum(deviation, row, out=deviation)
-            continue
-        # a stopped row is zeroed, and |0 - rot| is finite: it must never
-        # come back to the unmasked update
-        all_live = 0
+    live = np.flatnonzero(n_steps > 0)  # the batch, as indices of its rows
+    z, dev, k = z0[live], deviation[live], 0
+    while live.size:
+        # until a row leaves, the batch and everything read from it are fixed
+        z0_b, mu_b, i_rho = z0[live], mu[live], (1j * rho[live])[:, None]
+        at_rest = rho[live] == 0.0
+        check_rest = at_rest.any()
+        for k in range(k + 1, n_steps[live].min() + 1):
+            prev, z = z, _rk4_step(spec, c, z, mu_b, eps, dt)
+            row = np.abs(z - np.exp(i_rho * (k * dt)) * z0_b).max(axis=1)
+            fixed = at_rest & (z.view(np.int64) == prev.view(np.int64)).all(axis=1) \
+                if check_rest else at_rest
+            if not np.isfinite(row).all():
+                break  # a row turned non-finite, or |z - rot| overflowed
+            np.maximum(dev, row, out=dev)
+            if check_rest and fixed.any():
+                break
         finite = np.isfinite(z).all(axis=1)
-        completed &= finite | (k > n_steps)
-        z[~finite] = 0.0  # a stopped row is ignored; zeros keep it quiet
-        live = completed & (k <= n_steps)
-        if not live.any():
-            break
-        # only a row that is not live was zeroed, so ``row`` holds for the rest
-        np.maximum(deviation, row, out=deviation, where=live)
+        # a repeat of the update above, unless the step stopped a row
+        np.maximum(dev, row, out=dev, where=finite)
+        completed[live[~finite]] = False
+        deviation[live] = dev
+        keep = finite & ~fixed & (n_steps[live] > k)
+        live, z, dev = live[keep], z[keep], dev[keep]
     return deviation, completed
 
 

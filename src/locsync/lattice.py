@@ -112,13 +112,6 @@ class PolarState:
         """Flatten to (r, phi, rho, mu), length 2N + 1."""
         return np.concatenate([self.r, self.phi, [self.rho, self.mu]])
 
-    @classmethod
-    def unpack(cls, x: np.ndarray, n: int) -> "PolarState":
-        x = np.asarray(x, dtype=float)
-        if x.size != 2 * n + 1:
-            raise LatticeError(f"packed vector must have length {2 * n + 1}")
-        return cls(x[:n], x[n:2 * n - 1], x[2 * n - 1], x[2 * n])
-
 
 def point_terms(spec: NonlinearitySpec, state: PolarState, eps: float,
                 bc: BoundaryKind) -> tuple:

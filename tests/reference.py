@@ -18,8 +18,9 @@ and writes through ``csv.writer``.  ``concatenated_chain_rhs``,
 ``plain_rk4_step`` and ``masked_rotation_deviation`` are the plain
 time-domain check: the vector field with ``np.full`` frequencies and a
 concatenated ghost chain, and every RK4 step through the full finite/live
-masks.  ``mirrored_chain`` unfolds a half-chain by hand, apart from the
-boundary rule under test.
+masks, every row stepped to the end of its run.  ``mirrored_chain``
+unfolds a half-chain by hand, apart from the boundary rule under test, and
+``unpack`` is the inverse of ``PolarState.pack``, which only tests need.
 """
 import csv
 from typing import Literal
@@ -121,6 +122,13 @@ def rigid_rotation_deviation(traj: Trajectory, z0: np.ndarray, rho: float) -> fl
     return float(np.max(np.abs(traj.z - rot)))
 
 
+def unpack(x, n: int) -> PolarState:
+    """The ``PolarState`` of a packed vector: the inverse of ``PolarState.pack``."""
+    x = np.asarray(x, dtype=float)
+    assert x.size == 2 * n + 1, f"packed vector must have length {2 * n + 1}"
+    return PolarState(x[:n], x[n:2 * n - 1], x[2 * n - 1], x[2 * n])
+
+
 def empty_point_terms(spec, state, eps, bc):
     """``lattice.point_terms``."""
     r_ext, phi_ext = np.empty(state.n + 2), np.empty(state.n + 1)
@@ -167,7 +175,7 @@ def stacked_newton(system, state, mode=FIXED_MU, tol=1e-10, max_iter=12):
     bordered = isinstance(mode, Bordered)
     tangent = None
     for it in range(max_iter + 1):
-        current = PolarState.unpack(x, n)
+        current = unpack(x, n)
         f = system.residual(current)
         err = np.max(np.abs(f))
         if bordered:

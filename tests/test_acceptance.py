@@ -42,6 +42,7 @@ from reference import (
     rigid_rotation_deviation,
     snaking_curve,
     snaking_domain,
+    unpack,
 )
 
 N_NODES = 10
@@ -280,8 +281,8 @@ def _fd_jacobian(spec, c, state, eps, bc):
         xp[j] += h
         xm[j] -= h
         out[:, j] = (
-            residual(spec, c, PolarState.unpack(xp, n), eps, bc)
-            - residual(spec, c, PolarState.unpack(xm, n), eps, bc)
+            residual(spec, c, unpack(xp, n), eps, bc)
+            - residual(spec, c, unpack(xm, n), eps, bc)
         ) / (2.0 * h)
     return out
 

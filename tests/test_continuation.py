@@ -32,7 +32,7 @@ from locsync.continuation import (
 )
 from locsync.lattice import BoundaryKind, CouplingKind, LatticeError, PolarState
 from locsync.model import bistable_roots
-from reference import stacked_newton, stacked_tangent
+from reference import stacked_newton, stacked_tangent, unpack
 
 
 EPS = 0.01
@@ -158,7 +158,7 @@ def test_newton_bordered_mode(quintic, dissipative_system):
     ds = 0.01
     x_prev = seed.pack()
     corrected = newton_correct(
-        system, PolarState.unpack(x_prev + ds * t, 6), Bordered(x_prev, t, ds)
+        system, unpack(x_prev + ds * t, 6), Bordered(x_prev, t, ds)
     )
     assert system.residual_norm(corrected) <= 1e-10
     assert np.dot(corrected.pack() - x_prev, t) == pytest.approx(ds, abs=1e-10)
@@ -250,7 +250,7 @@ def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
             mode = Bordered(x_prev, prev.tangent, ds)
             got = _newton_solve(system, predictor, mode, 1e-10, 12)
             want_state, want_it, want_t = stacked_newton(
-                system, PolarState.unpack(predictor, prev.state.n), mode)
+                system, unpack(predictor, prev.state.n), mode)
             assert got.iterations == want_it
             assert got.state.pack().tobytes() == want_state.pack().tobytes()
             if want_it:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from locsync import dynamics
 from locsync.asymptotics import SeedAnsatz, build_seed
 from locsync.continuation import LatticeSystem, newton_correct
 from locsync.dynamics import (
@@ -182,6 +183,10 @@ def test_rotation_deviation_bitwise_equal_to_integrate(quintic, quintic_rotating
         assert dev[b] == rigid_rotation_deviation(traj, z0[b], rho[b])
 
 
+def _rest_row(spec):
+    return np.full(6, bistable_roots(spec, 0.5).r_plus * np.exp(0.4j))
+
+
 def _oracle_cases(spec):
     """(z0, mu, rho, n_steps, dt) batches for the bitwise comparisons."""
     # amplitudes up to r_+ and a step well inside RK4's stability region
@@ -197,6 +202,11 @@ def _oracle_cases(spec):
     blow = np.zeros((4, 6), dtype=complex)
     blow[0], blow[1], blow[3] = 1e100, 3.0, z0[0]
     blow_mu, blow_rho = [-10.0, -10.0, 0.5, 0.5], [0.0, 0.0, 0.0, 0.4]
+    # rows that leave a batch at different steps: the uniform state on r_+
+    # (no Laplacian, and lambda(r_+) too small to move it) is an exact RK4
+    # fixed point while the model has no frequency, next to a drifting
+    # row, a rotating row and the blow-up
+    mixed = np.array([_rest_row(spec), z0[0], z0[1], blow[0]])
     return [
         (z0[:1], mu[:1], rho[1:2], [60], dt),
         (z0, mu, rho, [60] * 4, dt),
@@ -204,6 +214,7 @@ def _oracle_cases(spec):
         (z0, mu, rho, [0] * 4, dt),
         (blow, blow_mu, blow_rho, [12] * 4, 0.5),
         (blow, blow_mu, blow_rho, [3, 5, 12, 0], 0.5),
+        (mixed, [0.5, 0.3, 0.5, -10.0], [0.0, 0.0, 0.3, 0.0], [60, 45, 30, 12], dt),
     ]
 
 
@@ -247,6 +258,57 @@ def test_rk4_bitwise_equal_to_reference(request, model, coupling):
         z = plain_rk4_step(spec, c, z, mu[1], eps, dt)
         assert sample.tobytes() == z.tobytes()
     assert traj.completed and len(traj.times) == 31
+
+
+def _count_chain_rhs(monkeypatch):
+    calls = []
+    chain = dynamics.chain_rhs
+
+    def counted(*args):
+        calls.append(1)
+        return chain(*args)
+
+    monkeypatch.setattr(dynamics, "chain_rhs", counted)
+    return calls
+
+
+def test_fixed_rows_leave_after_one_step(quintic, monkeypatch):
+    # every row at rho = 0 comes back from its first step unchanged: that
+    # step's four stages are the whole run, however long it was asked to be
+    c, eps, dt = CouplingKind.dissipative(), 0.05, 1e-3
+    z0, mu, rho = [_rest_row(quintic), np.zeros(6)], [0.5, 0.5], [0.0, -0.0]
+    assert all(plain_rk4_step(quintic, c, z, 0.5, eps, dt).tobytes() == z.tobytes()
+               for z in np.array(z0, dtype=complex))
+    calls = _count_chain_rhs(monkeypatch)
+    dev, completed = rotation_deviation(quintic, c, z0, eps, mu, rho, [10_000] * 2, dt)
+    assert len(calls) == 4
+    ref_dev, ref_completed = masked_rotation_deviation(
+        quintic, c, z0, eps, mu, rho, [100] * 2, dt)
+    assert dev.tobytes() == ref_dev.tobytes() == np.zeros(2).tobytes()
+    assert completed.tolist() == ref_completed.tolist() == [True, True]
+
+
+def test_fixed_state_with_rotation_runs_every_step(quintic, monkeypatch):
+    # the same state compared with a rotation: its target moves every step,
+    # so it cannot leave early, while the zero state at rest next to it does
+    c, eps, dt, n_steps = CouplingKind.dissipative(), 0.05, 1e-3, 50
+    z0, mu, rho = [_rest_row(quintic), np.zeros(6)], [0.5, 0.5], [0.3, 0.0]
+    calls = _count_chain_rhs(monkeypatch)
+    dev, completed = rotation_deviation(quintic, c, z0, eps, mu, rho, [n_steps] * 2, dt)
+    assert len(calls) == 4 * n_steps
+    ref_dev, ref_completed = masked_rotation_deviation(
+        quintic, c, z0, eps, mu, rho, [n_steps] * 2, dt)
+    assert dev.tobytes() == ref_dev.tobytes()
+    assert completed.tolist() == ref_completed.tolist() == [True, True]
+    assert dev[0] == pytest.approx(2 * abs(z0[0][0]) * np.sin(0.3 * n_steps * dt / 2))
+
+
+def test_empty_batch(quintic):
+    # every sample failed re-tightening: nothing to integrate
+    dev, completed = rotation_deviation(quintic, CouplingKind.dissipative(), [], 0.05,
+                                        [], [], [], 1e-3)
+    assert dev.shape == completed.shape == (0,)
+    assert dev.dtype == float and completed.dtype == bool
 
 
 def test_spectrum_uncoupled_nodes(quintic):

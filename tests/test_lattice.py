@@ -23,6 +23,7 @@ from reference import (
     empty_point_terms,
     loop_lam_r,
     mirrored_chain,
+    unpack,
     where_wrap_phase,
 )
 
@@ -51,7 +52,7 @@ def test_state_validation():
 
 def test_pack_unpack_roundtrip():
     st = PolarState([0.3, 0.7, 1.1], [0.2, -0.4], 1.5, 0.6)
-    back = PolarState.unpack(st.pack(), 3)
+    back = unpack(st.pack(), 3)
     assert np.array_equal(back.r, st.r)
     assert np.array_equal(back.phi, st.phi)
     assert back.rho == st.rho and back.mu == st.mu
@@ -224,8 +225,8 @@ def fd_jacobian(spec, c, state, eps, bc):
         xp, xm = x0.copy(), x0.copy()
         xp[j] += h
         xm[j] -= h
-        fp = residual(spec, c, PolarState.unpack(xp, n), eps, bc)
-        fm = residual(spec, c, PolarState.unpack(xm, n), eps, bc)
+        fp = residual(spec, c, unpack(xp, n), eps, bc)
+        fm = residual(spec, c, unpack(xm, n), eps, bc)
         out[:, j] = (fp - fm) / (2.0 * h)
     return out
 

@@ -396,7 +396,14 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
     rows = read_branch_csv(branch_path, rc.n_nodes)
     _make_dir(rc.run_dir())
     system = rc.system()
-    max_res = max(system.residual_norm(row["state"]) for row in rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row reads NaN
+        res = np.array([system.residual_norm(row["state"]) for row in rows])
+    max_res = float(res.max())  # NaN propagates
+    failing = np.flatnonzero(~(res <= rc.cont.newton_tol))  # a NaN row fails
+    if failing.size:
+        i = failing[0]
+        print(f"step {rows[i]['step']} at mu={rows[i]['state'].mu!r}: residual "
+              f"{res[i]:.3e} exceeds newton_tol", file=sys.stderr)
 
     sample_idx = sorted(set(np.linspace(0, len(rows) - 1, 5).astype(int).tolist()))
     re_checks, tightened = [], []
@@ -452,7 +459,7 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
         "branch_file": str(branch_path),
         "n_points": len(rows),
         "residual_check": {
-            "pass": bool(max_res <= rc.cont.newton_tol),
+            "pass": not failing.size,
             "max_residual": max_res,
             "tol": rc.cont.newton_tol,
         },
@@ -659,7 +666,8 @@ def main(argv=None) -> int:
             raise ConfigError("config must be a JSON object")
         _apply_overrides(data, args)
         rc = load_config(data)
-    except (OSError, json.JSONDecodeError, ConfigError, model.ModelError) as err:
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError,
+            ConfigError, model.ModelError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

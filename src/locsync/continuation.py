@@ -4,9 +4,9 @@ The corrector solves the bordered system [J; t_prev] with the hyperplane
 constraint <x - x_prev, t_prev> = ds.  The predictor steps along the
 bordered tangent [J; t_prev] t = e_last, taken from the corrector's final
 solve; dead tail phases are pinned, and at eps = 0 every phase is dead.
-One Newton iterate is one pass: shared point terms, one residual, one
-bordered Jacobian assembled in place and rows equilibrated in place, all on
-the packed vector (r, phi, rho, mu); a PolarState is built only for a result.
+Fixed-mu correction is the same iteration without the border row.  One
+Newton iterate is one pass over one PolarState, the corrector's own copy:
+shared point terms, one residual, one Jacobian, rows equilibrated in place.
 Folds are turning points of mu, found by sign changes of the tangent's
 mu component and refined by a safeguarded secant (Illinois regula falsi)
 in arclength, each trial with a fresh tangent and Newton started from the
@@ -24,7 +24,6 @@ import numpy as np
 from .lattice import (
     BoundaryKind,
     CouplingKind,
-    LatticeError,
     PolarState,
     canonicalize,
     jacobian,
@@ -42,7 +41,6 @@ __all__ = [
     "LatticeSystem",
     "ContinuationConfig",
     "Bordered",
-    "FIXED_MU",
     "BranchPoint",
     "Branch",
     "newton_correct",
@@ -51,8 +49,6 @@ __all__ = [
     "detect_folds",
     "merge_branches",
 ]
-
-FIXED_MU = "fixed_mu"
 
 CLOSED_ISOLA = "closed_isola"
 OPEN = "open"
@@ -118,7 +114,7 @@ class ContinuationConfig:
 
 @dataclass(frozen=True)
 class Bordered:
-    """Corrector mode: arclength constraint against a previous point."""
+    """The corrector's border row: arclength constraint against a previous point."""
 
     x_prev: np.ndarray
     tangent: np.ndarray
@@ -153,7 +149,6 @@ class _NewtonOutcome(NamedTuple):
     state: PolarState
     iterations: int
     tangent: np.ndarray | None  # bordered: tangent column of the last solve
-    x: np.ndarray  # state.pack(), bit for bit
     solid: np.ndarray | None = None  # _attempt_step: the state's _solid_mask
 
 
@@ -209,29 +204,14 @@ def _solid_unit(t: np.ndarray, solid: np.ndarray) -> np.ndarray:
     return t / norm
 
 
-class _PackedView:
-    """(r, phi, rho, mu) read through a packed vector, neither copied nor
-    validated; the Newton loop builds a PolarState only for its result."""
-
-    __slots__ = ("r", "phi", "rho", "mu", "n")
-
-    def __init__(self, x: np.ndarray, n: int):
-        self.r, self.phi, self.n = x[:n], x[n: 2 * n - 1], n
-        self.rho, self.mu = x.item(2 * n - 1), x.item(2 * n)
-
-
-def _newton_solve(system: LatticeSystem, state: PolarState | np.ndarray, mode,
+def _newton_solve(system: LatticeSystem, x: np.ndarray, border: Bordered | None,
                   tol: float, max_iter: int) -> _NewtonOutcome:
-    """Newton from a state or its packed vector; one residual, and unless it
-    converged one bordered Jacobian, per iterate, sharing ``point_terms``.
-    It updates its own copy of the vector in place and hands it back as ``x``."""
-    x = state.pack() if isinstance(state, PolarState) else np.array(state, dtype=float)
-    if not np.isfinite(x).all():
-        raise LatticeError("non-finite entries in state")
-    n = (x.size - 1) // 2
-    bordered = isinstance(mode, Bordered)
-    if not bordered and mode != FIXED_MU:
-        raise ValueError(f"unknown Newton mode {mode!r}")
+    """Newton from a packed vector, at fixed mu when ``border`` is None; one
+    residual, and unless it converged one Jacobian, per iterate, sharing
+    ``point_terms``.  It updates one state over its own copy of ``x`` in
+    place and returns that state."""
+    state = PolarState.from_packed(np.array(x, dtype=float))
+    x, n = state.x, state.n
     spec, c, eps, bc = system.spec, system.coupling, system.eps, system.bc
 
     # Converge a notch below tol so that pinning dead tail phases (which
@@ -240,63 +220,49 @@ def _newton_solve(system: LatticeSystem, state: PolarState | np.ndarray, mode,
     conv_tol = 0.45 * tol
     tangent = None
     for it in range(max_iter + 1):
-        current = _PackedView(x, n)
-        terms = point_terms(spec, current, eps, bc)
-        f = residual(spec, c, current, eps, bc, terms)
+        terms = point_terms(spec, state, eps, bc)
+        f = residual(spec, c, state, eps, bc, terms)
         err = np.abs(f).max()
-        if bordered:
-            cons = float((x - mode.x_prev).dot(mode.tangent)) - mode.ds
+        if border is not None:
+            cons = float((x - border.x_prev).dot(border.tangent)) - border.ds
             err = max(err, abs(cons))
         if err <= conv_tol:
-            current.phi[_dead_interfaces(current, eps, tol)] = 0.0  # in x
-            out = PolarState(current.r, current.phi, current.rho, current.mu)  # a copy
-            if out.r.min() < -1e-9:
+            state.phi[_dead_interfaces(state, eps, tol)] = 0.0
+            if state.r.min() < -1e-9:
                 # Exact only for r-even nonlinearities; keep the raw state if
                 # an odd omega part would push the residual back over tol.
-                flipped = canonicalize(out)
+                flipped = canonicalize(state)
                 if system.residual_norm(flipped) <= tol:
-                    out, x = flipped, flipped.pack()
-            return _NewtonOutcome(out, it, tangent, x)
+                    state = flipped
+            return _NewtonOutcome(state, it, tangent)
         if it == max_iter:
             break
 
-        if bordered:
+        if border is not None:
             # second column: the tangent [J; t_prev] t = e_last, for free
-            a = jacobian(spec, c, current, eps, bc, terms, mode.tangent)
+            a = jacobian(spec, c, state, eps, bc, terms, border.tangent)
             rhs = np.zeros((2 * n + 1, 2))
             np.negative(f, out=rhs[:-1, 0])
             rhs[-1, 0], rhs[-1, 1] = -cons, 1.0
         else:
-            a = jacobian(spec, c, current, eps, bc, terms)[:, : 2 * n]
+            a = jacobian(spec, c, state, eps, bc, terms)[:, : 2 * n]
             rhs = -f[:, None]
         sol = _solve(a, rhs)
         delta = sol[:, 0]
         if not np.isfinite(delta).all():
             raise SingularJacobian("non-finite Newton step")
-        if bordered:
-            tangent = sol[:, 1]
-            x += delta
-        else:
-            x[: 2 * n] += delta
-        wrap_phase(current.phi)
+        x[: delta.size] += delta  # fixed mu: every entry but mu
+        tangent = sol[:, 1] if border is not None else None
+        wrap_phase(state.phi)
 
     raise NoConvergence(f"Newton did not reach tol={tol} within {max_iter} iterations")
 
 
-def newton_correct(
-    system: LatticeSystem,
-    state: PolarState,
-    mode=FIXED_MU,
-    tol: float = 1e-10,
-    max_iter: int = 12,
-) -> PolarState:
-    """Correct a state onto the solution set.
-
-    ``mode=FIXED_MU`` solves the square system in (r, phi, rho) at frozen
-    mu; a ``Bordered`` mode solves the augmented pseudo-arclength system in
-    (r, phi, rho, mu).  Raises NoConvergence / SingularJacobian.
-    """
-    return _newton_solve(system, state, mode, tol, max_iter).state
+def newton_correct(system: LatticeSystem, state: PolarState, tol: float = 1e-10,
+                   max_iter: int = 12) -> PolarState:
+    """Correct a state onto the solution set at its frozen mu, solving the
+    square system in (r, phi, rho).  Raises NoConvergence / SingularJacobian."""
+    return _newton_solve(system, state.x, None, tol, max_iter).state
 
 
 def branch_tangent(
@@ -375,7 +341,7 @@ def _attempt_step(system, config, x_prev, tangent, ds, guess=None):
     # along the branch.  Halving ds then also adapts to fold curvature.
     # Only solid coordinates count; tail phases drift freely at solver noise.
     solid = _solid_mask(outcome.state)
-    drift = _norm((outcome.x - predictor)[solid])
+    drift = _norm((outcome.state.x - predictor)[solid])
     if drift > 2.0 * abs(ds):
         raise NoConvergence(
             f"corrector drifted {drift:.3e} from the predictor at ds={ds:.3e}"
@@ -407,7 +373,7 @@ def continue_branch(
     tangent = branch_tangent(system, seed, direction=direction,
                              newton_tol=config.newton_tol)
     points = [BranchPoint(seed.copy(), 0.0, tangent, False, 0)]
-    x_start = x_prev = seed.pack()
+    x_start = x_prev = points[0].state.x
     solid_start = _solid_mask(seed)
     arclength = 0.0
     ds = config.ds_init
@@ -432,7 +398,7 @@ def continue_branch(
             termination = OPEN
             break
 
-        new_state, x_new = outcome.state, outcome.x
+        new_state, x_new = outcome.state, outcome.state.x
         try:
             # The corrector's final solve already carries the tangent, with
             # t . t_prev = 1 fixing its orientation; it is one Newton step
@@ -469,7 +435,7 @@ def continue_branch(
                 landing = _attempt_closure(system, config, x_new, new_tangent,
                                            x_start, solid_start)
                 if landing is not None:
-                    arclength += _norm(landing.x - x_new)
+                    arclength += _norm(landing.state.x - x_new)
                     points.append(BranchPoint(landing.state, arclength, new_tangent,
                                               False, landing.iterations))
                     termination = CLOSED_ISOLA
@@ -490,7 +456,7 @@ def _attempt_closure(system, config, x_from, tangent, x_start, solid_start):
                                 config.newton_tol, config.newton_max_iter)
     except (NoConvergence, SingularJacobian):
         return None
-    gap = _norm((outcome.x - x_start)[solid_start])
+    gap = _norm((outcome.state.x - x_start)[solid_start])
     if gap < config.closure_tol:
         return outcome
     return None
@@ -538,14 +504,14 @@ def detect_folds(
                 and mu_lo <= right.state.mu <= mu_hi):
             continue  # exit overshoot; structure past the window is out of scope
         ds_total = right.arclength - left.arclength
-        x_left = left.state.pack()
+        x_left = left.state.x
         sign_left = np.sign(left.tangent[-1])
 
         # Illinois regula falsi on t_mu(ds), ends (ds, t_mu, state): t_mu changes
         # sign linearly through a quadratic fold, so the secant converges
         # superlinearly; halving t_mu at an end kept twice in a row avoids stalls.
         lo = [0.0, float(left.tangent[-1]), x_left]
-        hi = [ds_total, float(right.tangent[-1]), right.state.pack()]
+        hi = [ds_total, float(right.tangent[-1]), right.state.x]
         best_state, best_tangent, best_ds = right.state, right.tangent, ds_total
         refined, kept = False, None
         for _ in range(100):
@@ -566,7 +532,7 @@ def detect_folds(
                 refined = True
                 break
             moved, other = (lo, hi) if np.sign(tmu) == sign_left else (hi, lo)
-            moved[:] = trial, tmu, outcome.x
+            moved[:] = trial, tmu, outcome.state.x
             if other is kept:
                 other[1] *= 0.5
             kept = other

@@ -7,15 +7,15 @@ as unknowns.  Each node contributes one complex equation, evaluated in
 complex arithmetic: its real part is the amplitude equation and its
 imaginary part the phase equation.  The chain is closed by ghost values:
 on the left the reflection of a symmetric pattern, whose one rule is
-``BoundaryKind.mirror``; on the right an off-site truncation.  A Newton
-iterate builds ``point_terms`` once and hands them to both ``residual`` and
-``jacobian``.
+``BoundaryKind.mirror``; on the right an off-site truncation.  A
+``PolarState`` is one packed vector (r, phi, rho, mu), the vector the
+corrector updates in place.  A Newton iterate builds ``point_terms`` once
+and hands them to both ``residual`` and ``jacobian``.
 """
 from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,39 +78,46 @@ class CouplingKind:
         return cls(0.0, 1.0)
 
 
-@dataclass
 class PolarState:
-    """One lattice solution candidate: amplitudes, phase differences, rho, mu."""
+    """One lattice solution candidate as one packed vector x = (r_1..r_N,
+    phi_1..phi_{N-1}, rho, mu) of length 2N + 1: ``r`` and ``phi`` are
+    writable views into x, and ``rho`` and ``mu`` are read from it."""
 
-    r: np.ndarray
-    phi: np.ndarray
-    rho: float
-    mu: float
+    __slots__ = ("x", "r", "phi")
 
-    def __post_init__(self):
-        self.r = np.array(self.r, dtype=float, ndmin=1)  # a copy
-        self.phi = np.array(self.phi, dtype=float, ndmin=1) if np.size(self.phi) \
-            else np.zeros(0)
-        self.rho = float(self.rho)
-        self.mu = float(self.mu)
-        if self.phi.shape != (self.r.size - 1,):
-            raise LatticeError(
-                f"need len(phi) = len(r) - 1, got {self.phi.size} and {self.r.size}"
-            )
-        if not (np.isfinite(self.r).all() and np.isfinite(self.phi).all()
-                and math.isfinite(self.rho) and math.isfinite(self.mu)):
+    def __init__(self, r, phi, rho, mu):  # validates, and copies into a new x
+        r = np.array(r, dtype=float, ndmin=1)
+        phi = np.array(phi, dtype=float, ndmin=1) if np.size(phi) else np.zeros(0)
+        if r.ndim != 1 or phi.shape != (r.size - 1,):
+            raise LatticeError(f"need len(phi) = len(r) - 1, got {phi.size} and {r.size}")
+        self._share(np.concatenate([r, phi, [float(rho), float(mu)]]))
+
+    @classmethod
+    def from_packed(cls, x: np.ndarray) -> "PolarState":
+        """The state over the float vector ``x`` of length 2N + 1, shared, not copied."""
+        return cls.__new__(cls)._share(x)
+
+    def _share(self, x: np.ndarray) -> "PolarState":
+        if not np.isfinite(x).all():
             raise LatticeError("non-finite entries in state")
+        n = x.size // 2
+        self.x, self.r, self.phi = x, x[:n], x[n: 2 * n - 1]
+        return self
+
+    @property
+    def rho(self) -> float:
+        return self.x.item(-2)
+
+    @property
+    def mu(self) -> float:
+        return self.x.item(-1)
 
     @property
     def n(self) -> int:
         return self.r.size
 
     def copy(self) -> "PolarState":
-        return PolarState(self.r, self.phi, self.rho, self.mu)
-
-    def pack(self) -> np.ndarray:
-        """Flatten to (r, phi, rho, mu), length 2N + 1."""
-        return np.concatenate([self.r, self.phi, [self.rho, self.mu]])
+        return PolarState.from_packed(self.x.copy())
 
 
 def point_terms(spec: NonlinearitySpec, state: PolarState, eps: float,

@@ -19,8 +19,7 @@ and writes through ``csv.writer``.  ``concatenated_chain_rhs``,
 time-domain check: the vector field with ``np.full`` frequencies and a
 concatenated ghost chain, and every RK4 step through the full finite/live
 masks, every row stepped to the end of its run.  ``mirrored_chain``
-unfolds a half-chain by hand, apart from the boundary rule under test, and
-``unpack`` is the inverse of ``PolarState.pack``, which only tests need.
+unfolds a half-chain by hand, apart from the boundary rule under test.
 """
 import csv
 from typing import Literal
@@ -30,8 +29,6 @@ import numpy as np
 from locsync.asymptotics import AsymptoticsError
 from locsync.cli import branch_csv_header
 from locsync.continuation import (
-    FIXED_MU,
-    Bordered,
     SingularJacobian,
     _dead_interfaces,
     _solid_mask,
@@ -122,13 +119,6 @@ def rigid_rotation_deviation(traj: Trajectory, z0: np.ndarray, rho: float) -> fl
     return float(np.max(np.abs(traj.z - rot)))
 
 
-def unpack(x, n: int) -> PolarState:
-    """The ``PolarState`` of a packed vector: the inverse of ``PolarState.pack``."""
-    x = np.asarray(x, dtype=float)
-    assert x.size == 2 * n + 1, f"packed vector must have length {2 * n + 1}"
-    return PolarState(x[:n], x[n:2 * n - 1], x[2 * n - 1], x[2 * n])
-
-
 def empty_point_terms(spec, state, eps, bc):
     """``lattice.point_terms``."""
     r_ext, phi_ext = np.empty(state.n + 2), np.empty(state.n + 1)
@@ -169,17 +159,17 @@ def _equilibrated(a, b):
     return a / scale[:, None], b / scale[:, None]
 
 
-def stacked_newton(system, state, mode=FIXED_MU, tol=1e-10, max_iter=12):
+def stacked_newton(system, state, border=None, tol=1e-10, max_iter=12):
     """(state, iterations, tangent) of ``continuation._newton_solve``."""
-    n, x = state.n, state.pack()
-    bordered = isinstance(mode, Bordered)
+    n, x = state.n, state.x.copy()
+    bordered = border is not None
     tangent = None
     for it in range(max_iter + 1):
-        current = unpack(x, n)
+        current = PolarState.from_packed(x)
         f = system.residual(current)
         err = np.max(np.abs(f))
         if bordered:
-            cons = float(np.dot(x - mode.x_prev, mode.tangent)) - mode.ds
+            cons = float(np.dot(x - border.x_prev, border.tangent)) - border.ds
             err = max(err, abs(cons))
         if err <= 0.45 * tol:
             dead = _dead_interfaces(current, system.eps, tol)
@@ -194,7 +184,7 @@ def stacked_newton(system, state, mode=FIXED_MU, tol=1e-10, max_iter=12):
             raise AssertionError("reference Newton did not converge")
         jac = system.jacobian(current)
         if bordered:
-            a = np.vstack([jac, mode.tangent])
+            a = np.vstack([jac, border.tangent])
             rhs = np.zeros((2 * n + 1, 2))
             rhs[:-1, 0] = -f
             rhs[-1] = -cons, 1.0

@@ -42,7 +42,6 @@ from reference import (
     rigid_rotation_deviation,
     snaking_curve,
     snaking_domain,
-    unpack,
 )
 
 N_NODES = 10
@@ -272,7 +271,7 @@ def _random_state(rng, n):
 
 
 def _fd_jacobian(spec, c, state, eps, bc):
-    x0 = state.pack()
+    x0 = state.x
     n = state.n
     out = np.zeros((2 * n, 2 * n + 1))
     for j in range(2 * n + 1):
@@ -281,8 +280,8 @@ def _fd_jacobian(spec, c, state, eps, bc):
         xp[j] += h
         xm[j] -= h
         out[:, j] = (
-            residual(spec, c, unpack(xp, n), eps, bc)
-            - residual(spec, c, unpack(xm, n), eps, bc)
+            residual(spec, c, PolarState.from_packed(xp), eps, bc)
+            - residual(spec, c, PolarState.from_packed(xm), eps, bc)
         ) / (2.0 * h)
     return out
 
@@ -386,7 +385,7 @@ def test_criterion_6_property_suite(quintic, quintic_rotating, snake_off):
     results["rk4_order"] = order
 
     # seed-to-corrected distance scales as O(eps^2): ratio in [3, 5]
-    from locsync.continuation import FIXED_MU, _newton_solve
+    from locsync.continuation import _newton_solve
     combos = [
         ("in_phase", CouplingKind.dissipative(), BoundaryKind.OFF_SITE),
         ("in_phase", CouplingKind.dissipative(), BoundaryKind.ON_SITE),
@@ -399,7 +398,7 @@ def test_criterion_6_property_suite(quintic, quintic_rotating, snake_off):
             system = LatticeSystem(quintic, coupling, eps, bc)
             ansatz = SeedAnsatz(3, ("plus",) * 3, template, bc, N_NODES)
             seed = build_seed(quintic, 0.5, eps, ansatz, coupling)
-            st = _newton_solve(system, seed, FIXED_MU, 1e-12, 20).state
+            st = _newton_solve(system, seed.x, None, 1e-12, 20).state
             dists.append(float(np.max(np.abs(st.r - seed.r))))
         ratios.append(dists[0] / dists[1])
     assert all(3.0 <= r <= 5.0 for r in ratios)

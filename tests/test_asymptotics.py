@@ -15,7 +15,7 @@ from locsync.asymptotics import (
     mismatch_bound,
     mu0_normalization,
 )
-from locsync.continuation import FIXED_MU, LatticeSystem, _newton_solve
+from locsync.continuation import LatticeSystem, _newton_solve
 from locsync.lattice import BoundaryKind, CouplingKind
 from locsync.model import bistable_roots
 from reference import isola_curve, snaking_curve, snaking_domain
@@ -104,7 +104,7 @@ def test_farfield_tail_ratio_refines_with_eps(quintic):
                                BoundaryKind.OFF_SITE)
         ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 8)
         seed = build_seed(quintic, 0.75, eps, ansatz, CouplingKind.dissipative())
-        st = _newton_solve(system, seed, FIXED_MU, 1e-12, 20).state
+        st = _newton_solve(system, seed.x, None, 1e-12, 20).state
         devs.append(abs(st.r[4] / st.r[3] - eps / 0.75) / (eps / 0.75))
     assert devs[1] < 0.75 * devs[0]
 
@@ -115,7 +115,7 @@ def test_build_seed_dissipative_newton(quintic):
                            BoundaryKind.OFF_SITE)
     ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 10)
     seed = build_seed(quintic, 0.5, eps, ansatz, CouplingKind.dissipative())
-    out = _newton_solve(system, seed, FIXED_MU, 1e-10, 12)
+    out = _newton_solve(system, seed.x, None, 1e-10, 12)
     assert out.iterations <= 6
     r_plus = bistable_roots(quintic, 0.5).r_plus
     predicted_r3 = r_plus + eps / quintic.lam_r(r_plus, 0.5)
@@ -129,7 +129,7 @@ def test_build_seed_conservative_newton(quintic):
                            BoundaryKind.ON_SITE)
     ansatz = SeedAnsatz(2, ("plus",) * 2, "conservative", BoundaryKind.ON_SITE, 10)
     seed = build_seed(quintic, 0.5, eps, ansatz, CouplingKind.conservative())
-    out = _newton_solve(system, seed, FIXED_MU, 1e-10, 12)
+    out = _newton_solve(system, seed.x, None, 1e-10, 12)
     assert abs(out.state.phi[0] + np.pi / 2) <= 10 * eps
     assert abs(out.state.phi[1] - np.pi / 2) <= 10 * eps
 
@@ -155,7 +155,7 @@ def test_seed_quality_order_eps_squared(quintic, template, coupling_name, bc):
         system = LatticeSystem(quintic, coupling, eps, bc)
         ansatz = SeedAnsatz(3, ("plus",) * 3, template, bc, 10)
         seed = build_seed(quintic, 0.5, eps, ansatz, coupling)
-        st = _newton_solve(system, seed, FIXED_MU, 1e-12, 20).state
+        st = _newton_solve(system, seed.x, None, 1e-12, 20).state
         dists.append(float(np.max(np.abs(st.r - seed.r))))
     ratio = dists[0] / dists[1]
     assert 3.0 <= ratio <= 5.0

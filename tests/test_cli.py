@@ -362,6 +362,16 @@ def test_exit_code_bad_config(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", [b'{"run_id": "r\xff"}', b"[" * 200_000 + b"]" * 200_000],
+                         ids=["not-utf8", "deeply-nested"])
+def test_undecodable_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert main(["continue", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_verify_exit_code_follows_the_verdict(tmp_path):
     path = write_config(tmp_path, base_config(tmp_path, N=10))
     assert main(["continue", "--config", path]) == 0
@@ -488,6 +498,28 @@ def test_verify_rejects_non_finite_branch_row(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "step 50" in err and "non-finite" in err
     assert not (csv_path.parent / "verify.json").exists()
+
+
+def test_verify_fails_a_row_whose_residual_overflows(tmp_path, capsys):
+    # r_1 = 1e200 makes lambda overflow: the row's residual is NaN, which a
+    # plain max over the rows would drop
+    path = write_config(tmp_path, base_config(tmp_path, N=10))
+    assert main(["continue", "--config", path]) == 0
+    csv_path = tmp_path / "out" / "test-run" / "branch.csv"
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    col = lines[0].split(",").index("r_1")
+    cells = lines[10].split(",")
+    assert cells[0] == "9"
+    cells[col] = "1e200"
+    lines[10] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning leaks out
+        assert main(["verify", "--config", path, str(csv_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"step 9 at mu={float(cells[2])!r}: ")
+    check = json.loads((csv_path.parent / "verify.json").read_text())["residual_check"]
+    assert not check["pass"] and np.isnan(check["max_residual"])
 
 
 def test_verify_rejects_header_only_branch(tmp_path, capsys):
@@ -837,7 +869,7 @@ def test_branch_csv_rows_match_csv_writer_and_read_back_bit_for_bit(tmp_path):
     assert [r["is_fold"] for r in rows] == [p.is_fold for p in points]
     assert [r["newton_iters"] for r in rows] == [p.newton_iters for p in points]
     for row, p in zip(rows, points):
-        assert row["state"].pack().tobytes() == p.state.pack().tobytes()
+        assert row["state"].x.tobytes() == p.state.x.tobytes()
         assert np.float64(row["arclength"]).tobytes() == np.float64(p.arclength).tobytes()
         assert row["r_l2"] == float(np.linalg.norm(p.state.r))
 

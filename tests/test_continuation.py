@@ -7,7 +7,6 @@ from locsync import continuation
 from locsync.asymptotics import SeedAnsatz, build_seed
 from locsync.continuation import (
     CLOSED_ISOLA,
-    FIXED_MU,
     STEP_LIMIT,
     OPEN,
     WINDOW_EXIT,
@@ -32,7 +31,7 @@ from locsync.continuation import (
 )
 from locsync.lattice import BoundaryKind, CouplingKind, LatticeError, PolarState
 from locsync.model import bistable_roots
-from reference import stacked_newton, stacked_tangent, unpack
+from reference import stacked_newton, stacked_tangent
 
 
 EPS = 0.01
@@ -124,7 +123,7 @@ def test_newton_zero_iterations_for_exact_state(quintic):
                            BoundaryKind.OFF_SITE)
     prof = bistable_roots(quintic, 0.6)
     st = PolarState([prof.r_plus, 0.0, prof.r_minus], [0.0, 0.0], 0.0, 0.6)
-    out = _newton_solve(system, st, FIXED_MU, 1e-10, 12)
+    out = _newton_solve(system, st.x, None, 1e-10, 12)
     assert out.iterations == 0
     assert np.array_equal(out.state.r, st.r)
 
@@ -132,7 +131,7 @@ def test_newton_zero_iterations_for_exact_state(quintic):
 def test_newton_converges_from_seed(quintic, dissipative_system):
     ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 10)
     seed = build_seed(quintic, 0.5, EPS, ansatz, CouplingKind.dissipative())
-    out = _newton_solve(dissipative_system, seed, FIXED_MU, 1e-10, 12)
+    out = _newton_solve(dissipative_system, seed.x, None, 1e-10, 12)
     assert out.iterations <= 6
     assert dissipative_system.residual_norm(out.state) <= 1e-10
 
@@ -156,12 +155,11 @@ def test_newton_bordered_mode(quintic, dissipative_system):
                                              CouplingKind.dissipative()))
     t = branch_tangent(system, seed, direction=+1, newton_tol=TOL)
     ds = 0.01
-    x_prev = seed.pack()
-    corrected = newton_correct(
-        system, unpack(x_prev + ds * t, 6), Bordered(x_prev, t, ds)
-    )
+    x_prev = seed.x
+    corrected = _newton_solve(system, x_prev + ds * t, Bordered(x_prev, t, ds),
+                              1e-10, 12).state
     assert system.residual_norm(corrected) <= 1e-10
-    assert np.dot(corrected.pack() - x_prev, t) == pytest.approx(ds, abs=1e-10)
+    assert np.dot(corrected.x - x_prev, t) == pytest.approx(ds, abs=1e-10)
 
 
 def test_tangent_is_unit_null_vector(quintic, dissipative_system):
@@ -211,7 +209,9 @@ def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
     # In-place bordered assembly and equilibration on the packed vector give
     # the bits of the vstack / PolarState formulation, step by step.
     assert list(inspect.signature(newton_correct).parameters) == [
-        "system", "state", "mode", "tol", "max_iter"]
+        "system", "state", "tol", "max_iter"]
+    assert list(inspect.signature(_newton_solve).parameters) == [
+        "system", "x", "border", "tol", "max_iter"]
     assert list(inspect.signature(branch_tangent).parameters) == [
         "system", "state", "prev_tangent", "direction", "newton_tol"]
     # no default: every caller passes the corrector's tolerance
@@ -221,21 +221,20 @@ def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
     isola, _, isola_system = small_isola
     ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 10)
     raw = build_seed(quintic, 0.5, EPS, ansatz, CouplingKind.dissipative())
-    got = _newton_solve(dissipative_system, raw, FIXED_MU, 1e-10, 12)
+    got = _newton_solve(dissipative_system, raw.x, None, 1e-10, 12)
     want_state, want_it, _ = stacked_newton(dissipative_system, raw)
     assert got.iterations == want_it > 0
-    assert got.state.pack().tobytes() == want_state.pack().tobytes()
-    assert newton_correct(dissipative_system, raw).pack().tobytes() \
-        == want_state.pack().tobytes()
+    assert got.state.x.tobytes() == want_state.x.tobytes()
+    assert newton_correct(dissipative_system, raw).x.tobytes() == want_state.x.tobytes()
     # phases between tail amplitudes below 0.1 tol / eps come back pinned to 0
     tail = raw.copy()
     dead = _dead_interfaces(tail, EPS, 1e-10)
     assert dead.any()
     tail.phi[dead] = 0.3
-    got = _newton_solve(dissipative_system, tail, FIXED_MU, 1e-10, 12)
+    got = _newton_solve(dissipative_system, tail.x, None, 1e-10, 12)
     assert np.all(got.state.phi[dead] == 0.0)
-    assert got.state.pack().tobytes() == stacked_newton(
-        dissipative_system, tail)[0].pack().tobytes()
+    assert got.state.x.tobytes() == stacked_newton(
+        dissipative_system, tail)[0].x.tobytes()
     for direction in (-1, 1):
         assert branch_tangent(dissipative_system, seed, direction=direction,
                               newton_tol=TOL).tobytes() \
@@ -244,15 +243,15 @@ def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
     for branch, system in ((snake, dissipative_system), (isola, isola_system)):
         walk = [p for p in branch.points if not p.is_fold]
         for prev, p in zip(walk[:-1], walk[1:]):
-            x_prev = prev.state.pack()
+            x_prev = prev.state.x
             ds = p.arclength - prev.arclength
             predictor = x_prev + ds * prev.tangent
-            mode = Bordered(x_prev, prev.tangent, ds)
-            got = _newton_solve(system, predictor, mode, 1e-10, 12)
+            border = Bordered(x_prev, prev.tangent, ds)
+            got = _newton_solve(system, predictor, border, 1e-10, 12)
             want_state, want_it, want_t = stacked_newton(
-                system, unpack(predictor, prev.state.n), mode)
+                system, PolarState.from_packed(predictor), border)
             assert got.iterations == want_it
-            assert got.state.pack().tobytes() == want_state.pack().tobytes()
+            assert got.state.x.tobytes() == want_state.x.tobytes()
             if want_it:
                 assert got.tangent.tobytes() == want_t.tobytes()
             got_t = branch_tangent(system, p.state, prev_tangent=prev.tangent, newton_tol=TOL)
@@ -278,13 +277,13 @@ def test_newton_iterate_is_one_residual_and_one_bordered_jacobian(
         monkeypatch.setattr(continuation, name, counted(name, getattr(continuation, name)))
     ansatz = SeedAnsatz(2, ("plus",) * 2, "in_phase", BoundaryKind.OFF_SITE, 6)
     seed = build_seed(quintic, 0.5, EPS, ansatz, CouplingKind.dissipative())
-    out = _newton_solve(dissipative_system, seed, FIXED_MU, 1e-10, 12)
+    out = _newton_solve(dissipative_system, seed.x, None, 1e-10, 12)
     assert out.iterations > 0
     assert calls == {"residual": out.iterations + 1, "jacobian": out.iterations,
                      "border": 0}
     t = branch_tangent(dissipative_system, out.state, direction=+1, newton_tol=TOL)
     calls.update(residual=0, jacobian=0, border=0)
-    x_prev = out.state.pack()
+    x_prev = out.state.x
     step = _attempt_step(dissipative_system, ContinuationConfig(), x_prev, t, 0.01)
     assert step.iterations > 0
     assert calls == {"residual": step.iterations + 1, "jacobian": step.iterations,
@@ -319,12 +318,12 @@ def test_non_finite_predictor_fails_before_iterating(quintic, dissipative_system
         tangent = t.copy()
         tangent[3] = bad
         with pytest.raises(LatticeError, match="non-finite"):
-            _attempt_step(dissipative_system, ContinuationConfig(), seed.pack(),
+            _attempt_step(dissipative_system, ContinuationConfig(), seed.x,
                           tangent, 0.01)
-        x = seed.pack()
+        x = seed.x.copy()
         x[-1] = bad
         with pytest.raises(LatticeError, match="non-finite"):
-            _newton_solve(dissipative_system, x, FIXED_MU, 1e-10, 12)
+            _newton_solve(dissipative_system, x, None, 1e-10, 12)
 
 
 def test_tangent_at_eps_zero_pins_every_phase(quintic):
@@ -445,7 +444,7 @@ def test_determinism_bitwise(quintic, dissipative_system):
     b2 = continue_branch(system, seed, +1, cfg)
     assert len(b1.points) == len(b2.points)
     for p, q in zip(b1.points, b2.points):
-        assert np.array_equal(p.state.pack(), q.state.pack())
+        assert np.array_equal(p.state.x, q.state.x)
         assert np.array_equal(p.tangent, q.tangent)
 
 
@@ -539,12 +538,12 @@ def test_warm_started_step_is_checked_against_the_tangent_predictor(
     # and the drift guard (2 ds) measures that point against the predictor
     branch, cfg, _ = small_snake
     prev = [p for p in branch.points if not p.is_fold][10]
-    x_prev, ds = prev.state.pack(), 0.02
+    x_prev, ds = prev.state.x, 0.02
     plain = _attempt_step(dissipative_system, cfg, x_prev, prev.tangent, ds)
     guess = x_prev + ds * prev.tangent
     guess[0] += 2.5 * ds
     warm = _attempt_step(dissipative_system, cfg, x_prev, prev.tangent, ds, guess)
-    assert np.max(np.abs(warm.state.pack() - plain.state.pack())) <= 1e-9
+    assert np.max(np.abs(warm.state.x - plain.state.x)) <= 1e-9
 
 
 def test_fold_trials_start_from_their_bracket(quintic, dissipative_system, monkeypatch):
@@ -627,31 +626,26 @@ def test_merged_closure_is_the_worse_end():
 
 
 def test_corrector_outcome_carries_the_packed_state(quintic, dissipative_system, small_snake):
-    # The walk, the drift guard, the closure test and the fold brackets read
-    # outcome.x instead of packing the state again: it must hold the state's
-    # bits after the dead tail phases are pinned and after the flip of
-    # negative amplitudes.
+    # The corrector hands back its state with the dead tail phases pinned
+    # and negative amplitudes flipped, and the drift guard's solid mask.
     ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 10)
     raw = build_seed(quintic, 0.5, EPS, ansatz, CouplingKind.dissipative())
     dead = _dead_interfaces(raw, EPS, TOL)
     assert dead.any()
     raw.phi[dead] = 0.3
-    out = _newton_solve(dissipative_system, raw, FIXED_MU, TOL, 12)
+    out = _newton_solve(dissipative_system, raw.x, None, TOL, 12)
     assert out.iterations > 0 and np.all(out.state.phi[dead] == 0.0)
-    assert out.x.tobytes() == out.state.pack().tobytes()
     # node 2 negated, its two interface phases shifted by pi: the same
     # solution, which the corrector hands back flipped
     neg = out.state.copy()
     neg.r[1] = -neg.r[1]
     neg.phi[:2] += (np.pi, -np.pi)
-    flipped = _newton_solve(dissipative_system, neg, FIXED_MU, TOL, 12)
+    flipped = _newton_solve(dissipative_system, neg.x, None, TOL, 12)
     assert flipped.state.r.min() >= 0.0
-    assert flipped.x.tobytes() == flipped.state.pack().tobytes()
     branch, cfg, _ = small_snake
     walk = [p for p in branch.points if not p.is_fold]
     for prev in walk[::7]:
-        step = _attempt_step(dissipative_system, cfg, prev.state.pack(), prev.tangent, 0.02)
-        assert step.x.tobytes() == step.state.pack().tobytes()
+        step = _attempt_step(dissipative_system, cfg, prev.state.x, prev.tangent, 0.02)
         assert np.array_equal(step.solid, _solid_mask(step.state))
 
 

@@ -23,7 +23,6 @@ from reference import (
     empty_point_terms,
     loop_lam_r,
     mirrored_chain,
-    unpack,
     where_wrap_phase,
 )
 
@@ -52,10 +51,28 @@ def test_state_validation():
 
 def test_pack_unpack_roundtrip():
     st = PolarState([0.3, 0.7, 1.1], [0.2, -0.4], 1.5, 0.6)
-    back = unpack(st.pack(), 3)
+    back = PolarState.from_packed(st.x.copy())
     assert np.array_equal(back.r, st.r)
     assert np.array_equal(back.phi, st.phi)
     assert back.rho == st.rho and back.mu == st.mu
+
+
+def test_polar_state_is_its_packed_vector():
+    st = PolarState([0.3, 0.7, 1.1], [0.2, -0.4], 1.5, 0.6)
+    assert st.x.tobytes() == np.array([0.3, 0.7, 1.1, 0.2, -0.4, 1.5, 0.6]).tobytes()
+    st.r[1], st.phi[0] = 0.9, -0.1  # writes through the views land in x
+    assert st.x.tolist() == [0.3, 0.9, 1.1, -0.1, -0.4, 1.5, 0.6]
+    x = st.x.copy()
+    shared = PolarState.from_packed(x)
+    shared.phi[1] = 2.0
+    assert shared.x is x and x[4] == 2.0 and (shared.rho, shared.mu) == (1.5, 0.6)
+    for i, bad in itertools.product((0, 3, 5, 6), (np.nan, np.inf, -np.inf)):
+        y = x.copy()
+        y[i] = bad
+        with pytest.raises(LatticeError, match="non-finite"):
+            PolarState(y[:3], y[3:5], y[5], y[6])
+        with pytest.raises(LatticeError, match="non-finite"):
+            PolarState.from_packed(y)
 
 
 def test_point_terms_ghosts_off_site(quintic):
@@ -217,7 +234,7 @@ def test_polar_complex_equivalence(quintic_rotating, couplings, boundaries):
 
 
 def fd_jacobian(spec, c, state, eps, bc):
-    x0 = state.pack()
+    x0 = state.x
     n = state.n
     out = np.zeros((2 * n, 2 * n + 1))
     for j in range(2 * n + 1):
@@ -225,8 +242,8 @@ def fd_jacobian(spec, c, state, eps, bc):
         xp, xm = x0.copy(), x0.copy()
         xp[j] += h
         xm[j] -= h
-        fp = residual(spec, c, unpack(xp, n), eps, bc)
-        fm = residual(spec, c, unpack(xm, n), eps, bc)
+        fp = residual(spec, c, PolarState.from_packed(xp), eps, bc)
+        fm = residual(spec, c, PolarState.from_packed(xm), eps, bc)
         out[:, j] = (fp - fm) / (2.0 * h)
     return out
 

@@ -19,7 +19,6 @@ from .model import NonlinearitySpec, bistable_roots, rest_state_roots
 
 __all__ = [
     "AsymptoticsError",
-    "DegenerateDenominatorError",
     "SeedAnsatz",
     "MismatchReport",
     "RecruitmentPrediction",
@@ -36,10 +35,6 @@ MU0_FOLD_CONSTANT = 1.5 * 2.0 ** (1.0 / 3.0)   # (3/2) * cbrt(2)
 
 
 class AsymptoticsError(ValueError):
-    pass
-
-
-class DegenerateDenominatorError(AsymptoticsError):
     pass
 
 
@@ -78,7 +73,7 @@ def _core_roots(spec, mu, pattern):
 def _core_denominators(spec, mu, r0):
     d = np.asarray(spec.lam(r0, mu)) + r0 * np.asarray(spec.lam_r(r0, mu))
     if np.any(np.abs(d) < 1e-12):
-        raise DegenerateDenominatorError(
+        raise AsymptoticsError(
             "core linearization denominator lambda + r lambda_r vanishes"
         )
     return d

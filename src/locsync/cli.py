@@ -33,6 +33,7 @@ from .lattice import BoundaryKind, CouplingKind, LatticeError, PolarState
 
 __all__ = ["RunConfig", "load_config", "main"]
 MAX_N = 4096  # a dense (2N+1) x (2N+1) float64 bordered matrix is then about 0.5 GB
+RK4_DT = 1e-3  # the RK4 step of verify's check, and simulate's default dt
 
 class ConfigError(ValueError):
     pass
@@ -312,9 +313,7 @@ def _corrected_seed(rc: RunConfig):
     """The system, the asymptotic seed and its Newton correction."""
     system = rc.system()
     seed = asymptotics.build_seed(rc.spec, rc.mu_seed, rc.eps, rc.ansatz, rc.coupling)
-    corrected = continuation.newton_correct(
-        system, seed, tol=rc.cont.newton_tol, max_iter=rc.cont.newton_max_iter
-    )
+    corrected = continuation.newton_correct(system, seed, tol=rc.cont.newton_tol)
     return system, seed, corrected
 
 
@@ -382,7 +381,7 @@ def _check_horizon(rho: float) -> float:
     return min(2.0 * np.pi / abs(rho), 10.0) if abs(rho) >= 1e-6 else 10.0
 
 
-def _relative_equilibrium_check(rc: RunConfig, states: list, horizons: list, dt=1e-3):
+def _relative_equilibrium_check(rc: RunConfig, states: list, horizons: list, dt=RK4_DT):
     """RK4 deviation from rigid rotation and completion of each state, as one batch."""
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up unsets completed
         devs, completed = dynamics.rotation_deviation(
@@ -460,7 +459,7 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
         "n_points": len(rows),
         "residual_check": {
             "pass": not failing.size,
-            "max_residual": max_res,
+            "max_residual": max_res if np.isfinite(max_res) else None,  # standard JSON
             "tol": rc.cont.newton_tol,
         },
         "relative_equilibrium": {
@@ -521,7 +520,7 @@ def cmd_mismatch(rc: RunConfig) -> int:
 def cmd_simulate(rc: RunConfig) -> int:
     state = _corrected_seed(rc)[2]
     sim = rc.raw.get("simulate", {})
-    dt = float(sim.get("dt", 1e-3))
+    dt = float(sim.get("dt", RK4_DT))
     horizon = float(sim.get("horizon", _check_horizon(state.rho)))
     if horizon < dt:
         raise ConfigError(f"simulate horizon {horizon!r} is below dt {dt!r}")

@@ -37,7 +37,6 @@ __all__ = [
     "ContinuationError",
     "NoConvergence",
     "SingularJacobian",
-    "SeedResidualError",
     "LatticeSystem",
     "ContinuationConfig",
     "Bordered",
@@ -55,6 +54,14 @@ OPEN = "open"
 WINDOW_EXIT = "window_exit"
 STEP_LIMIT = "step_limit"
 
+# Fixed parts of the method, not inputs to a run: the smallest step before a
+# walk ends open, the corrector's iteration cap, the closure landing's
+# distance to the start point, and the fold refinement's bound on t_mu.
+DS_MIN = 1e-7
+NEWTON_MAX_ITER = 12
+CLOSURE_TOL = 1e-6
+FOLD_REFINE_TOL = 1e-10
+
 
 class ContinuationError(RuntimeError):
     pass
@@ -66,10 +73,6 @@ class NoConvergence(ContinuationError):
 
 class SingularJacobian(ContinuationError):
     pass
-
-
-class SeedResidualError(ContinuationError, ValueError):
-    """The state handed to continue_branch is not a solution within newton_tol."""
 
 
 @dataclass(frozen=True)
@@ -94,20 +97,16 @@ class LatticeSystem:
 @dataclass(frozen=True)
 class ContinuationConfig:
     ds_init: float = 0.01
-    ds_min: float = 1e-7
     ds_max: float = 0.05
     newton_tol: float = 1e-10
-    newton_max_iter: int = 12
     max_steps: int = 20000
     mu_window: tuple[float, float] = (-0.05, 1.05)
-    closure_tol: float = 1e-6
-    fold_refine_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (0.0 < self.ds_min <= self.ds_init <= self.ds_max):
-            raise ValueError("need 0 < ds_min <= ds_init <= ds_max")
-        if min(self.newton_tol, self.closure_tol, self.fold_refine_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (DS_MIN <= self.ds_init <= self.ds_max):
+            raise ValueError(f"need {DS_MIN:g} <= ds_init <= ds_max")
+        if not self.newton_tol > 0.0:
+            raise ValueError("newton_tol must be positive")
         if self.mu_window[0] >= self.mu_window[1]:
             raise ValueError("empty mu window")
 
@@ -258,8 +257,9 @@ def _newton_solve(system: LatticeSystem, x: np.ndarray, border: Bordered | None,
     raise NoConvergence(f"Newton did not reach tol={tol} within {max_iter} iterations")
 
 
-def newton_correct(system: LatticeSystem, state: PolarState, tol: float = 1e-10,
-                   max_iter: int = 12) -> PolarState:
+def newton_correct(system: LatticeSystem, state: PolarState,
+                   tol: float = ContinuationConfig.newton_tol,
+                   max_iter: int = NEWTON_MAX_ITER) -> PolarState:
     """Correct a state onto the solution set at its frozen mu, solving the
     square system in (r, phi, rho).  Raises NoConvergence / SingularJacobian."""
     return _newton_solve(system, state.x, None, tol, max_iter).state
@@ -309,7 +309,7 @@ class BranchPoint:
     tangent: np.ndarray
     is_fold: bool = False
     newton_iters: int = 0
-    refined: bool = False  # folds only: the tangent's mu part met fold_refine_tol
+    refined: bool = False  # folds only: the tangent's mu part met FOLD_REFINE_TOL
 
     @property
     def mu(self) -> float:
@@ -335,7 +335,7 @@ def _attempt_step(system, config, x_prev, tangent, ds, guess=None):
     predictor = x_prev + ds * tangent
     outcome = _newton_solve(system, predictor if guess is None else guess,
                             Bordered(x_prev, tangent, ds), config.newton_tol,
-                            config.newton_max_iter)
+                            NEWTON_MAX_ITER)
     # Reject corrector landings far from the predictor: those are jumps onto
     # another solution sheet (worst case the trivial r=0 line), not steps
     # along the branch.  Halving ds then also adapts to fold curvature.
@@ -358,15 +358,17 @@ def continue_branch(
     """Trace the branch through ``seed`` in one direction.
 
     Terminates on mu leaving the window, the step limit, isola closure
-    (return to the start point within closure_tol after arclength
+    (return to the start point within CLOSURE_TOL after arclength
     > 10 ds_init), or an unresolvable corrector failure ("open").  Raises
-    SeedResidualError when the seed's residual exceeds newton_tol.
+    ContinuationError when the seed's residual exceeds newton_tol or is not
+    finite.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
-    res0 = system.residual_norm(seed)
-    if res0 > config.newton_tol:
-        raise SeedResidualError(
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads NaN
+        res0 = system.residual_norm(seed)
+    if not res0 <= config.newton_tol:
+        raise ContinuationError(
             f"seed residual {res0:.3e} exceeds newton_tol={config.newton_tol}"
         )
 
@@ -392,7 +394,7 @@ def continue_branch(
                 break
             except (NoConvergence, SingularJacobian):
                 ds *= 0.5
-                if ds < config.ds_min:
+                if ds < DS_MIN:
                     break
         if outcome is None:
             termination = OPEN
@@ -453,11 +455,11 @@ def _attempt_closure(system, config, x_from, tangent, x_start, solid_start):
     try:
         outcome = _newton_solve(system, x_from + ds_land * tangent,
                                 Bordered(x_from, tangent, ds_land),
-                                config.newton_tol, config.newton_max_iter)
+                                config.newton_tol, NEWTON_MAX_ITER)
     except (NoConvergence, SingularJacobian):
         return None
     gap = _norm((outcome.state.x - x_start)[solid_start])
-    if gap < config.closure_tol:
+    if gap < CLOSURE_TOL:
         return outcome
     return None
 
@@ -489,7 +491,7 @@ def detect_folds(
     Each trial re-corrects a bordered step from the left bracket point, at
     the secant root of the tangent's mu component (the midpoint if that
     leaves the bracket), and evaluates the tangent there; the bracket shrinks
-    until the mu component drops below fold_refine_tol.  Newton starts from
+    until the mu component drops below FOLD_REFINE_TOL.  Newton starts from
     the interpolated bracket ends, on the same hyperplanes <x - x_left,
     t_left> = s; the drift guard still measures the tangent predictor.  A
     fold point is the best trial, with its tangent; failed or capped
@@ -528,7 +530,7 @@ def detect_folds(
             tmu = float(t_trial[-1])
             if abs(tmu) < abs(best_tangent[-1]):
                 best_state, best_tangent, best_ds = outcome.state, t_trial, trial
-            if abs(tmu) <= config.fold_refine_tol:
+            if abs(tmu) <= FOLD_REFINE_TOL:
                 refined = True
                 break
             moved, other = (lo, hi) if np.sign(tmu) == sign_left else (hi, lo)

@@ -10,7 +10,7 @@ omega0.  Both are stored as coefficients, and a spec is built one way, from
 its coefficients; this module is the only one that evaluates them, and it
 takes the roots of lambda from its coefficients as a polynomial in r^2.
 ``bistable_roots`` returns the pair (r_minus, r_plus) and raises
-``NotBistableError`` unless lambda(., mu) has exactly two positive roots.
+``ModelError`` unless lambda(., mu) has exactly two positive roots.
 """
 from __future__ import annotations
 
@@ -21,9 +21,6 @@ import numpy as np
 
 __all__ = [
     "ModelError",
-    "UnknownSpecError",
-    "NotBistableError",
-    "ParameterRangeError",
     "NonlinearitySpec",
     "BistableRoots",
     "builtin_spec",
@@ -35,18 +32,6 @@ _DOUBLE_ROOT_RTOL = 1e-7  # |Im u| / |u| below which a root of lambda in u is re
 
 
 class ModelError(ValueError):
-    pass
-
-
-class UnknownSpecError(ModelError):
-    pass
-
-
-class NotBistableError(ModelError):
-    pass
-
-
-class ParameterRangeError(ModelError):
     pass
 
 
@@ -149,7 +134,7 @@ def builtin_spec(name: str) -> NonlinearitySpec:
     if name == "hbm":
         return NonlinearitySpec("hbm", (0.0, 12.0 * np.pi**4 / 5.0, -12.0 * np.pi**2 / 8.0),
                                 mu_coefficient=-2.0)
-    raise UnknownSpecError(f"unknown built-in nonlinearity {name!r}")
+    raise ModelError(f"unknown built-in nonlinearity {name!r}")
 
 
 def _newton_polish(f, fprime, x, maxit=10):
@@ -194,12 +179,12 @@ def bistable_roots(spec: NonlinearitySpec, mu: float) -> BistableRoots:
     returned instead of raising.
     """
     if not (0.0 < mu <= 1.0):
-        raise ParameterRangeError(f"mu={mu} outside the bistability interval (0, 1]")
+        raise ModelError(f"mu={mu} outside the bistability interval (0, 1]")
     roots = _positive_r_roots(spec, mu)
     if len(roots) != 2:
         found = {0: "no positive roots", 1: "one positive root"}.get(
             len(roots), f"{len(roots)} positive roots")
-        raise NotBistableError(f"not bistable at mu={mu}: {found}")
+        raise ModelError(f"not bistable at mu={mu}: {found}")
     return BistableRoots(*roots)
 
 
@@ -207,5 +192,5 @@ def rest_state_roots(spec: NonlinearitySpec) -> tuple[float, float]:
     """(r_minus, r_plus) limits at mu = 0, where r_minus = 0 by the pitchfork."""
     candidates = [x for x in _positive_r_roots(spec, 0.0) if x > 1e-4]
     if not candidates:
-        raise NotBistableError("no positive root of lambda(., 0) found")
+        raise ModelError("no positive root of lambda(., 0) found")
     return 0.0, max(candidates)

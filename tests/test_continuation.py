@@ -7,6 +7,7 @@ from locsync import continuation
 from locsync.asymptotics import SeedAnsatz, build_seed
 from locsync.continuation import (
     CLOSED_ISOLA,
+    FOLD_REFINE_TOL,
     STEP_LIMIT,
     OPEN,
     WINDOW_EXIT,
@@ -14,6 +15,7 @@ from locsync.continuation import (
     Branch,
     BranchPoint,
     ContinuationConfig,
+    ContinuationError,
     LatticeSystem,
     NoConvergence,
     _attempt_step,
@@ -113,7 +115,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ContinuationConfig(ds_init=0.0)
     with pytest.raises(ValueError):
-        ContinuationConfig(ds_min=0.1, ds_init=0.01)
+        ContinuationConfig(ds_init=1e-8)  # below DS_MIN
     with pytest.raises(ValueError):
         ContinuationConfig(mu_window=(1.0, 0.0))
 
@@ -376,10 +378,18 @@ def test_continuation_makes_no_svd(quintic, dissipative_system, monkeypatch):
     assert len(detect_folds(isola, system, cfg)) == 4
 
 
+@pytest.mark.filterwarnings("error")  # an overflowing residual warns nothing
 def test_continue_branch_seed_precondition(quintic, dissipative_system):
-    bad = PolarState(np.full(10, 0.5), np.zeros(9), 0.0, 0.5)
-    with pytest.raises(ValueError, match="seed residual"):
-        continue_branch(dissipative_system, bad, +1, ContinuationConfig())
+    off_branch = PolarState(np.full(10, 0.5), np.zeros(9), 0.0, 0.5)
+    # the corrected off-site snake seed with r_1 = 1e200: its residual
+    # overflows to NaN, which no "> newton_tol" test catches
+    ansatz = SeedAnsatz(1, ("minus",), "in_phase", BoundaryKind.OFF_SITE, 10)
+    overflowing = newton_correct(dissipative_system, build_seed(
+        quintic, 0.5, EPS, ansatz, CouplingKind.dissipative()))
+    overflowing.x[0] = 1e200
+    for bad, shown in ((off_branch, ""), (overflowing, "nan ")):
+        with pytest.raises(ContinuationError, match=f"seed residual {shown}"):
+            continue_branch(dissipative_system, bad, +1, ContinuationConfig())
 
 
 def test_step_limit_two_points(quintic, dissipative_system):
@@ -483,22 +493,22 @@ def test_detect_folds_idempotent(small_snake, dissipative_system):
 
 
 def test_fold_refinement_tangent_tolerance(small_snake, dissipative_system, quintic):
-    branch, cfg, _ = small_snake
+    branch = small_snake[0]
     walk = [p for p in branch.points if not p.is_fold]
     for rec in branch.folds:
         nearest = min(walk, key=lambda p: abs(p.arclength - rec.arclength))
         t = branch_tangent(dissipative_system, rec.state,
                            prev_tangent=nearest.tangent, newton_tol=TOL)
-        assert abs(t[-1]) <= 10 * cfg.fold_refine_tol
+        assert abs(t[-1]) <= 10 * FOLD_REFINE_TOL
 
 
 def test_fold_points_carry_their_fold_tangent(small_snake):
-    branch, cfg, _ = small_snake
+    branch = small_snake[0]
     assert branch.folds == [p for p in branch.points if p.is_fold]
     refined = [p for p in branch.folds if p.refined]
     assert len(refined) == 6
     for p in refined:
-        assert abs(p.tangent[-1]) <= cfg.fold_refine_tol
+        assert abs(p.tangent[-1]) <= FOLD_REFINE_TOL
 
 
 def test_fold_refinement_cost(small_snake, dissipative_system, monkeypatch):

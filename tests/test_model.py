@@ -7,9 +7,6 @@ from conftest import quintic_roots
 from locsync.model import (
     ModelError,
     NonlinearitySpec,
-    NotBistableError,
-    ParameterRangeError,
-    UnknownSpecError,
     bistable_roots,
     builtin_spec,
     rest_state_roots,
@@ -40,7 +37,7 @@ def test_hbm_printed_coefficients(hbm):
 
 
 def test_unknown_builtin():
-    with pytest.raises(UnknownSpecError):
+    with pytest.raises(ModelError, match="unknown built-in nonlinearity 'cubic'"):
         builtin_spec("cubic")
 
 
@@ -61,13 +58,13 @@ def test_bistable_roots_fold_limit(quintic):
 
 @pytest.mark.parametrize("mu", [0.0, -0.2, 1.0001, 2.0])
 def test_bistable_roots_range_error(quintic, mu):
-    with pytest.raises(ParameterRangeError):
+    with pytest.raises(ModelError, match="outside the bistability interval"):
         bistable_roots(quintic, mu)
 
 
 def test_bistable_roots_monostable():
     mono = NonlinearitySpec("monostable", [0.0, 1.0], mu_coefficient=-1.0)
-    with pytest.raises(NotBistableError, match="one positive root"):
+    with pytest.raises(ModelError, match="one positive root"):
         bistable_roots(mono, 0.5)
 
 
@@ -109,7 +106,7 @@ BISTABILITY_GRID = np.linspace(0.1, 0.9, 9)
 def test_bistability_hypotheses(spec, found):
     if found is not None:
         for mu in BISTABILITY_GRID:
-            with pytest.raises(NotBistableError, match=f"not bistable at mu={mu}: {found}$"):
+            with pytest.raises(ModelError, match=f"not bistable at mu={mu}: {found}$"):
                 bistable_roots(spec, mu)
         return
     profiles = [bistable_roots(spec, mu) for mu in BISTABILITY_GRID]

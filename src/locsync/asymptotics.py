@@ -112,13 +112,17 @@ def farfield_tail(
 
     r_n = [eps / lambda(0, mu)]^(n-k) * r0_k * (-1)^(n-k); the alternating
     sign cancels the negative lambda(0, mu), so the tail is positive with
-    decay ratio eps / |lambda(0, mu)|.
+    decay ratio eps / |lambda(0, mu)|; a tail that overflows raises AsymptoticsError.
     """
     lam0 = float(spec.lam(0.0, mu))
     if abs(lam0) < 1e-12:
         raise AsymptoticsError("lambda(0, mu) vanishes; far-field tail undefined")
-    exponents = np.arange(1, n_nodes - k + 1)
-    return (-eps / lam0) ** exponents * r0_k
+    with np.errstate(over="ignore"):
+        tail = (-eps / lam0) ** np.arange(1, n_nodes - k + 1) * r0_k
+    if not np.isfinite(tail).all():
+        raise AsymptoticsError(f"far-field tail overflows: eps/|lambda(0, mu)| = "
+                               f"{abs(eps / lam0):.6g} over {n_nodes - k} tail nodes")
+    return tail
 
 
 def build_seed(
@@ -195,13 +199,18 @@ def mismatch_bound(spec: NonlinearitySpec, mu: float) -> MismatchReport:
     A pattern with a long r+ block followed by one r- node forces the
     interface phase toward sin(phi_k) = (r-/r+)(omega1(r-) - omega1(r+));
     no such phase exists once |omega1(r-) - omega1(r+)| exceeds r+/r-.
+    An omega1 that overflows there raises AsymptoticsError.
     """
     r_minus, r_plus = bistable_roots(spec, mu)
-    w1m = float(spec.omega1(r_minus))
-    w1p = float(spec.omega1(r_plus))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w1m = float(spec.omega1(r_minus))
+        w1p = float(spec.omega1(r_plus))
     delta = abs(w1m - w1p)
     threshold = r_plus / r_minus
     sin_phi = (r_minus / r_plus) * (w1m - w1p)
+    if not (np.isfinite(delta) and np.isfinite(sin_phi)):
+        raise AsymptoticsError(f"omega1 mismatch at mu={mu!r} is not finite: "
+                               f"omega1(r-) = {w1m!r}, omega1(r+) = {w1p!r}")
     return MismatchReport(
         mu=float(mu),
         delta=delta,

@@ -7,9 +7,9 @@ are reproducible.
 
 Commands return 0, or 1 for a run whose outputs are written but whose
 result failed; any other failure is raised, and ``_run`` alone maps it to
-its exit code and one stderr line: 2 for a config, model or ansatz error
-(``config error: ...``), 3 for a continuation error (the run id, seed and
-cause), and a ``CommandError``'s own code and message.
+its exit code and one stderr line: 2 for bad input (``config error: ...``,
+or a ``CommandError``'s message as given), 3 for a continuation error (the
+run id, seed and cause).
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NoReturn
 
@@ -40,11 +40,10 @@ class ConfigError(ValueError):
 
 
 class CommandError(Exception):
-    """A failure whose stderr line is ``message`` as given, with exit ``code``."""
+    """Bad input whose stderr line is the message as given (exit 2)."""
 
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+
+_BAD_INPUT = (ConfigError, LatticeError, model.ModelError, asymptotics.AsymptoticsError)  # exit 2
 
 
 @dataclass(frozen=True)
@@ -259,10 +258,10 @@ def read_branch_csv(path: Path, n: int) -> list[dict]:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             if next(reader, None) != header:
-                raise CommandError(2, f"unexpected branch.csv header in {path}")
+                raise CommandError(f"unexpected branch.csv header in {path}")
             for line in reader:
                 if len(line) != len(header):
-                    raise CommandError(2, f"corrupted branch.csv row: {line[:3]}...")
+                    raise CommandError(f"corrupted branch.csv row: {line[:3]}...")
                 try:
                     vals = [float(v) for v in line]
                     rows.append({
@@ -276,14 +275,14 @@ def read_branch_csv(path: Path, n: int) -> list[dict]:
                     })
                 except (ValueError, OverflowError) as err:
                     raise CommandError(
-                        2, f"corrupted branch.csv row at step {line[0]}: {err}") from err
+                        f"corrupted branch.csv row at step {line[0]}: {err}") from err
     except FileNotFoundError:
-        raise CommandError(2, f"branch file not found: {path}") from None
+        raise CommandError(f"branch file not found: {path}") from None
     except (OSError, UnicodeDecodeError, csv.Error) as err:
         reason = getattr(err, "strerror", None) or err
-        raise CommandError(2, f"cannot read branch file {path}: {reason}") from err
+        raise CommandError(f"cannot read branch file {path}: {reason}") from err
     if not rows:
-        raise CommandError(2, f"no branch rows in {path}")
+        raise CommandError(f"no branch rows in {path}")
     return rows
 
 
@@ -430,28 +429,20 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
             print(f"row {check['row']} at mu={check['mu']!r}: {cause}", file=sys.stderr)
             check["error"] = cause
 
-    fold_rows = [row for row in rows if row["is_fold"]]
-    fold_mu1 = None  # the 1 - eps prediction has no relative error at eps = 0
+    fold_mu = [row["state"].mu for row in rows if row["is_fold"]]
+    fold_mu1 = fold_mu0 = None  # the eps predictions have no relative error at eps = 0
     if rc.eps > 0:
-        fold_mu1 = [
-            {"mu": row["state"].mu,
-             "rel_error": abs(1.0 - (1.0 - row["state"].mu) / rc.eps)}
-            for row in fold_rows if row["state"].mu > 0.9
-        ]
-    low = [row["state"].mu for row in fold_rows if row["state"].mu <= 0.9]
-    fold_mu0 = None
-    if low and rc.eps > 0:
-        smallest = min(low)
-        mu0_pred = asymptotics.fold_prediction_mu0(rc.eps)
-        try:
-            normalized = smallest / (asymptotics.mu0_normalization(rc.spec) * mu0_pred)
-        except (model.ModelError, asymptotics.AsymptoticsError):
-            normalized = None  # lambda(., 0) has no recruitment-fold shape
-        fold_mu0 = {
-            "mu": smallest,
-            "ratio_normal_form_units": smallest / mu0_pred,
-            "ratio_normalized": normalized,
-        }
+        fold_mu1 = [{"mu": mu, "rel_error": abs(1.0 - (1.0 - mu) / rc.eps)}
+                    for mu in fold_mu if mu > 0.9]
+        low = [mu for mu in fold_mu if mu <= 0.9]
+        if low:
+            smallest, mu0_pred = min(low), asymptotics.fold_prediction_mu0(rc.eps)
+            try:
+                normalized = smallest / (asymptotics.mu0_normalization(rc.spec) * mu0_pred)
+            except (model.ModelError, asymptotics.AsymptoticsError):
+                normalized = None  # lambda(., 0) has no recruitment-fold shape
+            fold_mu0 = {"mu": smallest, "ratio_normal_form_units": smallest / mu0_pred,
+                        "ratio_normalized": normalized}
 
     report = {
         "run_id": rc.run_id,
@@ -499,17 +490,7 @@ def cmd_mismatch(rc: RunConfig) -> int:
             entry["converged"] = False
             entry["error"] = type(err).__name__
         sweep.append(entry)
-    payload = {
-        "run_id": rc.run_id,
-        "mu": bound.mu,
-        "delta": bound.delta,
-        "threshold": bound.threshold,
-        "obstructed": bound.obstructed,
-        "sin_phi_limit": bound.sin_phi_limit,
-        "has_real_solution": bound.has_real_solution,
-        "core_k": k,
-        "sweep": sweep,
-    }
+    payload = {**asdict(bound), "run_id": rc.run_id, "core_k": k, "sweep": sweep}
     _write_json(payload, rc.run_dir() / "mismatch.json")
     verdict = "obstructed" if bound.obstructed else "admissible"
     print(f"{rc.run_id}: mismatch delta={bound.delta:.6f} "
@@ -548,17 +529,15 @@ def _run(command, rc: RunConfig, *args) -> int:
     to its code and one stderr line."""
     try:
         return command(rc, *args)
-    except (ConfigError, model.ModelError, asymptotics.AsymptoticsError) as err:
-        print(f"config error: {err}", file=sys.stderr)
+    except (CommandError, *_BAD_INPUT) as err:
+        print(err if isinstance(err, CommandError) else f"config error: {err}",
+              file=sys.stderr)
         return 2
     except continuation.ContinuationError as err:
         print(f"{rc.run_id}: seed correction failed at mu={rc.mu_seed!r} "
               f"(k={rc.ansatz.k}, template {rc.ansatz.phase_template}): {err}",
               file=sys.stderr)
         return 3
-    except CommandError as err:
-        print(err, file=sys.stderr)
-        return err.code
 
 
 def _run_job(job: RunConfig) -> tuple[int, str, str]:
@@ -571,7 +550,7 @@ def cmd_sweep(rc: RunConfig) -> int:
     """``continue`` per sweep value on min(workers, jobs, usable CPUs) forked processes."""
     sweep = rc.raw.get("sweep")
     if sweep is None:
-        raise CommandError(2, "config has no 'sweep' section")
+        raise CommandError("config has no 'sweep' section")
     parameter, values = sweep["parameter"], sweep["values"]
     # Every job is built and validated before the first one runs, so a bad
     # value fails the whole sweep up front.
@@ -580,10 +559,9 @@ def cmd_sweep(rc: RunConfig) -> int:
         data = json.loads(json.dumps(rc.raw))
         data.pop("sweep", None)
         if parameter == "eps":
-            data["eps"] = float(value)
+            _override(data, "eps", float(value))
         else:
-            data["seed"]["k"] = int(value)
-            data["seed"].pop("pattern", None)
+            _override(data, "seed.k", int(value))
         data["run_id"] = run_id = f"{rc.run_id}-{parameter}{value:g}"
         if run_id in value_of:  # the second run would overwrite the first
             raise ConfigError(f"sweep values {value_of[run_id]!r} and {value!r} "
@@ -626,16 +604,26 @@ _OVERRIDE_FLAGS = {  # flag: (config key, argparse type)
 }
 
 
+def _override(data: dict, path: str, value) -> None:
+    """Set a dotted config ``path``; a new seed.k drops seed.pattern (one entry per core node)."""
+    section, _, key = path.rpartition(".")
+    target = data.setdefault(section, {}) if section else data
+    if isinstance(target, dict):  # else load_config names the section
+        target[key] = value
+        if path == "seed.k":
+            target.pop("pattern", None)
+
+
 def _apply_overrides(data: dict, args) -> None:
     for flag, (path, _) in _OVERRIDE_FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            section, _, key = path.rpartition(".")
-            target = data.setdefault(section, {}) if section else data
-            if isinstance(target, dict):  # else load_config names the section
-                target[key] = value
-    if args.k is not None and isinstance(data["seed"], dict):
-        data["seed"].pop("pattern", None)  # a pattern has one entry per core node
+            _override(data, path, value)
+
+
+# command: its path arguments (name: help); main looks up cmd_<command> per call (tracers wrap it)
+_COMMANDS = {"continue": {}, "seed": {}, "verify": {"branch": "path to branch.csv"},
+             "mismatch": {}, "simulate": {}, "sweep": {}}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -651,11 +639,11 @@ def main(argv=None) -> int:
                     "coupled oscillator chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("continue", "seed", "verify", "mismatch", "simulate", "sweep"):
+    for name, positionals in _COMMANDS.items():
         p = sub.add_parser(name)
         _add_common(p)
-        if name == "verify":
-            p.add_argument("branch", help="path to branch.csv")
+        for arg, text in positionals.items():
+            p.add_argument(arg, help=text)
     args = parser.parse_args(argv)
 
     try:
@@ -666,14 +654,11 @@ def main(argv=None) -> int:
         _apply_overrides(data, args)
         rc = load_config(data)
     except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError,
-            ConfigError, model.ModelError) as err:
+            *_BAD_INPUT) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-
-    command = {"continue": cmd_continue, "seed": cmd_seed, "verify": cmd_verify,
-               "mismatch": cmd_mismatch, "simulate": cmd_simulate,
-               "sweep": cmd_sweep}[args.command]
-    return _run(command, rc, *([Path(args.branch)] if args.command == "verify" else []))
+    return _run(globals()[f"cmd_{args.command}"], rc,
+                *(Path(getattr(args, arg)) for arg in _COMMANDS[args.command]))
 
 
 if __name__ == "__main__":

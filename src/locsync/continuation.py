@@ -1,17 +1,20 @@
 """Pseudo-arclength continuation with fold detection.
 
 The corrector solves the bordered system [J; t_prev] with the hyperplane
-constraint <x - x_prev, t_prev> = ds.  The predictor steps along the
-bordered tangent [J; t_prev] t = e_last, taken from the corrector's final
-solve; dead tail phases are pinned, and at eps = 0 every phase is dead.
-Fixed-mu correction is the same iteration without the border row.  One
-Newton iterate is one pass over one PolarState, the corrector's own copy:
-shared point terms, one residual, one Jacobian, rows equilibrated in place.
-Folds are turning points of mu, found by sign changes of the tangent's
-mu component and refined by a safeguarded secant (Illinois regula falsi)
-in arclength, each trial with a fresh tangent and Newton started from the
-interpolated bracket ends; a fold is flagged is_fold.  A run that closes
-is never merged.  Identical inputs give bitwise-identical branches.
+constraint <x - x_prev, t_prev> = ds, and zeroes dead tail phases once it
+has converged (at eps = 0 every phase is dead).  The predictor steps along
+the bordered tangent [J; t_prev] t = e_last: the unpinned column of the
+corrector's last solve, masked to the solid coordinates; branch_tangent
+pins the dead phases inside its own solve.  Fixed-mu correction is the same
+iteration without the border row.  One Newton iterate is one pass over one
+PolarState, the corrector's own copy: shared point terms, one residual, one
+Jacobian, rows equilibrated in place.  Folds are turning points of mu,
+found by sign changes of the tangent's mu component and refined by a
+safeguarded secant (Illinois regula falsi) in arclength, each trial with a
+fresh tangent and Newton started from the interpolated bracket ends; a fold
+is flagged is_fold.  An isola closes with one more walk step, onto the start
+point's hyperplane; a run that closes is never merged.  Identical inputs
+give bitwise-identical branches.
 """
 from __future__ import annotations
 
@@ -280,10 +283,10 @@ def branch_tangent(
     Each dead interface phase j is pinned inside the square system: its
     column becomes a unit column on the phase row of node j+1, and its
     tangent entry is set to zero.  ``newton_tol`` is the corrector's, so the
-    tangent pins the phases the corrector pins; at eps = 0 every phase is
-    dead.  Non-solid coordinates are zeroed before normalizing.  Raises
-    SingularJacobian when the bordered system is singular; callers fall back
-    to the secant.
+    tangent pins the phases the corrector zeroes once converged; at eps = 0
+    every phase is dead.  Non-solid coordinates are zeroed before normalizing.
+    Raises SingularJacobian when the bordered system is singular; callers fall
+    back to the secant.
     """
     n = state.n
     if prev_tangent is None:
@@ -434,9 +437,12 @@ def continue_branch(
         if arclength > 10.0 * config.ds_init:
             gap = _norm((x_new - x_start)[solid_start])
             if gap < max(2.0 * ds, 2.0 * config.ds_init):
-                landing = _attempt_closure(system, config, x_new, new_tangent,
-                                           x_start, solid_start)
-                if landing is not None:
+                try:  # the closing landing: one step onto the start point's hyperplane
+                    landing = _attempt_step(system, config, x_new, new_tangent,
+                                            float(np.dot(x_start - x_new, new_tangent)))
+                except (NoConvergence, SingularJacobian):
+                    continue
+                if _norm((landing.state.x - x_start)[solid_start]) < CLOSURE_TOL:
                     arclength += _norm(landing.state.x - x_new)
                     points.append(BranchPoint(landing.state, arclength, new_tangent,
                                               False, landing.iterations))
@@ -447,21 +453,6 @@ def continue_branch(
     branch.points += detect_folds(branch, system, config)
     branch.points.sort(key=lambda p: (p.arclength, not p.is_fold))
     return branch
-
-
-def _attempt_closure(system, config, x_from, tangent, x_start, solid_start):
-    """Try to land exactly on the start point; None if this is not closure."""
-    ds_land = float(np.dot(x_start - x_from, tangent))
-    try:
-        outcome = _newton_solve(system, x_from + ds_land * tangent,
-                                Bordered(x_from, tangent, ds_land),
-                                config.newton_tol, NEWTON_MAX_ITER)
-    except (NoConvergence, SingularJacobian):
-        return None
-    gap = _norm((outcome.state.x - x_start)[solid_start])
-    if gap < CLOSURE_TOL:
-        return outcome
-    return None
 
 
 def _bracket_guess(lo: list, hi: list, s: float) -> np.ndarray:

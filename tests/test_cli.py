@@ -22,7 +22,7 @@ from locsync.cli import (
     read_branch_csv,
     write_branch_csv,
 )
-from locsync.lattice import PolarState
+from locsync.lattice import LatticeError, PolarState
 from reference import csv_writer_branch_csv
 
 
@@ -567,6 +567,29 @@ def test_cmd_seed(tmp_path):
     assert len(payload["seed"]["r"]) == 4
 
 
+def test_seed_tail_overflow_exits_2_naming_its_cause(tmp_path, capsys):
+    # the shipped off-site snake at eps 100, N 200: the tail ratio
+    # eps / |lambda(0, 0.5)| = 200 overflows over 199 tail nodes
+    path = write_config(tmp_path, base_config(tmp_path, eps=100, N=200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning leaks out
+        assert main(["seed", "--config", path]) == 2
+    assert capsys.readouterr().err == ("config error: far-field tail overflows: "
+                                       "eps/|lambda(0, mu)| = 200 over 199 tail nodes\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_lattice_error_exits_2_from_the_command_looked_up_at_call_time(
+        tmp_path, capsys, monkeypatch):
+    # main looks cmd_seed up when it runs, as the bench tracer's wrappers need
+    def bad_state(rc):
+        raise LatticeError("non-finite entries in state")
+
+    monkeypatch.setattr(cli, "cmd_seed", bad_state)
+    assert main(["seed", "--config", write_config(tmp_path, base_config(tmp_path))]) == 2
+    assert capsys.readouterr().err == "config error: non-finite entries in state\n"
+
+
 def test_cmd_simulate(tmp_path):
     cfg = base_config(tmp_path, model={"name": "quintic_rotating"})
     cfg["simulate"] = {"dt": 1e-3}
@@ -710,6 +733,23 @@ def test_mismatch_with_a_one_node_core_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:") and "seed.k" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mismatch_with_an_overflowing_omega1_exits_2_before_the_sweep(
+        tmp_path, capsys, monkeypatch):
+    # omega1(r+) = 1.5e308 r+ overflows: the bound is not finite, so no Newton
+    # sweep runs and no mismatch.json with "delta": Infinity is written
+    config = Path(__file__).resolve().parents[1] / "configs" / "mismatch_above_threshold.json"
+    cfg = json.loads(config.read_text(encoding="utf-8"))
+    cfg.update(omega1={"linear_coefficient": 1.5e308}, output_dir=str(tmp_path / "out"))
+    monkeypatch.setattr(cli, "_corrected_seed", _not_run)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning leaks out
+        assert main(["mismatch", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: omega1 mismatch at mu=0.75 is not finite: ")
+    assert "omega1(r+) = inf" in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

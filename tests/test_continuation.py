@@ -590,6 +590,31 @@ def test_closed_isola(small_isola):
     assert max(system.residual_norm(p.state) for p in branch.points) <= cfg.newton_tol
 
 
+def test_closing_landing_is_a_walk_step(quintic, monkeypatch):
+    # The landing on the start point is an ordinary bordered step, drift
+    # guard included: every bordered Newton solve runs inside _attempt_step.
+    depth, inside, outside = [0], [], []
+    attempt_step, newton_solve = continuation._attempt_step, continuation._newton_solve
+
+    def step(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return attempt_step(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def solve(system, x, border, tol, max_iter):
+        if border is not None:
+            (inside if depth[0] else outside).append(border.ds)
+        return newton_solve(system, x, border, tol, max_iter)
+
+    monkeypatch.setattr(continuation, "_attempt_step", step)
+    monkeypatch.setattr(continuation, "_newton_solve", solve)
+    branch, _, _ = run_small_isola(quintic)
+    assert branch.closure == CLOSED_ISOLA
+    assert inside and not outside
+
+
 def test_isola_disjointness_small(quintic):
     # Adjacent loops coincide in amplitudes at leading order along half their
     # length (loop k's recruiting half carries the same (r+, ..., r-, 0, ...)

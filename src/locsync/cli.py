@@ -312,7 +312,7 @@ def _corrected_seed(rc: RunConfig):
     """The system, the asymptotic seed and its Newton correction."""
     system = rc.system()
     seed = asymptotics.build_seed(rc.spec, rc.mu_seed, rc.eps, rc.ansatz, rc.coupling)
-    corrected = continuation.newton_correct(system, seed, tol=rc.cont.newton_tol)
+    corrected = continuation.newton_correct(system, seed)
     return system, seed, corrected
 
 
@@ -415,9 +415,14 @@ def cmd_verify(rc: RunConfig, branch_path: Path) -> int:
                   file=sys.stderr)
             re_checks.append({"row": i, "mu": state.mu, "pass": False, "error": cause})
             continue
-        tightened.append(tight)
-        re_checks.append({"row": i, "mu": tight.mu, "rho": tight.rho,
-                          "horizon": _check_horizon(tight.rho)})
+        horizon = _check_horizon(tight.rho)
+        re_checks.append({"row": i, "mu": tight.mu, "rho": tight.rho, "horizon": horizon})
+        if horizon < RK4_DT:  # round(horizon / dt) = 0 RK4 steps read a deviation of 0.0
+            cause = f"horizon {horizon!r} is below the RK4 step {RK4_DT!r}"
+            print(f"row {i} at mu={tight.mu!r}: {cause}", file=sys.stderr)
+            re_checks[-1].update({"pass": False, "error": cause})
+        else:
+            tightened.append(tight)
     checked = [c for c in re_checks if "error" not in c]
     devs, completed = _relative_equilibrium_check(rc, tightened,
                                                   [c["horizon"] for c in checked])
@@ -614,22 +619,9 @@ def _override(data: dict, path: str, value) -> None:
             target.pop("pattern", None)
 
 
-def _apply_overrides(data: dict, args) -> None:
-    for flag, (path, _) in _OVERRIDE_FLAGS.items():
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None:
-            _override(data, path, value)
-
-
 # command: its path arguments (name: help); main looks up cmd_<command> per call (tracers wrap it)
 _COMMANDS = {"continue": {}, "seed": {}, "verify": {"branch": "path to branch.csv"},
              "mismatch": {}, "simulate": {}, "sweep": {}}
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="JSON run config")
-    for flag, (path, cast) in _OVERRIDE_FLAGS.items():
-        parser.add_argument(flag, type=cast, help=f"override {path}")
 
 
 def main(argv=None) -> int:
@@ -641,7 +633,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, positionals in _COMMANDS.items():
         p = sub.add_parser(name)
-        _add_common(p)
+        p.add_argument("--config", required=True, help="JSON run config")
+        for flag, (path, cast) in _OVERRIDE_FLAGS.items():
+            p.add_argument(flag, type=cast, help=f"override {path}")
         for arg, text in positionals.items():
             p.add_argument(arg, help=text)
     args = parser.parse_args(argv)
@@ -651,7 +645,10 @@ def main(argv=None) -> int:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        _apply_overrides(data, args)
+        for flag, (path, _) in _OVERRIDE_FLAGS.items():
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is not None:
+                _override(data, path, value)
         rc = load_config(data)
     except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError,
             *_BAD_INPUT) as err:

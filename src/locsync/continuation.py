@@ -1,12 +1,13 @@
 """Pseudo-arclength continuation with fold detection.
 
 The corrector solves the bordered system [J; t_prev] with the hyperplane
-constraint <x - x_prev, t_prev> = ds, and zeroes dead tail phases once it
-has converged (at eps = 0 every phase is dead).  The predictor steps along
-the bordered tangent [J; t_prev] t = e_last: the unpinned column of the
-corrector's last solve, masked to the solid coordinates; branch_tangent
-pins the dead phases inside its own solve.  Fixed-mu correction is the same
-iteration without the border row.  One Newton iterate is one pass over one
+constraint <x - x_prev, t_prev> = ds, and zeroes dead tail phases (dead at
+NEWTON_TOL; at eps = 0 every phase) once it has converged.  The predictor
+steps along the tangent of the same border row, [J; t_prev] t = e_last,
+masked to the landing's solid coordinates: the unpinned column of the
+corrector's last solve, else branch_tangent (the dead phases pinned inside
+its solve), else the secant.  Fixed-mu correction is the same iteration
+without the border row.  One Newton iterate is one pass over one
 PolarState, the corrector's own copy: shared point terms, one residual, one
 Jacobian, rows equilibrated in place.  Folds are turning points of mu,
 found by sign changes of the tangent's mu component and refined by a
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -58,9 +59,10 @@ WINDOW_EXIT = "window_exit"
 STEP_LIMIT = "step_limit"
 
 # Fixed parts of the method, not inputs to a run: the smallest step before a
-# walk ends open, the corrector's iteration cap, the closure landing's
-# distance to the start point, and the fold refinement's bound on t_mu.
+# walk ends open, the corrector's tolerance and iteration cap, the closing
+# landing's distance to the start point, the fold refinement's bound on t_mu.
 DS_MIN = 1e-7
+NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 12
 CLOSURE_TOL = 1e-6
 FOLD_REFINE_TOL = 1e-10
@@ -101,15 +103,13 @@ class LatticeSystem:
 class ContinuationConfig:
     ds_init: float = 0.01
     ds_max: float = 0.05
-    newton_tol: float = 1e-10
+    newton_tol: ClassVar[float] = NEWTON_TOL  # a constant, read where a config is at hand
     max_steps: int = 20000
     mu_window: tuple[float, float] = (-0.05, 1.05)
 
     def __post_init__(self):
         if not (DS_MIN <= self.ds_init <= self.ds_max):
             raise ValueError(f"need {DS_MIN:g} <= ds_init <= ds_max")
-        if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol must be positive")
         if self.mu_window[0] >= self.mu_window[1]:
             raise ValueError("empty mu window")
 
@@ -237,6 +237,8 @@ def _newton_solve(system: LatticeSystem, x: np.ndarray, border: Bordered | None,
                 if system.residual_norm(flipped) <= tol:
                     state = flipped
             return _NewtonOutcome(state, it, tangent)
+        if not math.isfinite(err):
+            raise NoConvergence("residual is not finite")
         if it == max_iter:
             break
 
@@ -261,41 +263,32 @@ def _newton_solve(system: LatticeSystem, x: np.ndarray, border: Bordered | None,
 
 
 def newton_correct(system: LatticeSystem, state: PolarState,
-                   tol: float = ContinuationConfig.newton_tol,
+                   tol: float = NEWTON_TOL,
                    max_iter: int = NEWTON_MAX_ITER) -> PolarState:
     """Correct a state onto the solution set at its frozen mu, solving the
-    square system in (r, phi, rho).  Raises NoConvergence / SingularJacobian."""
-    return _newton_solve(system, state.x, None, tol, max_iter).state
+    square system in (r, phi, rho).  Raises NoConvergence (also for a residual
+    that is not finite, say one that overflows) / SingularJacobian."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or NaN
+        return _newton_solve(system, state.x, None, tol, max_iter).state
 
 
-def branch_tangent(
-    system: LatticeSystem,
-    state: PolarState,
-    prev_tangent: np.ndarray | None = None,
-    direction: int = 1,
-    *,
-    newton_tol: float,
-) -> np.ndarray:
-    """Unit tangent along the branch, oriented along a reference direction.
+def branch_tangent(system: LatticeSystem, state: PolarState, ref: np.ndarray) -> np.ndarray:
+    """Unit tangent along the branch at ``state``, oriented by the border row ``ref``.
 
-    Solves the bordered system [J; ref] t = e_last with equilibrated rows,
-    where ref is the previous tangent, or the mu axis signed by direction.
-    Each dead interface phase j is pinned inside the square system: its
-    column becomes a unit column on the phase row of node j+1, and its
-    tangent entry is set to zero.  ``newton_tol`` is the corrector's, so the
-    tangent pins the phases the corrector zeroes once converged; at eps = 0
-    every phase is dead.  Non-solid coordinates are zeroed before normalizing.
-    Raises SingularJacobian when the bordered system is singular; callers fall
-    back to the secant.
+    Solves the bordered system [J; ref] t = e_last with equilibrated rows.
+    ``ref`` is the corrector's border row, the previous tangent; a seed has
+    none and passes the mu axis signed by the run's direction.  Each
+    interface phase j that is dead at NEWTON_TOL, the phases the corrector
+    zeroes once converged (at eps = 0 every phase), is pinned inside the
+    square system: its column becomes a unit column on the phase row of node
+    j+1, and its tangent entry is set to zero.  Non-solid coordinates are
+    zeroed before normalizing.  Raises SingularJacobian when the bordered
+    system is singular: the walk then takes the secant, and fold refinement
+    stops.
     """
     n = state.n
-    if prev_tangent is None:
-        ref = np.zeros(2 * n + 1)
-        ref[-1] = float(np.sign(direction))
-    else:
-        ref = np.asarray(prev_tangent, dtype=float)
     a = system.jacobian(state, border=ref)
-    j = np.flatnonzero(_dead_interfaces(state, system.eps, newton_tol))
+    j = np.flatnonzero(_dead_interfaces(state, system.eps, NEWTON_TOL))
     a[:, n + j] = 0.0
     a[2 * j + 3, n + j] = 1.0
     rhs = np.zeros((2 * n + 1, 1))
@@ -334,11 +327,10 @@ class Branch:
         return np.array([p.state.mu for p in self.points])
 
 
-def _attempt_step(system, config, x_prev, tangent, ds, guess=None):
+def _attempt_step(system, x_prev, tangent, ds, guess=None):
     predictor = x_prev + ds * tangent
     outcome = _newton_solve(system, predictor if guess is None else guess,
-                            Bordered(x_prev, tangent, ds), config.newton_tol,
-                            NEWTON_MAX_ITER)
+                            Bordered(x_prev, tangent, ds), NEWTON_TOL, NEWTON_MAX_ITER)
     # Reject corrector landings far from the predictor: those are jumps onto
     # another solution sheet (worst case the trivial r=0 line), not steps
     # along the branch.  Halving ds then also adapts to fold curvature.
@@ -363,20 +355,19 @@ def continue_branch(
     Terminates on mu leaving the window, the step limit, isola closure
     (return to the start point within CLOSURE_TOL after arclength
     > 10 ds_init), or an unresolvable corrector failure ("open").  Raises
-    ContinuationError when the seed's residual exceeds newton_tol or is not
+    ContinuationError when the seed's residual exceeds NEWTON_TOL or is not
     finite.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads NaN
         res0 = system.residual_norm(seed)
-    if not res0 <= config.newton_tol:
-        raise ContinuationError(
-            f"seed residual {res0:.3e} exceeds newton_tol={config.newton_tol}"
-        )
+    if not res0 <= NEWTON_TOL:
+        raise ContinuationError(f"seed residual {res0:.3e} exceeds newton_tol={NEWTON_TOL}")
 
-    tangent = branch_tangent(system, seed, direction=direction,
-                             newton_tol=config.newton_tol)
+    ref = np.zeros(seed.x.size)
+    ref[-1] = direction  # a seed's border row: the mu axis, signed
+    tangent = branch_tangent(system, seed, ref)
     points = [BranchPoint(seed.copy(), 0.0, tangent, False, 0)]
     x_start = x_prev = points[0].state.x
     solid_start = _solid_mask(seed)
@@ -391,35 +382,30 @@ def continue_branch(
 
         prev = points[-1]
         outcome = None
-        while True:
+        while outcome is None and ds >= DS_MIN:
             try:
-                outcome = _attempt_step(system, config, x_prev, prev.tangent, ds)
-                break
+                outcome = _attempt_step(system, x_prev, prev.tangent, ds)
             except (NoConvergence, SingularJacobian):
                 ds *= 0.5
-                if ds < DS_MIN:
-                    break
         if outcome is None:
             termination = OPEN
             break
 
         new_state, x_new = outcome.state, outcome.state.x
-        try:
-            # The corrector's final solve already carries the tangent, with
-            # t . t_prev = 1 fixing its orientation; it is one Newton step
-            # stale, which the walk tolerates and fold refinement does not.
-            if outcome.iterations and np.isfinite(outcome.tangent).all():
-                new_tangent = _solid_unit(outcome.tangent, outcome.solid)
-            else:
-                new_tangent = branch_tangent(system, new_state, prev_tangent=prev.tangent,
-                                             newton_tol=config.newton_tol)
-        except SingularJacobian:
-            secant = x_new - x_prev
-            norm = _norm(secant)
-            if norm == 0.0:
-                termination = OPEN
-                break
-            new_tangent = secant / norm
+        # The corrector's final solve already carries the tangent, with
+        # t . t_prev = 1 fixing its orientation; it is one Newton step
+        # stale, which the walk tolerates and fold refinement does not.
+        try:  # every candidate lies on the landing's solid mask, the secant last
+            try:
+                if outcome.iterations and np.isfinite(outcome.tangent).all():
+                    new_tangent = _solid_unit(outcome.tangent, outcome.solid)
+                else:
+                    new_tangent = branch_tangent(system, new_state, prev.tangent)
+            except SingularJacobian:
+                new_tangent = _solid_unit(x_new - x_prev, outcome.solid)
+        except SingularJacobian:  # a secant with no solid part
+            termination = OPEN
+            break
 
         arclength += ds
         points.append(BranchPoint(new_state, arclength, new_tangent, False,
@@ -429,8 +415,7 @@ def continue_branch(
         if outcome.iterations <= 3:
             ds = min(ds * 1.3, config.ds_max)
 
-        mu = new_state.mu
-        if not (config.mu_window[0] <= mu <= config.mu_window[1]):
+        if not (config.mu_window[0] <= new_state.mu <= config.mu_window[1]):
             termination = WINDOW_EXIT
             break
 
@@ -438,7 +423,7 @@ def continue_branch(
             gap = _norm((x_new - x_start)[solid_start])
             if gap < max(2.0 * ds, 2.0 * config.ds_init):
                 try:  # the closing landing: one step onto the start point's hyperplane
-                    landing = _attempt_step(system, config, x_new, new_tangent,
+                    landing = _attempt_step(system, x_new, new_tangent,
                                             float(np.dot(x_start - x_new, new_tangent)))
                 except (NoConvergence, SingularJacobian):
                     continue
@@ -513,9 +498,8 @@ def detect_folds(
                 trial = 0.5 * (lo[0] + hi[0])
             guess = _bracket_guess(lo, hi, trial)
             try:
-                outcome = _attempt_step(system, config, x_left, left.tangent, trial, guess)
-                t_trial = branch_tangent(system, outcome.state, prev_tangent=left.tangent,
-                                         newton_tol=config.newton_tol)
+                outcome = _attempt_step(system, x_left, left.tangent, trial, guess)
+                t_trial = branch_tangent(system, outcome.state, left.tangent)
             except (NoConvergence, SingularJacobian):
                 break
             tmu = float(t_trial[-1])

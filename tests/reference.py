@@ -29,6 +29,7 @@ import numpy as np
 from locsync.asymptotics import AsymptoticsError
 from locsync.cli import branch_csv_header
 from locsync.continuation import (
+    NEWTON_TOL,
     SingularJacobian,
     _dead_interfaces,
     _solid_mask,
@@ -200,16 +201,11 @@ def stacked_newton(system, state, border=None, tol=1e-10, max_iter=12):
         x[n: 2 * n - 1] = where_wrap_phase(x[n: 2 * n - 1])
 
 
-def stacked_tangent(system, state, prev_tangent=None, direction=1, *, newton_tol):
+def stacked_tangent(system, state, ref):
     """``continuation.branch_tangent``."""
     n = state.n
-    if prev_tangent is None:
-        ref = np.zeros(2 * n + 1)
-        ref[-1] = float(np.sign(direction))
-    else:
-        ref = np.asarray(prev_tangent, dtype=float)
     a = np.vstack([system.jacobian(state), ref])
-    j = np.flatnonzero(_dead_interfaces(state, system.eps, newton_tol))
+    j = np.flatnonzero(_dead_interfaces(state, system.eps, NEWTON_TOL))
     a[:, n + j] = 0.0
     a[2 * j + 3, n + j] = 1.0
     rhs = np.zeros((2 * n + 1, 1))

@@ -87,7 +87,7 @@ def test_invalid_values_rejected(tmp_path):
             load_config(cfg)
 
 
-@pytest.mark.parametrize("section, key", [(None, "eps"), ("continuation", "newton_tol"),
+@pytest.mark.parametrize("section, key", [(None, "eps"), ("continuation", "ds_max"),
                                           ("seed", "mu"), (None, "N"), ("seed", "k"),
                                           ("continuation", "max_steps")])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
@@ -175,6 +175,7 @@ _REJECTED = [  # (key path set or deleted, value, where the message points)
     ("continuation.newton_max_iter", 12, "continuation"),
     ("continuation.closure_tol", 1e-6, "continuation"),
     ("continuation.fold_refine_tol", 1e-10, "continuation"),
+    ("continuation.newton_tol", 1e-10, "continuation"),
     ("continuation.ds_init", 1e-8, "continuation"),  # below DS_MIN
 ]
 
@@ -533,6 +534,51 @@ def test_verify_fails_a_row_whose_residual_overflows(tmp_path, capsys):
     assert not check["pass"] and check["max_residual"] is None
 
 
+def test_verify_fails_a_sample_whose_residual_overflows(tmp_path, capsys):
+    # r_1 = 1e200 on a sampled row: its re-tightening names the overflow
+    path = write_config(tmp_path, base_config(tmp_path, N=10))
+    assert main(["continue", "--config", path]) == 0
+    csv_path = tmp_path / "out" / "test-run" / "branch.csv"
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    row = int(np.linspace(0, len(lines) - 2, 5).astype(int)[2])
+    col = lines[0].split(",").index("r_1")
+    cells = lines[row + 1].split(",")
+    cells[col] = "1e200"
+    lines[row + 1] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning leaks out
+        assert main(["verify", "--config", path, str(csv_path)]) == 1
+    report = json.loads((csv_path.parent / "verify.json").read_text())
+    failed = [s for s in report["relative_equilibrium"]["samples"] if not s["pass"]]
+    assert [(s["row"], s["error"]) for s in failed] == [
+        (row, "NoConvergence: residual is not finite")]
+    assert (f"row {row} at mu={float(cells[2])!r}: re-tightening failed: "
+            "NoConvergence: residual is not finite\n") in capsys.readouterr().err
+
+
+def test_verify_fails_a_sample_whose_horizon_is_below_the_rk4_step(tmp_path, capsys):
+    # rho = 20000: one period is 3.1e-4, below RK4_DT, so round(horizon / dt)
+    # would be 0 steps and a deviation of exactly 0.0
+    cfg = base_config(tmp_path, N=10, model={"polynomial_lambda": [0, 2, -1],
+                                             "mu_coefficient": -1, "omega0_const": 20000})
+    cfg["continuation"]["max_steps"] = 40
+    path = write_config(tmp_path, cfg)
+    assert main(["continue", "--config", path]) == 0
+    csv_path = tmp_path / "out" / "test-run" / "branch.csv"
+    capsys.readouterr()
+    assert main(["verify", "--config", path, str(csv_path)]) == 1
+    samples = json.loads((csv_path.parent / "verify.json").read_text())[
+        "relative_equilibrium"]["samples"]
+    assert len(samples) == 5
+    cause = f"horizon {2 * np.pi / 20000!r} is below the RK4 step {cli.RK4_DT!r}"
+    for s in samples:
+        assert s["pass"] is False and s["error"] == cause and "deviation" not in s
+    out, err = capsys.readouterr()
+    assert err.count(cause) == 5 and "verify FAIL" in out
+
+
 def test_verify_rejects_header_only_branch(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tmp_path))
     csv_path = tmp_path / "branch.csv"
@@ -576,6 +622,18 @@ def test_seed_tail_overflow_exits_2_naming_its_cause(tmp_path, capsys):
         assert main(["seed", "--config", path]) == 2
     assert capsys.readouterr().err == ("config error: far-field tail overflows: "
                                        "eps/|lambda(0, mu)| = 200 over 199 tail nodes\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_whose_residual_overflows_exits_3_naming_its_cause(tmp_path, capsys):
+    # the shipped off-site snake at eps 1e30: its tail passes farfield_tail,
+    # but the first Newton residual overflows
+    path = write_config(tmp_path, base_config(tmp_path, N=10, eps=1e30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning leaks out
+        assert main(["seed", "--config", path]) == 3
+    assert capsys.readouterr().err == ("test-run: seed correction failed at mu=0.5 "
+                                       "(k=1, template in_phase): residual is not finite\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -8,6 +9,7 @@ from locsync.asymptotics import SeedAnsatz, build_seed
 from locsync.continuation import (
     CLOSED_ISOLA,
     FOLD_REFINE_TOL,
+    NEWTON_TOL,
     STEP_LIMIT,
     OPEN,
     WINDOW_EXIT,
@@ -18,6 +20,8 @@ from locsync.continuation import (
     ContinuationError,
     LatticeSystem,
     NoConvergence,
+    SingularJacobian,
+    _NewtonOutcome,
     _attempt_step,
     _bracket_guess,
     _dead_interfaces,
@@ -37,7 +41,14 @@ from reference import stacked_newton, stacked_tangent
 
 
 EPS = 0.01
-TOL = ContinuationConfig().newton_tol  # the walks' corrector tolerance
+TOL = NEWTON_TOL  # the walks' corrector tolerance
+
+
+def mu_axis(state, direction=1):
+    """A seed's border row: the mu axis, signed by the run's direction."""
+    ref = np.zeros(state.x.size)
+    ref[-1] = direction
+    return ref
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +131,16 @@ def test_config_validation():
         ContinuationConfig(mu_window=(1.0, 0.0))
 
 
+def test_config_holds_only_what_a_run_sets():
+    # the corrector's tolerance is a constant of the method, still readable
+    # where a config is at hand
+    assert [f.name for f in dataclasses.fields(ContinuationConfig)] == [
+        "ds_init", "ds_max", "max_steps", "mu_window"]
+    assert ContinuationConfig().newton_tol == ContinuationConfig.newton_tol == NEWTON_TOL
+    with pytest.raises(TypeError):
+        ContinuationConfig(newton_tol=1e-8)
+
+
 def test_newton_zero_iterations_for_exact_state(quintic):
     system = LatticeSystem(quintic, CouplingKind.dissipative(), 0.0,
                            BoundaryKind.OFF_SITE)
@@ -155,7 +176,7 @@ def test_newton_bordered_mode(quintic, dissipative_system):
                            BoundaryKind.OFF_SITE)
     seed = newton_correct(system, build_seed(quintic, 0.5, EPS, ansatz,
                                              CouplingKind.dissipative()))
-    t = branch_tangent(system, seed, direction=+1, newton_tol=TOL)
+    t = branch_tangent(system, seed, mu_axis(seed, +1))
     ds = 0.01
     x_prev = seed.x
     corrected = _newton_solve(system, x_prev + ds * t, Bordered(x_prev, t, ds),
@@ -170,12 +191,12 @@ def test_tangent_is_unit_null_vector(quintic, dissipative_system):
                            BoundaryKind.OFF_SITE)
     seed = newton_correct(system, build_seed(quintic, 0.5, EPS, ansatz,
                                              CouplingKind.dissipative()))
-    t = branch_tangent(system, seed, direction=+1, newton_tol=TOL)
+    t = branch_tangent(system, seed, mu_axis(seed, +1))
     assert np.linalg.norm(t) == pytest.approx(1.0, abs=1e-12)
     assert t[-1] > 0.0  # oriented toward increasing mu
     jac = system.jacobian(seed)
     assert np.max(np.abs(jac @ t)) <= 1e-8
-    t_down = branch_tangent(system, seed, direction=-1, newton_tol=TOL)
+    t_down = branch_tangent(system, seed, mu_axis(seed, -1))
     assert t_down[-1] < 0.0
 
 
@@ -184,14 +205,12 @@ def test_bordered_tangent_matches_svd_reference(small_snake, dissipative_system)
     # the SVD projection define the same unit null vector.
     branch, _, seed = small_snake
     for direction in (-1, 1):
-        assert np.allclose(branch_tangent(dissipative_system, seed, direction=direction,
-                                          newton_tol=TOL),
+        assert np.allclose(branch_tangent(dissipative_system, seed, mu_axis(seed, direction)),
                            svd_tangent(dissipative_system, seed, direction=direction),
                            rtol=0.0, atol=1e-10)
     walk = [p for p in branch.points if not p.is_fold]
     for prev, p in zip(walk[:-1], walk[1:]):
-        got = branch_tangent(dissipative_system, p.state, prev_tangent=prev.tangent,
-                             newton_tol=TOL)
+        got = branch_tangent(dissipative_system, p.state, prev.tangent)
         want = svd_tangent(dissipative_system, p.state, prev_tangent=prev.tangent)
         assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -201,8 +220,7 @@ def test_walk_tangent_close_to_fresh_tangent(small_snake, dissipative_system):
     branch, _, _ = small_snake
     walk = [p for p in branch.points if not p.is_fold]
     for prev, p in zip(walk[:-1], walk[1:]):
-        fresh = branch_tangent(dissipative_system, p.state, prev_tangent=prev.tangent,
-                               newton_tol=TOL)
+        fresh = branch_tangent(dissipative_system, p.state, prev.tangent)
         assert np.max(np.abs(p.tangent - fresh)) <= 1e-3
 
 
@@ -214,11 +232,10 @@ def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
         "system", "state", "tol", "max_iter"]
     assert list(inspect.signature(_newton_solve).parameters) == [
         "system", "x", "border", "tol", "max_iter"]
-    assert list(inspect.signature(branch_tangent).parameters) == [
-        "system", "state", "prev_tangent", "direction", "newton_tol"]
-    # no default: every caller passes the corrector's tolerance
-    assert inspect.signature(branch_tangent).parameters["newton_tol"].default \
-        is inspect.Parameter.empty
+    # one border row: the previous tangent, or a seed's signed mu axis
+    assert list(inspect.signature(branch_tangent).parameters) == ["system", "state", "ref"]
+    assert list(inspect.signature(_attempt_step).parameters) == [
+        "system", "x_prev", "tangent", "ds", "guess"]
     snake, _, seed = small_snake
     isola, _, isola_system = small_isola
     ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 10)
@@ -238,10 +255,8 @@ def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
     assert got.state.x.tobytes() == stacked_newton(
         dissipative_system, tail)[0].x.tobytes()
     for direction in (-1, 1):
-        assert branch_tangent(dissipative_system, seed, direction=direction,
-                              newton_tol=TOL).tobytes() \
-            == stacked_tangent(dissipative_system, seed, direction=direction,
-                               newton_tol=TOL).tobytes()
+        assert branch_tangent(dissipative_system, seed, mu_axis(seed, direction)).tobytes() \
+            == stacked_tangent(dissipative_system, seed, mu_axis(seed, direction)).tobytes()
     for branch, system in ((snake, dissipative_system), (isola, isola_system)):
         walk = [p for p in branch.points if not p.is_fold]
         for prev, p in zip(walk[:-1], walk[1:]):
@@ -256,9 +271,8 @@ def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
             assert got.state.x.tobytes() == want_state.x.tobytes()
             if want_it:
                 assert got.tangent.tobytes() == want_t.tobytes()
-            got_t = branch_tangent(system, p.state, prev_tangent=prev.tangent, newton_tol=TOL)
-            assert got_t.tobytes() == stacked_tangent(
-                system, p.state, prev_tangent=prev.tangent, newton_tol=TOL).tobytes()
+            got_t = branch_tangent(system, p.state, prev.tangent)
+            assert got_t.tobytes() == stacked_tangent(system, p.state, prev.tangent).tobytes()
 
 
 def test_newton_iterate_is_one_residual_and_one_bordered_jacobian(
@@ -283,10 +297,10 @@ def test_newton_iterate_is_one_residual_and_one_bordered_jacobian(
     assert out.iterations > 0
     assert calls == {"residual": out.iterations + 1, "jacobian": out.iterations,
                      "border": 0}
-    t = branch_tangent(dissipative_system, out.state, direction=+1, newton_tol=TOL)
+    t = branch_tangent(dissipative_system, out.state, mu_axis(out.state, +1))
     calls.update(residual=0, jacobian=0, border=0)
     x_prev = out.state.x
-    step = _attempt_step(dissipative_system, ContinuationConfig(), x_prev, t, 0.01)
+    step = _attempt_step(dissipative_system, x_prev, t, 0.01)
     assert step.iterations > 0
     assert calls == {"residual": step.iterations + 1, "jacobian": step.iterations,
                      "border": step.iterations}
@@ -314,14 +328,13 @@ def test_non_finite_predictor_fails_before_iterating(quintic, dissipative_system
     ansatz = SeedAnsatz(2, ("plus",) * 2, "in_phase", BoundaryKind.OFF_SITE, 6)
     seed = newton_correct(dissipative_system, build_seed(
         quintic, 0.5, EPS, ansatz, CouplingKind.dissipative()))
-    t = branch_tangent(dissipative_system, seed, direction=+1, newton_tol=TOL)
+    t = branch_tangent(dissipative_system, seed, mu_axis(seed, +1))
     monkeypatch.setattr(continuation, "residual", no_call)
     for bad in (np.nan, np.inf, -np.inf):
         tangent = t.copy()
         tangent[3] = bad
         with pytest.raises(LatticeError, match="non-finite"):
-            _attempt_step(dissipative_system, ContinuationConfig(), seed.x,
-                          tangent, 0.01)
+            _attempt_step(dissipative_system, seed.x, tangent, 0.01)
         x = seed.x.copy()
         x[-1] = bad
         with pytest.raises(LatticeError, match="non-finite"):
@@ -334,25 +347,23 @@ def test_tangent_at_eps_zero_pins_every_phase(quintic):
     prof = bistable_roots(quintic, 0.6)
     st = PolarState([prof.r_plus, prof.r_minus, 0.0], [0.3, -0.2], 0.0, 0.6)
     assert _dead_interfaces(st, 0.0, 1e-10).all()
-    t = branch_tangent(system, st, direction=+1, newton_tol=TOL)
+    t = branch_tangent(system, st, mu_axis(st, +1))
     assert np.all(t[3:5] == 0.0) and t[-1] > 0.0
     assert np.max(np.abs(system.jacobian(st) @ t)) <= 1e-12
 
 
 def test_tangents_pin_the_phases_the_corrector_pins(quintic):
-    # At newton_tol 1e-8 the corrector pins one more tail phase of this
-    # isola's seed than the 1e-10 rule does, and that phase moves the
-    # tangent: the walk's and the fold trials' tangents must use the former.
+    # The corrector zeroes this isola's dead tail phases at NEWTON_TOL; the
+    # seed's and the fold trials' tangents pin those phases inside the solve.
     bc, c = BoundaryKind.ON_SITE, CouplingKind.conservative()
     system = LatticeSystem(quintic, c, EPS, bc)
-    cfg = ContinuationConfig(ds_init=0.01, ds_max=0.05, newton_tol=1e-8)
+    cfg = ContinuationConfig(ds_init=0.01, ds_max=0.05)
     ansatz = SeedAnsatz(1, ("plus",), "conservative", bc, 10)
-    seed = newton_correct(system, build_seed(quintic, 0.5, EPS, ansatz, c),
-                          tol=cfg.newton_tol)
-    assert _dead_interfaces(seed, EPS, 1e-8).sum() > _dead_interfaces(seed, EPS, 1e-10).sum()
-    pinned = branch_tangent(system, seed, direction=+1, newton_tol=1e-8)
-    assert pinned.tobytes() != branch_tangent(system, seed, direction=+1,
-                                              newton_tol=1e-10).tobytes()
+    seed = newton_correct(system, build_seed(quintic, 0.5, EPS, ansatz, c))
+    dead = _dead_interfaces(seed, EPS, NEWTON_TOL)
+    assert dead.any()
+    pinned = branch_tangent(system, seed, mu_axis(seed, +1))
+    assert np.all(pinned[seed.n + np.flatnonzero(dead)] == 0.0)
     branch = continue_branch(system, seed, +1, cfg)
     assert branch.points[0].tangent.tobytes() == pinned.tobytes()
     walk = [p for p in branch.points if not p.is_fold]
@@ -362,8 +373,48 @@ def test_tangents_pin_the_phases_the_corrector_pins(quintic):
         left = max((p for p in walk if p.arclength < fold.arclength),
                    key=lambda p: p.arclength)
         assert fold.tangent.tobytes() == branch_tangent(
-            system, fold.state, prev_tangent=left.tangent,
-            newton_tol=cfg.newton_tol).tobytes()
+            system, fold.state, left.tangent).tobytes()
+
+
+def test_secant_fallback_lies_on_the_solid_coordinates(quintic, monkeypatch):
+    # With the corrector's column not finite and branch_tangent singular past
+    # the seed, each walk tangent is the secant, masked to the landing's solid
+    # coordinates like the other two candidates.
+    c, bc = CouplingKind.conservative(), BoundaryKind.ON_SITE
+    system = LatticeSystem(quintic, c, EPS, bc)
+    seed = newton_correct(system, build_seed(
+        quintic, 0.5, EPS, SeedAnsatz(2, ("plus",) * 2, "conservative", bc, 6), c))
+    real_solve, real_tangent = continuation._newton_solve, continuation.branch_tangent
+
+    def no_column(system, x, border, tol, max_iter):
+        return real_solve(system, x, border, tol, max_iter)._replace(
+            tangent=np.full(x.size, np.nan))
+
+    def seed_only(system, state, ref):
+        if ref[:-1].any():  # a walk's border row, not a seed's mu axis
+            raise SingularJacobian("forced")
+        return real_tangent(system, state, ref)
+
+    monkeypatch.setattr(continuation, "_newton_solve", no_column)
+    monkeypatch.setattr(continuation, "branch_tangent", seed_only)
+    branch = continue_branch(system, seed, +1, ContinuationConfig(max_steps=40))
+    walk = [p for p in branch.points if not p.is_fold][1:]
+    assert branch.closure == STEP_LIMIT and len(walk) == 40
+    assert not all(_solid_mask(p.state).all() for p in walk)  # tail phases to drop
+    for p in walk:
+        assert np.linalg.norm(p.tangent) == pytest.approx(1.0, abs=1e-12)
+        assert not p.tangent[~_solid_mask(p.state)].any()
+
+    # a landing that moves only a tail phase leaves a secant with no solid part
+    def tail_only(system, x_prev, tangent, ds, guess=None):
+        state = PolarState.from_packed(x_prev.copy())
+        state.phi[-1] += 1e-3
+        return _NewtonOutcome(state, 1, np.full(x_prev.size, np.nan), _solid_mask(state))
+
+    assert not _solid_mask(seed)[2 * seed.n - 2]  # phi[-1]: outside the mask
+    monkeypatch.setattr(continuation, "_attempt_step", tail_only)
+    branch = continue_branch(system, seed, +1, ContinuationConfig(max_steps=40))
+    assert branch.closure == OPEN and len(branch.points) == 1
 
 
 def test_continuation_makes_no_svd(quintic, dissipative_system, monkeypatch):
@@ -497,8 +548,7 @@ def test_fold_refinement_tangent_tolerance(small_snake, dissipative_system, quin
     walk = [p for p in branch.points if not p.is_fold]
     for rec in branch.folds:
         nearest = min(walk, key=lambda p: abs(p.arclength - rec.arclength))
-        t = branch_tangent(dissipative_system, rec.state,
-                           prev_tangent=nearest.tangent, newton_tol=TOL)
+        t = branch_tangent(dissipative_system, rec.state, nearest.tangent)
         assert abs(t[-1]) <= 10 * FOLD_REFINE_TOL
 
 
@@ -549,10 +599,10 @@ def test_warm_started_step_is_checked_against_the_tangent_predictor(
     branch, cfg, _ = small_snake
     prev = [p for p in branch.points if not p.is_fold][10]
     x_prev, ds = prev.state.x, 0.02
-    plain = _attempt_step(dissipative_system, cfg, x_prev, prev.tangent, ds)
+    plain = _attempt_step(dissipative_system, x_prev, prev.tangent, ds)
     guess = x_prev + ds * prev.tangent
     guess[0] += 2.5 * ds
-    warm = _attempt_step(dissipative_system, cfg, x_prev, prev.tangent, ds, guess)
+    warm = _attempt_step(dissipative_system, x_prev, prev.tangent, ds, guess)
     assert np.max(np.abs(warm.state.x - plain.state.x)) <= 1e-9
 
 
@@ -680,7 +730,7 @@ def test_corrector_outcome_carries_the_packed_state(quintic, dissipative_system,
     branch, cfg, _ = small_snake
     walk = [p for p in branch.points if not p.is_fold]
     for prev in walk[::7]:
-        step = _attempt_step(dissipative_system, cfg, prev.state.x, prev.tangent, 0.02)
+        step = _attempt_step(dissipative_system, prev.state.x, prev.tangent, 0.02)
         assert np.array_equal(step.solid, _solid_mask(step.state))
 
 

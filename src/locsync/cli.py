@@ -328,12 +328,34 @@ def compute_branch(system: continuation.LatticeSystem, seed: PolarState,
     return continuation.merge_branches(minus, plus)
 
 
-def cmd_continue(rc: RunConfig) -> int:
+def _walked(rc: RunConfig):
+    """``continue``'s work on ``rc`` up to its branch, as one member of a
+    ``continuation.walk_batch``: compute_branch's rule over
+    ``continuation.walk``.  It returns (start time, branch)."""
     t0 = time.perf_counter()
     system, _, corrected = _corrected_seed(rc)
+    _make_dir(rc.run_dir())
+    plus = yield from continuation.walk(system, corrected, +1, rc.cont)
+    if plus.closure == continuation.CLOSED_ISOLA:
+        return t0, plus
+    minus = yield from continuation.walk(system, corrected, -1, rc.cont)
+    if minus.closure == continuation.CLOSED_ISOLA:
+        return t0, minus
+    return t0, continuation.merge_branches(minus, plus)
+
+
+def cmd_continue(rc: RunConfig, walked=None) -> int:
+    """``walked`` is what ``_walked`` returned for ``rc`` in a batched sweep,
+    or the exception it raised; without it the walks run here, a batch of one."""
+    if isinstance(walked, Exception):
+        raise walked
+    if walked is None:
+        t0 = time.perf_counter()
+        system, _, corrected = _corrected_seed(rc)
+        _make_dir(rc.run_dir())
+        walked = t0, compute_branch(system, corrected, rc.cont)
+    t0, branch = walked
     out = rc.run_dir()
-    _make_dir(out)
-    branch = compute_branch(system, corrected, rc.cont)
     write_branch_csv(branch, rc.n_nodes, out / "branch.csv")
     summary = {
         "run_id": rc.run_id,
@@ -545,14 +567,35 @@ def _run(command, rc: RunConfig, *args) -> int:
         return 3
 
 
-def _run_job(job: RunConfig) -> tuple[int, str, str]:
+def _run_job(job: RunConfig, *walked) -> tuple[int, str, str]:
     """``continue`` on ``job``: its exit code and the text it printed to stdout and stderr."""
     with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
-        return _run(cmd_continue, job), out.getvalue(), err.getvalue()
+        return _run(cmd_continue, job, *walked), out.getvalue(), err.getvalue()
+
+
+def _run_group(jobs: list) -> list:
+    """``_run_job`` on each of ``jobs``, which share one system and N.  A
+    group of one is ``continue`` itself; a larger group walks as one batch."""
+    if len(jobs) == 1:
+        return [_run_job(jobs[0])]
+    walked = continuation.walk_batch(jobs[0].system(), [_walked(job) for job in jobs])
+    return [_run_job(job, w) for job, w in zip(jobs, walked)]
+
+
+def _groups(jobs: list, size: int) -> list:
+    """Job indices in groups: the jobs that share one system and N, dealt
+    round-robin into at most ``size`` groups."""
+    shared = {}
+    for i, job in enumerate(jobs):
+        shared.setdefault((job.system(), job.n_nodes), []).append(i)
+    return [same[g::min(size, len(same))] for same in shared.values()
+            for g in range(min(size, len(same)))]
 
 
 def cmd_sweep(rc: RunConfig) -> int:
-    """``continue`` per sweep value on min(workers, jobs, usable CPUs) forked processes."""
+    """``continue`` per sweep value, in groups that share one system and N,
+    on min(workers, jobs, usable CPUs) forked processes.  Each group walks
+    as one batch; output is printed and written in list order."""
     sweep = rc.raw.get("sweep")
     if sweep is None:
         raise CommandError("config has no 'sweep' section")
@@ -580,13 +623,21 @@ def cmd_sweep(rc: RunConfig) -> int:
     from concurrent.futures import ProcessPoolExecutor
     # a pool only where usable CPUs are known (Linux): no fork on Windows, unsafe on macOS
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    size, codes = min(int(sweep.get("workers", cpus)), len(configs), cpus), []
+    size = min(int(sweep.get("workers", cpus)), len(configs), cpus)
+    groups = _groups(configs, size)
+    results, shown = [None] * len(configs), 0
     with (ProcessPoolExecutor(size, multiprocessing.get_context("fork")) if size > 1
           else nullcontext()) as pool:
-        for code, out, err in (pool.map if size > 1 else map)(_run_job, configs):  # list order
-            print(out, end="")
-            print(err, end="", file=sys.stderr)
-            codes.append(code)
+        for group, done in zip(groups, (pool.map if size > 1 else map)(
+                _run_group, [[configs[i] for i in group] for group in groups])):
+            for i, result in zip(group, done):
+                results[i] = result
+            while shown < len(results) and results[shown] is not None:  # list order
+                _, out, err = results[shown]
+                print(out, end="")
+                print(err, end="", file=sys.stderr)
+                shown += 1
+    codes = [code for code, _, _ in results]
     summary = {
         "run_id": rc.run_id,
         "parameter": parameter,

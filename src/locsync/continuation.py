@@ -28,6 +28,7 @@ import numpy as np
 from .lattice import (
     BoundaryKind,
     CouplingKind,
+    LatticeError,
     PolarState,
     canonicalize,
     jacobian,
@@ -49,6 +50,9 @@ __all__ = [
     "newton_correct",
     "branch_tangent",
     "continue_branch",
+    "walk",
+    "walk_batch",
+    "batch_rows",
     "detect_folds",
     "merge_branches",
 ]
@@ -114,8 +118,7 @@ class ContinuationConfig:
             raise ValueError("empty mu window")
 
 
-@dataclass(frozen=True)
-class Bordered:
+class Bordered(NamedTuple):
     """The corrector's border row: arclength constraint against a previous point."""
 
     x_prev: np.ndarray
@@ -130,21 +133,32 @@ def _equilibrate_rows(a: np.ndarray, b: np.ndarray):
     Far-field phase rows scale like eps * r_n and otherwise wreck the
     conditioning of the linear solve.
     """
-    scale = np.abs(a).max(axis=1)
-    scale = np.where(scale > 1e-300, scale, 1.0)[:, None]
+    scale = np.abs(a).max(axis=-1)
+    scale = np.where(scale > 1e-300, scale, 1.0)[..., None]
     a /= scale
     b /= scale
     return a, b
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b after equilibrating both in place; SingularJacobian if
-    a is singular."""
+def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Solve a x = b, or each a[i] x = b[i] of a stack, after equilibrating
+    both in place: the solution and a SingularJacobian per singular row by
+    row index.  One np.linalg.solve takes the whole stack; if it raises, a
+    stack is solved again row by row, so that only the singular rows fail.
+    """
     _equilibrate_rows(a, b)
     try:
-        return np.linalg.solve(a, b)
+        return np.linalg.solve(a, b), {}
     except np.linalg.LinAlgError as err:
-        raise SingularJacobian(str(err)) from err
+        if a.ndim == 2:
+            return b, {0: SingularJacobian(str(err))}
+    sol, failed = np.empty_like(b), {}
+    for i in range(len(a)):
+        try:
+            sol[i] = np.linalg.solve(a[i], b[i])
+        except np.linalg.LinAlgError as err:
+            failed[i] = SingularJacobian(str(err))
+    return sol, failed
 
 
 class _NewtonOutcome(NamedTuple):
@@ -206,15 +220,63 @@ def _solid_unit(t: np.ndarray, solid: np.ndarray) -> np.ndarray:
     return t / norm
 
 
+def _converged(system: LatticeSystem, x: np.ndarray, tol: float, iterations: int,
+               tangent: np.ndarray | None) -> _NewtonOutcome:
+    """The outcome of a row that converged at ``x``, its own copy: dead tail
+    phases zeroed, negative amplitudes flipped where that keeps the residual."""
+    state = PolarState.from_packed(x)
+    state.phi[_dead_interfaces(state, system.eps, tol)] = 0.0
+    if state.r.min() < -1e-9:
+        # Exact only for r-even nonlinearities; keep the raw state if
+        # an odd omega part would push the residual back over tol.
+        flipped = canonicalize(state)
+        if system.residual_norm(flipped) <= tol:
+            state = flipped
+    return _NewtonOutcome(state, iterations, tangent)
+
+
+def _stack_state(x: np.ndarray) -> PolarState:
+    """The state over the stack ``x``; a stack of one is handed to NumPy as
+    its one row, on which small-array calls are cheapest."""
+    return PolarState.from_packed(x[0] if len(x) == 1 else x)
+
+
 def _newton_solve(system: LatticeSystem, x: np.ndarray, border: Bordered | None,
-                  tol: float, max_iter: int) -> _NewtonOutcome:
-    """Newton from a packed vector, at fixed mu when ``border`` is None; one
-    residual, and unless it converged one Jacobian, per iterate, sharing
-    ``point_terms``.  It updates one state over its own copy of ``x`` in
-    place and returns that state."""
-    state = PolarState.from_packed(np.array(x, dtype=float))
-    x, n = state.x, state.n
+                  tol: float, max_iter: int) -> list:
+    """Newton on a stack of packed vectors ``x``, shape (B, 2N + 1), at fixed
+    mu when ``border`` is None, else with border row i for row i: ``border``
+    holds the B previous points and tangents as (B, 2N + 1) arrays and the
+    B step lengths as a list.
+
+    Each iterate makes one residual, one Jacobian and one np.linalg.solve
+    for the rows still live, sharing ``point_terms``, and updates the
+    corrector's own copy of ``x`` in place.  A row leaves the stack when it
+    converges or fails.  Entry i of the returned list is row i's
+    _NewtonOutcome, or the error that ended it: LatticeError for a start
+    that is not finite, NoConvergence, SingularJacobian.  A row's arithmetic
+    is that of a stack of one, bit for bit: its constraint is a per-row
+    ``ndarray.dot`` call.
+    """
     spec, c, eps, bc = system.spec, system.coupling, system.eps, system.bc
+    x = np.array(x, dtype=float)  # the corrector's own copy
+    n, m = x.shape[-1] // 2, x.shape[-1] - (border is None)  # m: the unknowns
+    rows, done = list(range(len(x))), [None] * len(x)  # rows: the input row of each
+    if border is not None:
+        x_prev, t_prev, ds = border.x_prev, border.tangent, border.ds
+    try:
+        state = _stack_state(x)
+    except LatticeError:  # the rows that are not finite fail before iterating
+        finite = np.isfinite(x).all(axis=1).tolist()
+        for r in rows:
+            if not finite[r]:
+                done[r] = LatticeError("non-finite entries in state")
+        rows = [r for r in rows if finite[r]]
+        if not rows:
+            return done
+        x = x[rows]
+        if border is not None:
+            x_prev, t_prev, ds = x_prev[rows], t_prev[rows], [ds[r] for r in rows]
+        state = _stack_state(x)
 
     # Converge a notch below tol so that pinning dead tail phases (which
     # perturbs the residual by at most 0.4 tol) cannot push a reported
@@ -224,52 +286,75 @@ def _newton_solve(system: LatticeSystem, x: np.ndarray, border: Bordered | None,
     for it in range(max_iter + 1):
         terms = point_terms(spec, state, eps, bc)
         f = residual(spec, c, state, eps, bc, terms)
-        err = np.abs(f).max()
+        keep, cons = [], []
         if border is not None:
-            cons = float((x - border.x_prev).dot(border.tangent)) - border.ds
-            err = max(err, abs(cons))
-        if err <= conv_tol:
-            state.phi[_dead_interfaces(state, eps, tol)] = 0.0
-            if state.r.min() < -1e-9:
-                # Exact only for r-even nonlinearities; keep the raw state if
-                # an odd omega part would push the residual back over tol.
-                flipped = canonicalize(state)
-                if system.residual_norm(flipped) <= tol:
-                    state = flipped
-            return _NewtonOutcome(state, it, tangent)
-        if not math.isfinite(err):
-            raise NoConvergence("residual is not finite")
-        if it == max_iter:
+            step = x - x_prev
+        for i, e in enumerate(np.abs(f.reshape(len(rows), -1)).max(axis=1).tolist()):
+            if border is not None:
+                k = float(step[i].dot(t_prev[i])) - ds[i]
+                e = max(e, abs(k))
+            if done[rows[i]] is not None:  # its last solve failed
+                continue
+            if e <= conv_tol:
+                done[rows[i]] = _converged(system, x[i].copy(), tol, it,
+                                           None if tangent is None else tangent[i])
+            elif not math.isfinite(e):
+                done[rows[i]] = NoConvergence("residual is not finite")
+            elif it == max_iter:
+                done[rows[i]] = NoConvergence(
+                    f"Newton did not reach tol={tol} within {max_iter} iterations")
+            else:
+                keep.append(i)
+                if border is not None:
+                    cons.append(-k)
+        if not keep:
             break
+        if len(keep) < len(rows):
+            pick = keep[0] if len(keep) == 1 else keep  # one row: its own vector
+            f = f.reshape(len(rows), -1)[pick]
+            terms = tuple(t.take(pick, axis=-1) for t in terms)  # the stack's axis is last
+            rows, x = [rows[i] for i in keep], x[keep]
+            if border is not None:
+                x_prev, t_prev, ds = x_prev[keep], t_prev[keep], [ds[i] for i in keep]
+            state = _stack_state(x)  # finite: its residual is
 
         if border is not None:
             # second column: the tangent [J; t_prev] t = e_last, for free
-            a = jacobian(spec, c, state, eps, bc, terms, border.tangent)
-            rhs = np.zeros((2 * n + 1, 2))
-            np.negative(f, out=rhs[:-1, 0])
-            rhs[-1, 0], rhs[-1, 1] = -cons, 1.0
+            a = jacobian(spec, c, state, eps, bc, terms, t_prev)
+            rhs = np.zeros(a.shape[:-1] + (2,))
+            np.negative(f, out=rhs[..., :-1, 0])
+            rhs[..., -1, :] = np.array([(k, 1.0) for k in cons]).reshape(rhs.shape[:-2] + (2,))
         else:
-            a = jacobian(spec, c, state, eps, bc, terms)[:, : 2 * n]
-            rhs = -f[:, None]
-        sol = _solve(a, rhs)
-        delta = sol[:, 0]
-        if not np.isfinite(delta).all():
-            raise SingularJacobian("non-finite Newton step")
-        x[: delta.size] += delta  # fixed mu: every entry but mu
-        tangent = sol[:, 1] if border is not None else None
+            a = jacobian(spec, c, state, eps, bc, terms)[..., :m]
+            rhs = -f[..., None]
+        sol, failed = _solve(a, rhs)
+        if failed or not np.isfinite(sol[..., 0]).all():
+            # a failed row takes no step and leaves at the next classification
+            ok = np.isfinite(sol[..., 0]).all(axis=-1).reshape(-1)
+            ok[list(failed)] = False
+            for i in np.flatnonzero(~ok):
+                done[rows[i]] = failed.get(i) or SingularJacobian("non-finite Newton step")
+            if not ok.any():
+                break
+            sol[~ok] = 0.0
+        state.x[..., :m] += sol[..., 0]  # fixed mu: every entry but mu
+        tangent = sol[..., 1].reshape(len(rows), -1) if border is not None else None
         wrap_phase(state.phi)
-
-    raise NoConvergence(f"Newton did not reach tol={tol} within {max_iter} iterations")
+    return done
 
 
 def newton_correct(system: LatticeSystem, state: PolarState,
                    tol: float = NEWTON_TOL,
                    max_iter: int = NEWTON_MAX_ITER) -> PolarState:
     """Correct a state onto the solution set at its frozen mu, solving the
-    square system in (r, phi, rho).  Raises NoConvergence (also for a residual
-    that is not finite, say one that overflows) / SingularJacobian."""
+    square system in (r, phi, rho): a stack of one.  Raises NoConvergence
+    (also for a residual that is not finite, say one that overflows) /
+    SingularJacobian."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or NaN
-        return _newton_solve(system, state.x, None, tol, max_iter).state
+        outcome, = _newton_solve(system, state.x[None], None, tol, max_iter)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome.state
 
 
 def branch_tangent(system: LatticeSystem, state: PolarState, ref: np.ndarray) -> np.ndarray:
@@ -293,7 +378,10 @@ def branch_tangent(system: LatticeSystem, state: PolarState, ref: np.ndarray) ->
     a[2 * j + 3, n + j] = 1.0
     rhs = np.zeros((2 * n + 1, 1))
     rhs[-1] = 1.0
-    t = _solve(a, rhs)[:, 0]
+    sol, failed = _solve(a, rhs)
+    if failed:
+        raise failed[0]
+    t = sol[:, 0]
     t[n + j] = 0.0
     return _solid_unit(t, _solid_mask(state))
 
@@ -327,10 +415,65 @@ class Branch:
         return np.array([p.state.mu for p in self.points])
 
 
+# The walk and fold refinement are generators: each bordered correction is a
+# request (start vector, Bordered) it yields, and ``walk_batch`` sends back
+# the _NewtonOutcome or throws in its NoConvergence / SingularJacobian.  So a
+# batch of walks shares one stacked corrector and reads as one walk does.
+BATCH_ENTRIES = 1 << 18  # entries of a batch's stacked bordered matrices: 2 MiB
+
+
+def batch_rows(n: int) -> int:
+    """Rows of one stacked correction at N nodes: at least one, and as many
+    (2N + 1)^2 bordered matrices as BATCH_ENTRIES holds."""
+    return max(1, BATCH_ENTRIES // (2 * n + 1) ** 2)
+
+
+def walk_batch(system: LatticeSystem, walks: list) -> list:
+    """Run the generators ``walks`` of one system and N to their ends.
+
+    The pending requests of all live walks go through one stacked
+    _newton_solve, batch_rows(N) rows at a time, and each reply goes back
+    to its walk alone.  Entry i of the result is walk i's return value, or
+    the exception it raised.
+    """
+    results, pending = [None] * len(walks), []  # pending: (walk, request), oldest first
+
+    def advance(i, reply):
+        try:
+            pending.append((i, walks[i].throw(reply) if isinstance(reply, Exception)
+                            else walks[i].send(reply)))
+        except StopIteration as stop:
+            results[i] = stop.value
+        except Exception as err:  # this walk's failure, not the batch's
+            results[i] = err
+
+    for i in range(len(walks)):
+        advance(i, None)
+    while pending:
+        chunk = pending[:batch_rows(pending[0][1][0].size // 2)]
+        del pending[:len(chunk)]
+        x_prev, tangent, ds = zip(*(border for _, (_, border) in chunk))
+        replies = _newton_solve(system, np.array([x for _, (x, _) in chunk]),
+                                Bordered(np.array(x_prev), np.array(tangent), list(ds)),
+                                NEWTON_TOL, NEWTON_MAX_ITER)
+        for (i, _), reply in zip(chunk, replies):
+            advance(i, reply)
+    return results
+
+
+def _walk_one(system: LatticeSystem, steps):
+    """The return value of the generator ``steps`` run as a batch of one."""
+    result, = walk_batch(system, [steps])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def _attempt_step(system, x_prev, tangent, ds, guess=None):
+    """One bordered step from ``x_prev`` (a generator of its one request):
+    the corrected outcome with the landing's solid mask."""
     predictor = x_prev + ds * tangent
-    outcome = _newton_solve(system, predictor if guess is None else guess,
-                            Bordered(x_prev, tangent, ds), NEWTON_TOL, NEWTON_MAX_ITER)
+    outcome = yield (predictor if guess is None else guess), Bordered(x_prev, tangent, ds)
     # Reject corrector landings far from the predictor: those are jumps onto
     # another solution sheet (worst case the trivial r=0 line), not steps
     # along the branch.  Halving ds then also adapts to fold curvature.
@@ -350,14 +493,36 @@ def continue_branch(
     direction: int,
     config: ContinuationConfig,
 ) -> Branch:
-    """Trace the branch through ``seed`` in one direction.
+    """Trace the branch through ``seed`` in one direction, folds included.
 
     Terminates on mu leaving the window, the step limit, isola closure
     (return to the start point within CLOSURE_TOL after arclength
     > 10 ds_init), or an unresolvable corrector failure ("open").  Raises
     ContinuationError when the seed's residual exceeds NEWTON_TOL or is not
-    finite.
+    finite.  This is ``walk`` as a batch of one, its steps and its
+    ``detect_folds`` each a call of its own.
     """
+    branch = _walk_one(system, _steps(system, seed, direction, config))
+    return _with_folds(branch, detect_folds(branch, system, config))
+
+
+def walk(system: LatticeSystem, seed: PolarState, direction: int,
+         config: ContinuationConfig):
+    """``continue_branch`` as a generator of correction requests, one member
+    of a ``walk_batch``; it returns the branch."""
+    branch = yield from _steps(system, seed, direction, config)
+    return _with_folds(branch, (yield from _fold_steps(branch, system, config)))
+
+
+def _with_folds(branch: Branch, folds: list[BranchPoint]) -> Branch:
+    branch.points += folds
+    branch.points.sort(key=lambda p: (p.arclength, not p.is_fold))
+    return branch
+
+
+def _steps(system, seed, direction, config):
+    """The walk through ``seed`` up to its termination, closing landing
+    included; it returns the branch without its folds."""
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads NaN
@@ -384,7 +549,7 @@ def continue_branch(
         outcome = None
         while outcome is None and ds >= DS_MIN:
             try:
-                outcome = _attempt_step(system, x_prev, prev.tangent, ds)
+                outcome = yield from _attempt_step(system, x_prev, prev.tangent, ds)
             except (NoConvergence, SingularJacobian):
                 ds *= 0.5
         if outcome is None:
@@ -423,8 +588,8 @@ def continue_branch(
             gap = _norm((x_new - x_start)[solid_start])
             if gap < max(2.0 * ds, 2.0 * config.ds_init):
                 try:  # the closing landing: one step onto the start point's hyperplane
-                    landing = _attempt_step(system, x_new, new_tangent,
-                                            float(np.dot(x_start - x_new, new_tangent)))
+                    landing = yield from _attempt_step(
+                        system, x_new, new_tangent, float(np.dot(x_start - x_new, new_tangent)))
                 except (NoConvergence, SingularJacobian):
                     continue
                 if _norm((landing.state.x - x_start)[solid_start]) < CLOSURE_TOL:
@@ -434,10 +599,7 @@ def continue_branch(
                     termination = CLOSED_ISOLA
                     break
 
-    branch = Branch(points, termination, (points[-1].mu,) if termination == OPEN else ())
-    branch.points += detect_folds(branch, system, config)
-    branch.points.sort(key=lambda p: (p.arclength, not p.is_fold))
-    return branch
+    return Branch(points, termination, (points[-1].mu,) if termination == OPEN else ())
 
 
 def _bracket_guess(lo: list, hi: list, s: float) -> np.ndarray:
@@ -462,7 +624,13 @@ def detect_folds(
     system: LatticeSystem,
     config: ContinuationConfig,
 ) -> list[BranchPoint]:
-    """Locate folds by regula falsi on arclength between sign-change brackets.
+    """Locate folds by regula falsi on arclength between sign-change
+    brackets: ``_fold_steps`` as a batch of one."""
+    return _walk_one(system, _fold_steps(branch, system, config))
+
+
+def _fold_steps(branch: Branch, system: LatticeSystem, config: ContinuationConfig):
+    """The fold refinement of ``detect_folds``, a generator of its requests.
 
     Each trial re-corrects a bordered step from the left bracket point, at
     the secant root of the tangent's mu component (the midpoint if that
@@ -474,10 +642,10 @@ def detect_folds(
     refinements stay unrefined.
     """
     mu_lo, mu_hi = config.mu_window
-    walk = [p for p in branch.points if not p.is_fold]
+    walked = [p for p in branch.points if not p.is_fold]
     folds: list[BranchPoint] = []
-    for i in _fold_brackets(walk):
-        left, right = walk[i], walk[i + 1]
+    for i in _fold_brackets(walked):
+        left, right = walked[i], walked[i + 1]
         if not (mu_lo <= left.state.mu <= mu_hi
                 and mu_lo <= right.state.mu <= mu_hi):
             continue  # exit overshoot; structure past the window is out of scope
@@ -498,7 +666,8 @@ def detect_folds(
                 trial = 0.5 * (lo[0] + hi[0])
             guess = _bracket_guess(lo, hi, trial)
             try:
-                outcome = _attempt_step(system, x_left, left.tangent, trial, guess)
+                outcome = yield from _attempt_step(system, x_left, left.tangent,
+                                                   trial, guess)
                 t_trial = branch_tangent(system, outcome.state, left.tangent)
             except (NoConvergence, SingularJacobian):
                 break

@@ -9,8 +9,11 @@ imaginary part the phase equation.  The chain is closed by ghost values:
 on the left the reflection of a symmetric pattern, whose one rule is
 ``BoundaryKind.mirror``; on the right an off-site truncation.  A
 ``PolarState`` is one packed vector (r, phi, rho, mu), the vector the
-corrector updates in place.  A Newton iterate builds ``point_terms`` once
-and hands them to both ``residual`` and ``jacobian``.
+corrector updates in place, or a stack of such rows, shape (B, 2N + 1).
+``point_terms``, ``residual`` and ``jacobian`` work row by row over a
+stack, with each row's arithmetic that of a stack of one.  A Newton
+iterate builds ``point_terms`` once and hands them to both ``residual``
+and ``jacobian``.
 """
 from __future__ import annotations
 
@@ -81,7 +84,9 @@ class CouplingKind:
 class PolarState:
     """One lattice solution candidate as one packed vector x = (r_1..r_N,
     phi_1..phi_{N-1}, rho, mu) of length 2N + 1: ``r`` and ``phi`` are
-    writable views into x, and ``rho`` and ``mu`` are read from it."""
+    writable views into x, and ``rho`` and ``mu`` are read from it.  Over a
+    stack x of shape (B, 2N + 1), ``r`` and ``phi`` are (B, N) and
+    (B, N - 1) views; ``rho`` and ``mu`` are read from a single state only."""
 
     __slots__ = ("x", "r", "phi")
 
@@ -94,14 +99,15 @@ class PolarState:
 
     @classmethod
     def from_packed(cls, x: np.ndarray) -> "PolarState":
-        """The state over the float vector ``x`` of length 2N + 1, shared, not copied."""
+        """The state over the float vector or stack ``x``, last axis 2N + 1,
+        shared, not copied."""
         return cls.__new__(cls)._share(x)
 
     def _share(self, x: np.ndarray) -> "PolarState":
         if not np.isfinite(x).all():
             raise LatticeError("non-finite entries in state")
-        n = x.size // 2
-        self.x, self.r, self.phi = x, x[:n], x[n: 2 * n - 1]
+        n = x.shape[-1] // 2
+        self.x, self.r, self.phi = x, x[..., :n], x[..., n: 2 * n - 1]
         return self
 
     @property
@@ -114,7 +120,7 @@ class PolarState:
 
     @property
     def n(self) -> int:
-        return self.r.size
+        return self.r.shape[-1]
 
     def copy(self) -> "PolarState":
         return PolarState.from_packed(self.x.copy())
@@ -125,15 +131,18 @@ def point_terms(spec: NonlinearitySpec, state: PolarState, eps: float,
     """What ``residual`` and ``jacobian`` share at a point, built once:
     r_0..r_{N+1} with the ghosts, e = exp(i phi) at phi_0..phi_N, and the
     co-rotating f = lambda + i (omega - rho).  The left ghosts are
-    (r[mirror], -phi_1 or +0.0), the right ones (r_N, 0.0)."""
-    if state.n < 2:
+    (r[mirror], -phi_1 or +0.0), the right ones (r_N, 0.0).  Over a stack
+    the node axis comes first and the stack's axis last."""
+    n = state.n
+    if n < 2:
         raise LatticeError("chain needs at least 2 nodes")
-    r_ext, phi_ext = np.empty(state.n + 2), np.empty(state.n + 1)
-    r_ext[0], r_ext[1:-1], r_ext[-1] = state.r[bc.mirror], state.r, state.r[-1]
-    phi_ext[0] = -state.phi[0] if bc.mirror else 0.0
-    phi_ext[1:-1], phi_ext[-1] = state.phi, 0.0
-    return (r_ext, np.exp(1j * phi_ext), spec.lam(state.r, state.mu)
-            + 1j * (spec.omega(state.r, state.mu, eps) - state.rho))
+    x = state.x.T
+    r_ext, phi_ext = np.empty((n + 2,) + x.shape[1:]), np.empty((n + 1,) + x.shape[1:])
+    r_ext[0], r_ext[1:-1], r_ext[-1] = x[bc.mirror], x[:n], x[n - 1]
+    phi_ext[0] = -x[n] if bc.mirror else 0.0
+    phi_ext[1:-1], phi_ext[-1] = x[n: 2 * n - 1], 0.0
+    r = r_ext[1:-1]  # contiguous over a stack, unlike x's columns
+    return r_ext, np.exp(1j * phi_ext), spec.lam(r, x[-1]) + 1j * (spec.omega(r, x[-1], eps) - x[-2])
 
 
 def residual(
@@ -153,8 +162,10 @@ def residual(
     the state's ``point_terms``, shared with ``jacobian``.
     """
     r_ext, e, f = terms or point_terms(spec, state, eps, bc)
-    lap = r_ext[2:] * e[1:] - 2.0 * state.r + r_ext[:-2] * e[:-1].conj()
-    return (f * state.r + eps * complex(c.c_re, c.c_im) * lap).view(float)
+    r = r_ext[1:-1]
+    lap = r_ext[2:] * e[1:] - 2.0 * r + r_ext[:-2] * e[:-1].conj()
+    out = f * r + eps * complex(c.c_re, c.c_im) * lap
+    return np.ascontiguousarray(out.T).view(float)  # a stack's rows first
 
 
 def polar_to_complex(state: PolarState) -> np.ndarray:
@@ -180,6 +191,16 @@ def _stencil_plan(n: int, mirror: int) -> np.ndarray:
     return plan
 
 
+@functools.lru_cache(maxsize=64)
+def _stacked_plan(n: int, mirror: int, stack: int, rows: int) -> np.ndarray:
+    """``_stencil_plan`` over a stack of (rows, 2N + 1) matrices, for values
+    laid out node first and stack row second."""
+    offsets = rows * (2 * n + 1) * np.arange(stack)[:, None]
+    plan = (_stencil_plan(n, mirror).reshape(-1, 1, 2) + offsets).ravel()
+    plan.flags.writeable = False
+    return plan
+
+
 def jacobian(
     spec: NonlinearitySpec,
     c: CouplingKind,
@@ -189,18 +210,20 @@ def jacobian(
     terms: tuple | None = None,
     border: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Analytic Jacobian of ``residual``, shape (2N, 2N + 1).
+    """Analytic Jacobian of ``residual``, shape (2N, 2N + 1), one per row of a stack.
 
     Columns: r_1..r_N, phi_1..phi_{N-1}, rho, and the mu-derivative last.
     Five complex bands of dR_n, with the ghosts' chain rules folded in, are
     scattered through a plan cached per (N, boundary): the diagonal
     f + r (lambda_r + i omega_r) - 2 eps c, right r eps c e_n, right phi
     i eps c r_{n+1} e_n, left r eps c conj(e_{n-1}) and left phi
-    -i eps c r_{n-1} conj(e_{n-1}).  With a ``border`` row the result is the
-    square bordered matrix [J; border], scattered in place.
+    -i eps c r_{n-1} conj(e_{n-1}).  With a ``border`` row (one per row of a
+    stack) the result is the square bordered matrix [J; border], scattered
+    in place.
     """
-    n, r, mu = state.n, state.r, state.mu
+    n, mu = state.n, state.x.T[-1]
     r_ext, e, f = terms or point_terms(spec, state, eps, bc)
+    r = r_ext[1:-1]
     ec = eps * complex(c.c_re, c.c_im)
     right, left = ec * e[1:], ec * e[:-1].conj()
     left_phi = -1j * r_ext[:-2]
@@ -214,13 +237,14 @@ def jacobian(
     # order, as a per-node loop does.  The rho and mu columns are set after
     # the scatter, which would turn their -0.0 at r_n = 0 into 0.0.  A flat
     # index of the (2N, 2N + 1) plan is the same entry of the bordered matrix.
-    rows = 2 * n + (border is not None)
-    J = np.bincount(_stencil_plan(n, bc.mirror), values.view(float),
-                    rows * (2 * n + 1)).reshape(rows, -1)
-    np.negative(r, out=J[1:2 * n:2, 2 * n - 1])
-    np.multiply(spec.mu_coefficient, r, out=J[0:2 * n:2, 2 * n])  # omega has no mu
+    rows, stack = 2 * n + (border is not None), r.size // n
+    plan = _stencil_plan(n, bc.mirror) if stack == 1 else _stacked_plan(n, bc.mirror, stack, rows)
+    J = np.bincount(plan, values.view(float).ravel(), stack * rows * (2 * n + 1))
+    J = J.reshape(r.shape[1:] + (rows, 2 * n + 1))
+    np.negative(state.r, out=J[..., 1:2 * n:2, 2 * n - 1])
+    np.multiply(spec.mu_coefficient, state.r, out=J[..., 0:2 * n:2, 2 * n])  # omega has no mu
     if border is not None:
-        J[2 * n] = border
+        J[..., 2 * n, :] = border
     return J
 
 

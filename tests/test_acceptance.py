@@ -398,7 +398,7 @@ def test_criterion_6_property_suite(quintic, quintic_rotating, snake_off):
             system = LatticeSystem(quintic, coupling, eps, bc)
             ansatz = SeedAnsatz(3, ("plus",) * 3, template, bc, N_NODES)
             seed = build_seed(quintic, 0.5, eps, ansatz, coupling)
-            st = _newton_solve(system, seed.x, None, 1e-12, 20).state
+            st = _newton_solve(system, seed.x[None], None, 1e-12, 20)[0].state
             dists.append(float(np.max(np.abs(st.r - seed.r))))
         ratios.append(dists[0] / dists[1])
     assert all(3.0 <= r <= 5.0 for r in ratios)

@@ -103,7 +103,7 @@ def test_farfield_tail_ratio_refines_with_eps(quintic):
                                BoundaryKind.OFF_SITE)
         ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 8)
         seed = build_seed(quintic, 0.75, eps, ansatz, CouplingKind.dissipative())
-        st = _newton_solve(system, seed.x, None, 1e-12, 20).state
+        st = _newton_solve(system, seed.x[None], None, 1e-12, 20)[0].state
         devs.append(abs(st.r[4] / st.r[3] - eps / 0.75) / (eps / 0.75))
     assert devs[1] < 0.75 * devs[0]
 
@@ -114,7 +114,7 @@ def test_build_seed_dissipative_newton(quintic):
                            BoundaryKind.OFF_SITE)
     ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 10)
     seed = build_seed(quintic, 0.5, eps, ansatz, CouplingKind.dissipative())
-    out = _newton_solve(system, seed.x, None, 1e-10, 12)
+    out, = _newton_solve(system, seed.x[None], None, 1e-10, 12)
     assert out.iterations <= 6
     r_plus = bistable_roots(quintic, 0.5).r_plus
     predicted_r3 = r_plus + eps / quintic.lam_r(r_plus, 0.5)
@@ -128,7 +128,7 @@ def test_build_seed_conservative_newton(quintic):
                            BoundaryKind.ON_SITE)
     ansatz = SeedAnsatz(2, ("plus",) * 2, "conservative", BoundaryKind.ON_SITE, 10)
     seed = build_seed(quintic, 0.5, eps, ansatz, CouplingKind.conservative())
-    out = _newton_solve(system, seed.x, None, 1e-10, 12)
+    out, = _newton_solve(system, seed.x[None], None, 1e-10, 12)
     assert abs(out.state.phi[0] + np.pi / 2) <= 10 * eps
     assert abs(out.state.phi[1] - np.pi / 2) <= 10 * eps
 
@@ -154,7 +154,7 @@ def test_seed_quality_order_eps_squared(quintic, template, coupling_name, bc):
         system = LatticeSystem(quintic, coupling, eps, bc)
         ansatz = SeedAnsatz(3, ("plus",) * 3, template, bc, 10)
         seed = build_seed(quintic, 0.5, eps, ansatz, coupling)
-        st = _newton_solve(system, seed.x, None, 1e-12, 20).state
+        st = _newton_solve(system, seed.x[None], None, 1e-12, 20)[0].state
         dists.append(float(np.max(np.abs(st.r - seed.r))))
     ratio = dists[0] / dists[1]
     assert 3.0 <= ratio <= 5.0

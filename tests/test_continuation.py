@@ -51,6 +51,21 @@ def mu_axis(state, direction=1):
     return ref
 
 
+def solve_one(system, x, border, tol, max_iter):
+    """``_newton_solve`` on a stack of one: the row's outcome, or its error raised."""
+    if border is not None:
+        border = Bordered(border.x_prev[None], border.tangent[None], [border.ds])
+    outcome, = _newton_solve(system, np.asarray(x)[None], border, tol, max_iter)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def step_one(system, x_prev, tangent, ds, guess=None):
+    """One ``_attempt_step`` run as a batch of one."""
+    return continuation._walk_one(system, _attempt_step(system, x_prev, tangent, ds, guess))
+
+
 @pytest.fixture(scope="module")
 def dissipative_system(quintic):
     return LatticeSystem(quintic, CouplingKind.dissipative(), EPS, BoundaryKind.OFF_SITE)
@@ -146,7 +161,7 @@ def test_newton_zero_iterations_for_exact_state(quintic):
                            BoundaryKind.OFF_SITE)
     prof = bistable_roots(quintic, 0.6)
     st = PolarState([prof.r_plus, 0.0, prof.r_minus], [0.0, 0.0], 0.0, 0.6)
-    out = _newton_solve(system, st.x, None, 1e-10, 12)
+    out = solve_one(system, st.x, None, 1e-10, 12)
     assert out.iterations == 0
     assert np.array_equal(out.state.r, st.r)
 
@@ -154,7 +169,7 @@ def test_newton_zero_iterations_for_exact_state(quintic):
 def test_newton_converges_from_seed(quintic, dissipative_system):
     ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 10)
     seed = build_seed(quintic, 0.5, EPS, ansatz, CouplingKind.dissipative())
-    out = _newton_solve(dissipative_system, seed.x, None, 1e-10, 12)
+    out = solve_one(dissipative_system, seed.x, None, 1e-10, 12)
     assert out.iterations <= 6
     assert dissipative_system.residual_norm(out.state) <= 1e-10
 
@@ -179,7 +194,7 @@ def test_newton_bordered_mode(quintic, dissipative_system):
     t = branch_tangent(system, seed, mu_axis(seed, +1))
     ds = 0.01
     x_prev = seed.x
-    corrected = _newton_solve(system, x_prev + ds * t, Bordered(x_prev, t, ds),
+    corrected = solve_one(system, x_prev + ds * t, Bordered(x_prev, t, ds),
                               1e-10, 12).state
     assert system.residual_norm(corrected) <= 1e-10
     assert np.dot(corrected.x - x_prev, t) == pytest.approx(ds, abs=1e-10)
@@ -240,7 +255,7 @@ def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
     isola, _, isola_system = small_isola
     ansatz = SeedAnsatz(3, ("plus",) * 3, "in_phase", BoundaryKind.OFF_SITE, 10)
     raw = build_seed(quintic, 0.5, EPS, ansatz, CouplingKind.dissipative())
-    got = _newton_solve(dissipative_system, raw.x, None, 1e-10, 12)
+    got = solve_one(dissipative_system, raw.x, None, 1e-10, 12)
     want_state, want_it, _ = stacked_newton(dissipative_system, raw)
     assert got.iterations == want_it > 0
     assert got.state.x.tobytes() == want_state.x.tobytes()
@@ -250,7 +265,7 @@ def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
     dead = _dead_interfaces(tail, EPS, 1e-10)
     assert dead.any()
     tail.phi[dead] = 0.3
-    got = _newton_solve(dissipative_system, tail.x, None, 1e-10, 12)
+    got = solve_one(dissipative_system, tail.x, None, 1e-10, 12)
     assert np.all(got.state.phi[dead] == 0.0)
     assert got.state.x.tobytes() == stacked_newton(
         dissipative_system, tail)[0].x.tobytes()
@@ -264,7 +279,7 @@ def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
             ds = p.arclength - prev.arclength
             predictor = x_prev + ds * prev.tangent
             border = Bordered(x_prev, prev.tangent, ds)
-            got = _newton_solve(system, predictor, border, 1e-10, 12)
+            got = solve_one(system, predictor, border, 1e-10, 12)
             want_state, want_it, want_t = stacked_newton(
                 system, PolarState.from_packed(predictor), border)
             assert got.iterations == want_it
@@ -293,14 +308,14 @@ def test_newton_iterate_is_one_residual_and_one_bordered_jacobian(
         monkeypatch.setattr(continuation, name, counted(name, getattr(continuation, name)))
     ansatz = SeedAnsatz(2, ("plus",) * 2, "in_phase", BoundaryKind.OFF_SITE, 6)
     seed = build_seed(quintic, 0.5, EPS, ansatz, CouplingKind.dissipative())
-    out = _newton_solve(dissipative_system, seed.x, None, 1e-10, 12)
+    out = solve_one(dissipative_system, seed.x, None, 1e-10, 12)
     assert out.iterations > 0
     assert calls == {"residual": out.iterations + 1, "jacobian": out.iterations,
                      "border": 0}
     t = branch_tangent(dissipative_system, out.state, mu_axis(out.state, +1))
     calls.update(residual=0, jacobian=0, border=0)
     x_prev = out.state.x
-    step = _attempt_step(dissipative_system, x_prev, t, 0.01)
+    step = step_one(dissipative_system, x_prev, t, 0.01)
     assert step.iterations > 0
     assert calls == {"residual": step.iterations + 1, "jacobian": step.iterations,
                      "border": step.iterations}
@@ -334,11 +349,11 @@ def test_non_finite_predictor_fails_before_iterating(quintic, dissipative_system
         tangent = t.copy()
         tangent[3] = bad
         with pytest.raises(LatticeError, match="non-finite"):
-            _attempt_step(dissipative_system, seed.x, tangent, 0.01)
+            step_one(dissipative_system, seed.x, tangent, 0.01)
         x = seed.x.copy()
         x[-1] = bad
         with pytest.raises(LatticeError, match="non-finite"):
-            _newton_solve(dissipative_system, x, None, 1e-10, 12)
+            solve_one(dissipative_system, x, None, 1e-10, 12)
 
 
 def test_tangent_at_eps_zero_pins_every_phase(quintic):
@@ -387,8 +402,9 @@ def test_secant_fallback_lies_on_the_solid_coordinates(quintic, monkeypatch):
     real_solve, real_tangent = continuation._newton_solve, continuation.branch_tangent
 
     def no_column(system, x, border, tol, max_iter):
-        return real_solve(system, x, border, tol, max_iter)._replace(
-            tangent=np.full(x.size, np.nan))
+        return [out._replace(tangent=np.full(x.shape[-1], np.nan))
+                if isinstance(out, _NewtonOutcome) else out
+                for out in real_solve(system, x, border, tol, max_iter)]
 
     def seed_only(system, state, ref):
         if ref[:-1].any():  # a walk's border row, not a seed's mu axis
@@ -410,6 +426,7 @@ def test_secant_fallback_lies_on_the_solid_coordinates(quintic, monkeypatch):
         state = PolarState.from_packed(x_prev.copy())
         state.phi[-1] += 1e-3
         return _NewtonOutcome(state, 1, np.full(x_prev.size, np.nan), _solid_mask(state))
+        yield  # a step that needs no correction
 
     assert not _solid_mask(seed)[2 * seed.n - 2]  # phi[-1]: outside the mask
     monkeypatch.setattr(continuation, "_attempt_step", tail_only)
@@ -599,10 +616,10 @@ def test_warm_started_step_is_checked_against_the_tangent_predictor(
     branch, cfg, _ = small_snake
     prev = [p for p in branch.points if not p.is_fold][10]
     x_prev, ds = prev.state.x, 0.02
-    plain = _attempt_step(dissipative_system, x_prev, prev.tangent, ds)
+    plain = step_one(dissipative_system, x_prev, prev.tangent, ds)
     guess = x_prev + ds * prev.tangent
     guess[0] += 2.5 * ds
-    warm = _attempt_step(dissipative_system, x_prev, prev.tangent, ds, guess)
+    warm = step_one(dissipative_system, x_prev, prev.tangent, ds, guess)
     assert np.max(np.abs(warm.state.x - plain.state.x)) <= 1e-9
 
 
@@ -613,10 +630,11 @@ def test_fold_trials_start_from_their_bracket(quintic, dissipative_system, monke
     real_newton, real_detect = continuation._newton_solve, continuation.detect_folds
 
     def newton(*args, **kwargs):
-        outcome = real_newton(*args, **kwargs)
+        outcomes = real_newton(*args, **kwargs)
         if in_folds:
-            iterations.append(outcome.iterations)
-        return outcome
+            iterations.extend(out.iterations for out in outcomes
+                              if isinstance(out, _NewtonOutcome))
+        return outcomes
 
     def detect(*args, **kwargs):
         in_folds.append(True)
@@ -649,13 +667,13 @@ def test_closing_landing_is_a_walk_step(quintic, monkeypatch):
     def step(*args, **kwargs):
         depth[0] += 1
         try:
-            return attempt_step(*args, **kwargs)
+            return (yield from attempt_step(*args, **kwargs))
         finally:
             depth[0] -= 1
 
     def solve(system, x, border, tol, max_iter):
         if border is not None:
-            (inside if depth[0] else outside).append(border.ds)
+            (inside if depth[0] else outside).extend(border.ds)
         return newton_solve(system, x, border, tol, max_iter)
 
     monkeypatch.setattr(continuation, "_attempt_step", step)
@@ -718,19 +736,19 @@ def test_corrector_outcome_carries_the_packed_state(quintic, dissipative_system,
     dead = _dead_interfaces(raw, EPS, TOL)
     assert dead.any()
     raw.phi[dead] = 0.3
-    out = _newton_solve(dissipative_system, raw.x, None, TOL, 12)
+    out = solve_one(dissipative_system, raw.x, None, TOL, 12)
     assert out.iterations > 0 and np.all(out.state.phi[dead] == 0.0)
     # node 2 negated, its two interface phases shifted by pi: the same
     # solution, which the corrector hands back flipped
     neg = out.state.copy()
     neg.r[1] = -neg.r[1]
     neg.phi[:2] += (np.pi, -np.pi)
-    flipped = _newton_solve(dissipative_system, neg.x, None, TOL, 12)
+    flipped = solve_one(dissipative_system, neg.x, None, TOL, 12)
     assert flipped.state.r.min() >= 0.0
     branch, cfg, _ = small_snake
     walk = [p for p in branch.points if not p.is_fold]
     for prev in walk[::7]:
-        step = _attempt_step(dissipative_system, prev.state.x, prev.tangent, 0.02)
+        step = step_one(dissipative_system, prev.state.x, prev.tangent, 0.02)
         assert np.array_equal(step.solid, _solid_mask(step.state))
 
 

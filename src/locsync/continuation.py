@@ -222,16 +222,17 @@ def _solid_unit(t: np.ndarray, solid: np.ndarray) -> np.ndarray:
 
 def _converged(system: LatticeSystem, x: np.ndarray, tol: float, iterations: int,
                tangent: np.ndarray | None) -> _NewtonOutcome:
-    """The outcome of a row that converged at ``x``, its own copy: dead tail
-    phases zeroed, negative amplitudes flipped where that keeps the residual."""
+    """The outcome of a row that converged at ``x``, its own copy: negative
+    amplitudes flipped where that keeps the residual, then dead tail phases
+    zeroed, so that no flip leaves a dead phase at pi."""
     state = PolarState.from_packed(x)
-    state.phi[_dead_interfaces(state, system.eps, tol)] = 0.0
     if state.r.min() < -1e-9:
         # Exact only for r-even nonlinearities; keep the raw state if
         # an odd omega part would push the residual back over tol.
         flipped = canonicalize(state)
         if system.residual_norm(flipped) <= tol:
             state = flipped
+    state.phi[_dead_interfaces(state, system.eps, tol)] = 0.0
     return _NewtonOutcome(state, iterations, tangent)
 
 

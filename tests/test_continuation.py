@@ -391,6 +391,19 @@ def test_tangents_pin_the_phases_the_corrector_pins(quintic):
             system, fold.state, left.tangent).tobytes()
 
 
+def test_corrected_seed_pins_dead_phases_after_the_flip(quintic):
+    # Nodes 9 and 10 of this seed converge slightly below 0; the flip shifts
+    # the phases of their interfaces by pi, so the dead phases are pinned
+    # after it and come back exactly 0.0, not pi.
+    bc, c = BoundaryKind.ON_SITE, CouplingKind.conservative()
+    system = LatticeSystem(quintic, c, EPS, bc)
+    raw = build_seed(quintic, 0.5, EPS, SeedAnsatz(1, ("plus",), "conservative", bc, 10), c)
+    seed = newton_correct(system, raw)
+    dead = _dead_interfaces(seed, EPS, NEWTON_TOL)
+    assert dead[-3:].all() and seed.r.min() >= 0.0
+    assert seed.phi[dead].tolist() == [0.0] * int(dead.sum())
+
+
 def test_secant_fallback_lies_on_the_solid_coordinates(quintic, monkeypatch):
     # With the corrector's column not finite and branch_tangent singular past
     # the seed, each walk tangent is the secant, masked to the landing's solid

@@ -1,21 +1,27 @@
 """Pseudo-arclength continuation with fold detection.
 
 The corrector solves the bordered system [J; t_prev] with the hyperplane
-constraint <x - x_prev, t_prev> = ds, and zeroes dead tail phases (dead at
-NEWTON_TOL; at eps = 0 every phase) once it has converged.  The predictor
-steps along the tangent of the same border row, [J; t_prev] t = e_last,
-masked to the landing's solid coordinates: the unpinned column of the
-corrector's last solve, else branch_tangent (the dead phases pinned inside
-its solve), else the secant.  Fixed-mu correction is the same iteration
-without the border row.  One Newton iterate is one pass over one
-PolarState, the corrector's own copy: shared point terms, one residual, one
-Jacobian, rows equilibrated in place.  Folds are turning points of mu,
-found by sign changes of the tangent's mu component and refined by a
-safeguarded secant (Illinois regula falsi) in arclength, each trial with a
-fresh tangent and Newton started from the interpolated bracket ends; a fold
-is flagged is_fold.  An isola closes with one more walk step, onto the start
-point's hyperplane; a run that closes is never merged.  Identical inputs
-give bitwise-identical branches.
+constraint <x - x_prev, t_prev> = ds, flips negative amplitudes once it has
+converged and then zeroes dead tail phases (dead at NEWTON_TOL; at eps = 0
+every phase).  The predictor steps along the tangent of the same border
+row, [J; t_prev] t = e_last, masked to the landing's solid coordinates: the
+unpinned column of the corrector's last solve, else branch_tangent (the
+dead phases pinned inside its solve), else the secant.  Fixed-mu correction
+is the same iteration without the border row.  The corrector works on a
+stack of rows, each with its own border row: one Newton iterate is one
+pass over the stack, the corrector's own copy, with shared point terms, one
+residual, one Jacobian and one linear solve, rows equilibrated in place; a
+row leaves when it converges or fails, and each row keeps the bits of a
+stack of one.  The walk, its closing landing and fold refinement are
+generators that yield their correction requests; walk_batch runs the
+requests of many walks of one system through one stacked correction, and
+continue_branch and detect_folds are batches of one.  Folds are turning
+points of mu, found by sign changes of the tangent's mu component and
+refined by a safeguarded secant (Illinois regula falsi) in arclength, each
+trial with a fresh tangent and Newton started from the interpolated bracket
+ends; a fold is flagged is_fold.  An isola closes with one more walk step,
+onto the start point's hyperplane; a run that closes is never merged.
+Identical inputs give bitwise-identical branches, batched or not.
 """
 from __future__ import annotations
 

@@ -161,7 +161,8 @@ def _equilibrated(a, b):
 
 
 def stacked_newton(system, state, border=None, tol=1e-10, max_iter=12):
-    """(state, iterations, tangent) of ``continuation._newton_solve``."""
+    """(state, iterations, tangent) of one row of ``continuation._newton_solve``;
+    AssertionError if it does not converge, LinAlgError if a matrix is singular."""
     n, x = state.n, state.x.copy()
     bordered = border is not None
     tangent = None
@@ -173,13 +174,13 @@ def stacked_newton(system, state, border=None, tol=1e-10, max_iter=12):
             cons = float(np.dot(x - border.x_prev, border.tangent)) - border.ds
             err = max(err, abs(cons))
         if err <= 0.45 * tol:
-            dead = _dead_interfaces(current, system.eps, tol)
-            out = PolarState(current.r, np.where(dead, 0.0, current.phi),
-                             current.rho, current.mu)
+            out = PolarState(current.r, current.phi, current.rho, current.mu)
             if np.min(out.r) < -1e-9:
                 flipped = canonicalize(out)
                 if float(np.max(np.abs(system.residual(flipped)))) <= tol:
                     out = flipped
+            dead = _dead_interfaces(out, system.eps, tol)
+            out = PolarState(out.r, np.where(dead, 0.0, out.phi), out.rho, out.mu)
             return out, it, tangent
         if it == max_iter:
             raise AssertionError("reference Newton did not converge")

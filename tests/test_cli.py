@@ -873,47 +873,128 @@ class _SizeRecorder:
         return map(fn, jobs)
 
 
+def _k_sweep(tmp_path, values, **sweep):
+    """A k sweep of conservative on-site N=10 isolas: every job shares one system and N."""
+    cfg = base_config(tmp_path, N=10, coupling="conservative", boundary="on_site",
+                      seed={"k": 1, "mu": 0.5})
+    cfg["sweep"] = {"parameter": "k", "values": values, **sweep}
+    return cfg
+
+
 @pytest.mark.parametrize("workers, cpus, sizes", [
-    (10**18, 64, [3]), (None, 64, [3]), (2, 64, [2]), (10**18, 2, [2]),
+    (10**18, 64, [5]), (None, 64, [5]), (2, 64, [2]), (10**18, 2, [2]),
     (1, 64, []), (None, 1, [])])
 def test_sweep_pool_size_is_capped_by_jobs_and_cpus(tmp_path, capsys, monkeypatch,
                                                     workers, cpus, sizes):
-    # a fork pool starts every one of its processes at the first submit
+    # a fork pool starts every one of its processes at the first submit; the
+    # jobs of a k sweep share one system and N and are dealt round-robin into
+    # one group per process, while the jobs of an eps sweep share none
     monkeypatch.setattr(_SizeRecorder, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SizeRecorder)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(cli, "cmd_continue", lambda job: print(f"{job.run_id}: ran") or 0)
-    cfg = base_config(tmp_path)
-    cfg["sweep"] = {"parameter": "eps", "values": [0.02, 0.01, 0.015]}
+    seen = []
+
+    def group(jobs):
+        seen.append([job.ansatz.k if job.eps == 0.01 else job.eps for job in jobs])
+        return [(0, f"{job.run_id}: ran\n", "") for job in jobs]
+
+    monkeypatch.setattr(cli, "_run_group", group)
+    cfg = _k_sweep(tmp_path, [1, 2, 3, 4, 5])
     if workers is not None:
         cfg["sweep"]["workers"] = workers
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    size = sizes[0] if sizes else 1
     assert _SizeRecorder.sizes == sizes
-    assert capsys.readouterr().out.splitlines() == [
-        "test-run-eps0.02: ran", "test-run-eps0.01: ran", "test-run-eps0.015: ran"]
+    assert seen == [[1, 2, 3, 4, 5][g::size] for g in range(size)]  # round-robin
+    assert capsys.readouterr().out.splitlines() == [f"test-run-k{k}: ran" for k in range(1, 6)]
+    cfg["sweep"].update(parameter="eps", values=[0.02, 0.015, 0.03])
+    seen.clear()
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    assert seen == [[0.02], [0.015], [0.03]]
     assert multiprocessing.active_children() == []
 
 
 def test_sweep_prints_in_list_order_when_a_later_job_ends_first(tmp_path, capsys,
                                                                 monkeypatch):
-    def job(rc):
-        if rc.eps == 0.02:
-            time.sleep(0.3)  # with two workers the other two jobs end first
+    # with two workers, k = 1 and 3 form one group and k = 2 the other; the
+    # first group ends last, and the output still comes in list order
+    def walked(rc):
+        return rc
+        yield  # a walk that needs no correction
+
+    def job(rc, walked=None):
+        if rc.ansatz.k == 1:
+            time.sleep(0.3)
         print(f"{rc.run_id}: ran")
         print(f"{rc.run_id}: note", file=sys.stderr)
-        return 0 if rc.eps == 0.02 else 1
+        return 0 if rc.ansatz.k == 1 else 1
 
+    monkeypatch.setattr(cli, "_walked", walked)
     monkeypatch.setattr(cli, "cmd_continue", job)
     monkeypatch.setattr(os, "sched_getaffinity", _two_cpus, raising=False)
-    cfg = base_config(tmp_path)
-    cfg["sweep"] = {"parameter": "eps", "values": [0.02, 0.01, 0.015], "workers": 2}
+    cfg = _k_sweep(tmp_path, [1, 2, 3], workers=2)
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
-    runs = ["test-run-eps0.02", "test-run-eps0.01", "test-run-eps0.015"]
+    assert multiprocessing.active_children() == []
+    runs = ["test-run-k1", "test-run-k2", "test-run-k3"]
     out, err = capsys.readouterr()
     assert out == "".join(f"{run}: ran\n" for run in runs)
     assert err == "".join(f"{run}: note\n" for run in runs)
     summary = json.loads((tmp_path / "out" / "test-run-sweep.json").read_text())
     assert summary["exit_codes"] == [0, 1, 1] and summary["runs"] == runs
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batched_sweep_writes_the_bytes_of_single_runs(tmp_path, monkeypatch, workers):
+    # the shipped isola stack swept as groups of batched walks against one
+    # standalone continue per k
+    monkeypatch.setattr(os, "sched_getaffinity", _two_cpus, raising=False)
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" /
+                      "isola_stack.json").read_text(encoding="utf-8"))
+    cfg["sweep"]["workers"] = workers
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--output-dir",
+                 str(tmp_path / "sweep")]) == 0
+    assert multiprocessing.active_children() == []
+    values = cfg.pop("sweep")["values"]
+    single = write_config(tmp_path, cfg, "single.json")
+    for k in values:
+        assert main(["continue", "--config", single, "--k", str(k), "--run-id",
+                     f"isola-stack-k{k}", "--output-dir", str(tmp_path / "single")]) == 0
+    swept = _run_outputs(tmp_path / "sweep")
+    del swept["isola-stack-sweep.json"]
+    assert swept == _run_outputs(tmp_path / "single")
+    assert len(swept) == 16
+
+
+def test_batch_row_cap_holds_one_row_at_large_n(tmp_path, monkeypatch):
+    # a batch's stacked bordered matrices stay within BATCH_ENTRIES entries:
+    # one row per stack from the N where one (2N + 1)^2 matrix takes them all
+    n_one = next(n for n in range(2, MAX_N) if continuation.batch_rows(n) == 1)
+    assert (2 * n_one + 1) ** 2 > continuation.BATCH_ENTRIES // 2
+    for n in (2, 10, n_one - 1, n_one, MAX_N):
+        rows = continuation.batch_rows(n)
+        assert rows >= 1 and (rows == 1 or rows * (2 * n + 1) ** 2 <= continuation.BATCH_ENTRIES)
+    assert continuation.batch_rows(10) == continuation.BATCH_ENTRIES // 21 ** 2 > 8
+    assert continuation.batch_rows(MAX_N) == 1
+    stacks, real = [], continuation._newton_solve
+
+    def solve(system, x, border, tol, max_iter):
+        stacks.append(len(x))
+        return real(system, x, border, tol, max_iter)
+
+    monkeypatch.setattr(continuation, "_newton_solve", solve)
+    cfg = _k_sweep(tmp_path, [1, 2], workers=1)
+    cfg.update(N=n_one)
+    cfg["continuation"]["max_steps"] = 3
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    assert stacks and max(stacks) == 1
+    del cfg["sweep"]
+    single = write_config(tmp_path, cfg, "single.json")
+    for k in (1, 2):
+        assert main(["continue", "--config", single, "--k", str(k), "--run-id",
+                     f"test-run-k{k}", "--output-dir", str(tmp_path / "single")]) == 0
+    swept = _run_outputs(tmp_path / "out")
+    del swept["test-run-sweep.json"]
+    assert swept == _run_outputs(tmp_path / "single")
 
 
 @pytest.mark.parametrize("workers", [1, 2])

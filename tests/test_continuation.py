@@ -9,6 +9,7 @@ from locsync.asymptotics import SeedAnsatz, build_seed
 from locsync.continuation import (
     CLOSED_ISOLA,
     FOLD_REFINE_TOL,
+    NEWTON_MAX_ITER,
     NEWTON_TOL,
     STEP_LIMIT,
     OPEN,
@@ -288,6 +289,58 @@ def test_newton_and_tangent_match_stacked_reference(quintic, small_snake,
                 assert got.tangent.tobytes() == want_t.tobytes()
             got_t = branch_tangent(system, p.state, prev.tangent)
             assert got_t.tobytes() == stacked_tangent(system, p.state, prev.tangent).tobytes()
+
+
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+@pytest.mark.parametrize("bordered", [True, False], ids=["bordered", "fixed_mu"])
+def test_stacked_corrector_matches_the_reference_row_by_row(quintic, bc, bordered):
+    # One stack mixes rows that converge after 0, 2 and 3 iterates, one that
+    # runs out of NEWTON_MAX_ITER, one whose start is not finite and one with
+    # a singular matrix.  Each row gets the bits and the error of its own
+    # single-row correction, and only the singular row fails singular: the
+    # stacked solve that raises is redone row by row.
+    c = CouplingKind.dissipative()
+    system = LatticeSystem(quintic, c, EPS, bc)
+    raw = build_seed(quintic, 0.5, EPS, SeedAnsatz(2, ("plus",) * 2, "in_phase", bc, 6), c)
+    seed = newton_correct(system, raw)
+    t = branch_tangent(system, seed, mu_axis(seed))
+    singular = PolarState([0.9, 0.0, 0.0, 0.5, 0.1, 0.0], [0.1, 0.2, 0.3, 0.1, 0.0], 0.0, 0.5)
+    not_finite = seed.x.copy()
+    not_finite[2] = np.nan
+    if bordered:  # step lengths 0, 0.01, 0.2 and 1.0 along the seed's tangent
+        starts = [seed.x + ds * t for ds in (0.0, 0.01, 0.2, 1.0)] + [not_finite, singular.x]
+        borders = [(seed.x, t, ds) for ds in (0.0, 0.01, 0.2, 1.0)] + [
+            (seed.x, t, 0.01), (singular.x, mu_axis(singular), 0.01)]
+        border = Bordered(*(np.array(part) for part in zip(*borders)))
+        border = border._replace(ds=list(border.ds))
+    else:  # the seed, the raw seed, and the seed's amplitudes moved by 1e-3 and 0.3
+        moved = [seed.x.copy(), seed.x.copy()]
+        moved[0][:6] += 1e-3
+        moved[1][:6] += 0.3
+        starts, borders, border = [seed.x, raw.x, moved[0], moved[1], not_finite,
+                                   singular.x], [None] * 6, None
+    got = _newton_solve(system, np.array(starts), border, TOL, NEWTON_MAX_ITER)
+    assert [out.iterations for out in got[:3]] == [0, 2, 3]
+    assert str(got[3]) == f"Newton did not reach tol={TOL} within {NEWTON_MAX_ITER} iterations"
+    assert isinstance(got[3], NoConvergence)
+    assert isinstance(got[4], LatticeError) and str(got[4]) == "non-finite entries in state"
+    assert isinstance(got[5], SingularJacobian) and str(got[5]) == "Singular matrix"
+    for start, row, out in zip(starts[:3], borders[:3], got[:3]):
+        row = Bordered(*row) if bordered else None
+        want_state, want_it, want_t = stacked_newton(
+            system, PolarState.from_packed(start), row, TOL, NEWTON_MAX_ITER)
+        assert out.iterations == want_it
+        assert out.state.x.tobytes() == want_state.x.tobytes()
+        if want_it and bordered:
+            assert out.tangent.tobytes() == want_t.tobytes()
+            assert branch_tangent(system, out.state, row.tangent).tobytes() == \
+                stacked_tangent(system, out.state, row.tangent).tobytes()
+    with pytest.raises(AssertionError, match="did not converge"):
+        stacked_newton(system, PolarState.from_packed(starts[3]),
+                       Bordered(*borders[3]) if bordered else None, TOL, NEWTON_MAX_ITER)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        stacked_newton(system, singular, Bordered(*borders[5]) if bordered else None,
+                       TOL, NEWTON_MAX_ITER)
 
 
 def test_newton_iterate_is_one_residual_and_one_bordered_jacobian(

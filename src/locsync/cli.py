@@ -316,44 +316,38 @@ def _corrected_seed(rc: RunConfig):
     return system, seed, corrected
 
 
-def compute_branch(system: continuation.LatticeSystem, seed: PolarState,
-                   cont: continuation.ContinuationConfig) -> continuation.Branch:
-    """A run that closes, +1 first, is the whole isola; else both runs merged."""
-    plus = continuation.continue_branch(system, seed, +1, cont)
-    if plus.closure == continuation.CLOSED_ISOLA:
-        return plus
-    minus = continuation.continue_branch(system, seed, -1, cont)
-    if minus.closure == continuation.CLOSED_ISOLA:
-        return minus
-    return continuation.merge_branches(minus, plus)
-
-
-def _walked(rc: RunConfig):
-    """``continue``'s work on ``rc`` up to its branch, as one member of a
-    ``continuation.walk_batch``: compute_branch's rule over
-    ``continuation.walk``.  It returns (start time, branch)."""
+def _branch(rc: RunConfig, walk):
+    """``continue`` on ``rc`` up to its branch, as a generator of its walks'
+    correction requests: the seed corrected and the run directory made, then
+    a run that closes, +1 first, is the whole isola; else both runs merged.
+    ``walk`` is ``continuation.walk`` in a batch, ``_alone`` in a run of its
+    own.  Returns (start time, branch)."""
     t0 = time.perf_counter()
     system, _, corrected = _corrected_seed(rc)
     _make_dir(rc.run_dir())
-    plus = yield from continuation.walk(system, corrected, +1, rc.cont)
+    plus = yield from walk(system, corrected, +1, rc.cont)
     if plus.closure == continuation.CLOSED_ISOLA:
         return t0, plus
-    minus = yield from continuation.walk(system, corrected, -1, rc.cont)
+    minus = yield from walk(system, corrected, -1, rc.cont)
     if minus.closure == continuation.CLOSED_ISOLA:
         return t0, minus
     return t0, continuation.merge_branches(minus, plus)
 
 
+def _alone(system, seed, direction, cont):
+    """``continuation.walk`` as one ``continue_branch`` call, a batch of one
+    that a profiler sees as such; it yields no request."""
+    return continuation.continue_branch(system, seed, direction, cont)
+    yield  # a generator, as ``walk`` is
+
+
 def cmd_continue(rc: RunConfig, walked=None) -> int:
-    """``walked`` is what ``_walked`` returned for ``rc`` in a batched sweep,
-    or the exception it raised; without it the walks run here, a batch of one."""
+    """``walked`` is what ``_branch`` returned for ``rc`` in a batched sweep,
+    or the exception it raised; without it the walks run here, alone."""
+    if walked is None:
+        walked, = continuation.walk_batch(rc.system(), [_branch(rc, _alone)])
     if isinstance(walked, Exception):
         raise walked
-    if walked is None:
-        t0 = time.perf_counter()
-        system, _, corrected = _corrected_seed(rc)
-        _make_dir(rc.run_dir())
-        walked = t0, compute_branch(system, corrected, rc.cont)
     t0, branch = walked
     out = rc.run_dir()
     write_branch_csv(branch, rc.n_nodes, out / "branch.csv")
@@ -578,7 +572,8 @@ def _run_group(jobs: list) -> list:
     group of one is ``continue`` itself; a larger group walks as one batch."""
     if len(jobs) == 1:
         return [_run_job(jobs[0])]
-    walked = continuation.walk_batch(jobs[0].system(), [_walked(job) for job in jobs])
+    walked = continuation.walk_batch(jobs[0].system(),
+                                     [_branch(job, continuation.walk) for job in jobs])
     return [_run_job(job, w) for job, w in zip(jobs, walked)]
 
 

@@ -125,7 +125,9 @@ class ContinuationConfig:
 
 
 class Bordered(NamedTuple):
-    """The corrector's border row: arclength constraint against a previous point."""
+    """The corrector's border row: arclength constraint against a previous
+    point.  For a stack, x_prev and tangent have one row per row and ds is a
+    list."""
 
     x_prev: np.ndarray
     tangent: np.ndarray
@@ -226,12 +228,11 @@ def _solid_unit(t: np.ndarray, solid: np.ndarray) -> np.ndarray:
     return t / norm
 
 
-def _converged(system: LatticeSystem, x: np.ndarray, tol: float, iterations: int,
+def _converged(system: LatticeSystem, state: PolarState, tol: float, iterations: int,
                tangent: np.ndarray | None) -> _NewtonOutcome:
-    """The outcome of a row that converged at ``x``, its own copy: negative
-    amplitudes flipped where that keeps the residual, then dead tail phases
-    zeroed, so that no flip leaves a dead phase at pi."""
-    state = PolarState.from_packed(x)
+    """The outcome of a row that converged at ``state``, over its own copy:
+    negative amplitudes flipped where that keeps the residual, then dead tail
+    phases zeroed, so that no flip leaves a dead phase at pi."""
     if state.r.min() < -1e-9:
         # Exact only for r-even nonlinearities; keep the raw state if
         # an odd omega part would push the residual back over tol.
@@ -302,9 +303,10 @@ def _newton_solve(system: LatticeSystem, x: np.ndarray, border: Bordered | None,
                 e = max(e, abs(k))
             if done[rows[i]] is not None:  # its last solve failed
                 continue
-            if e <= conv_tol:
-                done[rows[i]] = _converged(system, x[i].copy(), tol, it,
-                                           None if tangent is None else tangent[i])
+            if e <= conv_tol:  # a stack of one hands back its own state
+                done[rows[i]] = _converged(
+                    system, state if len(rows) == 1 else PolarState.from_packed(x[i].copy()),
+                    tol, it, None if tangent is None else tangent[i])
             elif not math.isfinite(e):
                 done[rows[i]] = NoConvergence("residual is not finite")
             elif it == max_iter:
@@ -330,7 +332,7 @@ def _newton_solve(system: LatticeSystem, x: np.ndarray, border: Bordered | None,
             a = jacobian(spec, c, state, eps, bc, terms, t_prev)
             rhs = np.zeros(a.shape[:-1] + (2,))
             np.negative(f, out=rhs[..., :-1, 0])
-            rhs[..., -1, :] = np.array([(k, 1.0) for k in cons]).reshape(rhs.shape[:-2] + (2,))
+            rhs[..., -1, :] = np.array([(k, 1.0) for k in cons])
         else:
             a = jacobian(spec, c, state, eps, bc, terms)[..., :m]
             rhs = -f[..., None]
@@ -456,8 +458,9 @@ def walk_batch(system: LatticeSystem, walks: list) -> list:
 
     for i in range(len(walks)):
         advance(i, None)
+    rows = batch_rows(pending[0][1][0].size // 2) if pending else 1
     while pending:
-        chunk = pending[:batch_rows(pending[0][1][0].size // 2)]
+        chunk = pending[:rows]
         del pending[:len(chunk)]
         x_prev, tangent, ds = zip(*(border for _, (_, border) in chunk))
         replies = _newton_solve(system, np.array([x for _, (x, _) in chunk]),

@@ -142,7 +142,8 @@ def point_terms(spec: NonlinearitySpec, state: PolarState, eps: float,
     phi_ext[0] = -x[n] if bc.mirror else 0.0
     phi_ext[1:-1], phi_ext[-1] = x[n: 2 * n - 1], 0.0
     r = r_ext[1:-1]  # contiguous over a stack, unlike x's columns
-    return r_ext, np.exp(1j * phi_ext), spec.lam(r, x[-1]) + 1j * (spec.omega(r, x[-1], eps) - x[-2])
+    return (r_ext, np.exp(1j * phi_ext),
+            spec.lam(r, x[-1]) + 1j * (spec.omega(r, x[-1], eps) - x[-2]))
 
 
 def residual(

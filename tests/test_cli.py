@@ -918,7 +918,7 @@ def test_sweep_prints_in_list_order_when_a_later_job_ends_first(tmp_path, capsys
                                                                 monkeypatch):
     # with two workers, k = 1 and 3 form one group and k = 2 the other; the
     # first group ends last, and the output still comes in list order
-    def walked(rc):
+    def branch(rc, walk):
         return rc
         yield  # a walk that needs no correction
 
@@ -929,7 +929,7 @@ def test_sweep_prints_in_list_order_when_a_later_job_ends_first(tmp_path, capsys
         print(f"{rc.run_id}: note", file=sys.stderr)
         return 0 if rc.ansatz.k == 1 else 1
 
-    monkeypatch.setattr(cli, "_walked", walked)
+    monkeypatch.setattr(cli, "_branch", branch)
     monkeypatch.setattr(cli, "cmd_continue", job)
     monkeypatch.setattr(os, "sched_getaffinity", _two_cpus, raising=False)
     cfg = _k_sweep(tmp_path, [1, 2, 3], workers=2)

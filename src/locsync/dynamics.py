@@ -1,17 +1,24 @@
 """Time-domain verification of computed lattice states.
 
 Integrates the complex oscillator chain with fixed-step RK4 and checks, in
-one batched run that stores no trajectory, that converged steady states are
-relative equilibria: rigid rotations Z_n(t) = exp(i rho t) z_n.  The
-linearization spectrum of the co-rotating field is a diagnostic.
+one batched run that holds one bounded block of steps, that converged
+steady states are relative equilibria: rigid rotations
+Z_n(t) = exp(i rho t) z_n.  The linearization spectrum of the co-rotating
+field is a diagnostic.
 
 ``chain_rhs`` is the only vector field; ``integrate`` and
-``rotation_deviation`` share one RK4 step, which calls it by module name
-at every stage.  ``rotation_deviation`` steps only the rows whose answer
-can still change, compacting the batch as rows leave.  Leaving at rho = 0
-after a step that returns a row bit for bit unchanged is exact: the step
-is a function of the row's bits alone, so every later step would repeat
-it, and the target exp(i rho t) z0 is z0 itself.  Rows never mix (a
+``rotation_deviation`` share one RK4 kernel, which fills a block of steps
+and calls it by module name at every stage.  A run steps in blocks of
+1, 2, 4, ... steps, each at most what BLOCK_ENTRIES holds, so a row that
+stops after one step costs one step and a long run stays in bounded memory.
+``rotation_deviation`` steps only the rows whose answer can still change.
+Once per block, whole-block operations find each row's deviations, its
+first non-finite step and, at rho = 0, its first step that returns it bit
+for bit unchanged; the row's run is cut there, as a step-by-step run would
+stop it, and its steps past the cut are discarded.  A block never passes a
+live row's last step.  Leaving at rho = 0 after an unchanged step is exact:
+the step is a function of the row's bits alone, so every later step would
+repeat it, and the target exp(i rho t) z0 is z0 itself.  Rows never mix (a
 stage is elementwise, the deviation a per-row max), and every operation
 and its order are those of the plain RK4 step, so deviations and
 ``completed`` flags are bitwise those of stepping every row to its end.
@@ -54,6 +61,10 @@ class Trajectory:
             raise ValueError("sample array shape mismatch")
 
 
+_TWO = np.array(2.0, dtype=complex)  # 2.0 as a complex operand, converted once
+_TWO.flags.writeable = False
+
+
 @functools.lru_cache(maxsize=None)
 def _clip_index(n: int) -> np.ndarray:
     """-1..n, which ``take`` clips to the end nodes: the ghost-padded chain."""
@@ -76,18 +87,40 @@ def chain_rhs(
     array of shape (..., 1); each row is computed exactly as on its own.
     """
     m = np.abs(z)
-    fval = spec.lam(m, mu) + 1j * spec.omega(m, mu, eps)
+    fval = spec.lam(m, mu)
+    if not spec.real_field:
+        fval = fval + 1j * spec.omega(m, mu, eps)
     padded = z.take(_clip_index(z.shape[-1]), axis=-1, mode="clip")
-    lap = padded[..., 2:] - 2.0 * z + padded[..., :-2]
+    lap = padded[..., 2:] - _TWO * z + padded[..., :-2]
     return fval * z + eps * complex(c.c_re, c.c_im) * lap
 
 
-def _rk4_step(spec, c, z, mu, eps, dt):
-    k1 = chain_rhs(spec, c, z, mu, eps)
-    k2 = chain_rhs(spec, c, z + 0.5 * dt * k1, mu, eps)
-    k3 = chain_rhs(spec, c, z + 0.5 * dt * k2, mu, eps)
-    k4 = chain_rhs(spec, c, z + dt * k3, mu, eps)
-    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+BLOCK_ENTRIES = 1 << 13  # complex entries of one RK4 block buffer: 128 KiB
+
+
+def block_steps(grown: int, rows: int, n: int) -> int:
+    """Steps in the next RK4 block of ``rows`` rows of ``n`` nodes: ``grown``
+    (1, 2, 4, ..., doubled after each block), at most what fits in
+    BLOCK_ENTRIES together with the block's start, and at least one."""
+    return max(1, min(grown, BLOCK_ENTRIES // (rows * n) - 1))
+
+
+def _rk4_steps(spec, c, block, mu, eps, dt):
+    """Fill ``block[1:]`` with classical RK4 steps of size ``dt`` from ``block[0]``."""
+    # the scalars as complex 0-d arrays: the same factors, converted once
+    half, full, sixth = (np.array(v, dtype=complex) for v in (0.5 * dt, dt, dt / 6.0))
+    for z, out in zip(block[:-1], block[1:]):
+        k1 = chain_rhs(spec, c, z, mu, eps)
+        k2 = chain_rhs(spec, c, z + half * k1, mu, eps)
+        k3 = chain_rhs(spec, c, z + half * k2, mu, eps)
+        k4 = chain_rhs(spec, c, z + full * k3, mu, eps)
+        np.add(z, sixth * (k1 + _TWO * k2 + _TWO * k3 + k4), out=out)
+
+
+def _first(event: np.ndarray) -> np.ndarray:
+    """Per row (the last axis), the first step of a block at which ``event``
+    holds, or the block's length where it never does."""
+    return np.where(event.any(axis=0), event.argmax(axis=0), len(event))
 
 
 def integrate(
@@ -101,24 +134,48 @@ def integrate(
 ) -> Trajectory:
     """Classical fixed-step RK4 trajectory of the complex chain.
 
-    Aborts on non-finite values and returns the partial trajectory with
-    ``completed`` unset.
+    Stops at the first non-finite step and returns the trajectory before it
+    with ``completed`` unset.
     """
     if dt <= 0.0 or horizon < dt:
         raise ValueError("need dt > 0 and horizon >= dt")
-    z = np.asarray(z0, dtype=complex).copy()
+    z0 = np.asarray(z0, dtype=complex)
     n_steps = int(round(horizon / dt))
-    times = [0.0]
-    samples = [z.copy()]
-    completed = True
-    for i in range(n_steps):
-        z = _rk4_step(spec, c, z, mu, eps, dt)
-        if not np.all(np.isfinite(z)):
-            completed = False
-            break
-        times.append((i + 1) * dt)
-        samples.append(z.copy())
-    return Trajectory(np.array(times), np.array(samples), dt, completed=completed)
+    traj = np.empty((n_steps + 1, z0.size), dtype=complex)
+    traj[0], k, grown = z0, 0, 1
+    while k < n_steps:
+        steps = min(block_steps(grown, 1, z0.size), n_steps - k)
+        _rk4_steps(spec, c, traj[k: k + steps + 1], mu, eps, dt)
+        stop = _first(~np.isfinite(traj[k + 1: k + steps + 1]).all(axis=1))
+        if stop < steps:
+            end = k + 1 + stop
+            return Trajectory(dt * np.arange(end), traj[:end], dt, completed=False)
+        k, grown = k + steps, 2 * grown
+    return Trajectory(dt * np.arange(n_steps + 1), traj, dt)
+
+
+def _block(spec, c, z, z0, eps, mu, rho, k, steps, dt):
+    """``steps`` RK4 steps of the rows ``z`` after step ``k``, in one buffer.
+
+    Returns, per row: the max deviation from exp(i rho t) z0 over the steps
+    the row counts, its first non-finite step, its first unchanged step at
+    rho = 0 (``steps`` where there is none), and its state after the block.
+    """
+    block = np.empty((steps + 1,) + z.shape, dtype=complex)
+    block[0] = z
+    _rk4_steps(spec, c, block, mu, eps, dt)
+    z_k, bits = block[1:], block.view(np.int64)
+    broke = _first(~np.isfinite(z_k).all(axis=2))
+    rest = _first((bits[1:] == bits[:-1]).all(axis=2) & (rho == 0.0))
+    # z0 copied, then rotated in place: a broadcast product would add ufunc buffers
+    rot = np.empty_like(z_k)
+    rot[...] = z0
+    t_k = dt * np.arange(k + 1, k + steps + 1)[:, None, None]
+    np.multiply(np.exp((1j * rho)[:, None] * t_k), rot, out=rot)
+    row = np.abs(np.subtract(z_k, rot, out=rot)).max(axis=2)  # (steps, rows)
+    # a row counts its steps before a non-finite one, through an unchanged one
+    row[np.arange(steps)[:, None] >= np.minimum(broke, rest + 1)] = 0.0  # dev starts at 0.0
+    return row.max(axis=0), broke, rest, block[-1].copy()
 
 
 def rotation_deviation(spec, c, z0, eps, mu, rho, n_steps, dt):
@@ -130,34 +187,23 @@ def rotation_deviation(spec, c, z0, eps, mu, rho, n_steps, dt):
     the deviation of its finite steps with ``completed[b]`` unset, as
     ``integrate`` does; or, at ``rho[b] == 0``, after a step that returns
     it bit for bit unchanged.  Returns ``(deviation, completed)``, both (B,).
+    The live rows step in blocks of ``block_steps`` steps.
     """
     z0 = np.asarray(z0, dtype=complex)
     mu = np.asarray(mu, dtype=float)[:, None]
     rho, n_steps = np.asarray(rho, dtype=float), np.asarray(n_steps, dtype=int)
     deviation, completed = np.zeros(rho.size), np.ones(rho.size, dtype=bool)
     live = np.flatnonzero(n_steps > 0)  # the batch, as indices of its rows
-    z, dev, k = z0[live], deviation[live], 0
+    z, dev, k, grown = z0[live], deviation[live], 0, 1
     while live.size:
-        # until a row leaves, the batch and everything read from it are fixed
-        z0_b, mu_b, i_rho = z0[live], mu[live], (1j * rho[live])[:, None]
-        at_rest = rho[live] == 0.0
-        check_rest = at_rest.any()
-        for k in range(k + 1, n_steps[live].min() + 1):
-            prev, z = z, _rk4_step(spec, c, z, mu_b, eps, dt)
-            row = np.abs(z - np.exp(i_rho * (k * dt)) * z0_b).max(axis=1)
-            fixed = at_rest & (z.view(np.int64) == prev.view(np.int64)).all(axis=1) \
-                if check_rest else at_rest
-            if not np.isfinite(row).all():
-                break  # a row turned non-finite, or |z - rot| overflowed
-            np.maximum(dev, row, out=dev)
-            if check_rest and fixed.any():
-                break
-        finite = np.isfinite(z).all(axis=1)
-        # a repeat of the update above, unless the step stopped a row
-        np.maximum(dev, row, out=dev, where=finite)
-        completed[live[~finite]] = False
+        steps = min(block_steps(grown, *z.shape), n_steps[live].min() - k)
+        row, broke, rest, z = _block(spec, c, z, z0[live], eps, mu[live], rho[live],
+                                     k, steps, dt)
+        np.maximum(dev, row, out=dev)
+        k, grown = k + steps, 2 * grown
         deviation[live] = dev
-        keep = finite & ~fixed & (n_steps[live] > k)
+        completed[live[broke < rest]] = False  # an unchanged step follows a finite one
+        keep = (broke == steps) & (rest == steps) & (n_steps[live] > k)
         live, z, dev = live[keep], z[keep], dev[keep]
     return deviation, completed
 

@@ -14,7 +14,7 @@ takes the roots of lambda from its coefficients as a polynomial in r^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +48,13 @@ class NonlinearitySpec:
     are stored as floats, so a spec given ints equals one given floats.
     Every method broadcasts over numpy arrays in r; with no omega1 part,
     ``omega`` is the scalar omega0, and with a constant or no omega1 ``omega_r`` is 0.0.
+
+    ``real_field`` is derived, not compared: f = lambda + i omega may be
+    taken as lambda, with the same bits in f Z.  That needs omega = 0.0 and
+    a lambda that is never -0.0, which adding 0j would turn into +0.0.  A
+    sum or difference rounds to -0.0 only from a -0.0, so lambda can be
+    -0.0 only if each of its terms can; a nonzero c_0 cannot, and neither
+    can c_j r^(2j) with c_j > 0 (j >= 1), which is +0.0 at r = 0.
     """
 
     name: str
@@ -55,6 +62,7 @@ class NonlinearitySpec:
     mu_coefficient: float = 0.0
     omega0: float = 0.0
     omega1_coeffs: tuple[float, ...] = ()
+    real_field: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key in ("coeffs", "omega1_coeffs"):
@@ -64,15 +72,20 @@ class NonlinearitySpec:
         # a nonzero c_j is what gives lam the shape of r
         if not any(self.coeffs):
             raise ModelError(f"{self.name}: every lambda coefficient c_j is zero")
+        never_negative_zero = self.coeffs[0] != 0.0 or max(self.coeffs[1:], default=0.0) > 0.0
+        object.__setattr__(self, "real_field", not self.omega1_coeffs
+                           and self.omega0 == 0.0 and never_negative_zero)
 
     def lam(self, r, mu):
         # mu term first, then c_j r2^j in order, r2 itself for j = 1: this
-        # reproduces the quintic's closed form -mu + 2 r^2 - r^4 bit for bit
+        # reproduces the quintic's closed form -mu + 2 r^2 - r^4 bit for bit.
+        # A c_j of -1 or +1 subtracts or adds the power: out - p is out + (-1.0 * p)
         r2 = r * r
         out = self.mu_coefficient * mu
         for j, cj in enumerate(self.coeffs):
             if cj:
-                out = out + cj * (r2 if j == 1 else r2**j)
+                p = r2 if j == 1 else r2**j
+                out = out - p if cj == -1.0 else out + (p if cj == 1.0 else cj * p)
         return out
 
     def lam_r(self, r, mu):

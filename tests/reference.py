@@ -9,10 +9,11 @@ for the batched ``dynamics.rotation_deviation``.
 The straightforward forms of the engine's hot path sit here too, for bitwise
 comparison: ``stacked_newton`` and ``stacked_tangent`` build each bordered
 matrix with ``np.vstack`` from a validated ``PolarState`` and equilibrate
-out of place; ``empty_point_terms``, ``loop_lam_r``, ``array_omega_r`` and
-``where_wrap_phase`` write the ghosts into ``np.empty`` arrays, multiply
-every derivative term by its power (1.0 at j = 1), return an array of
-zeros for a spec without omega1, and wrap out of place; and
+out of place; ``empty_point_terms``, ``multiplied_lam``, ``loop_lam_r``, ``array_omega_r``
+and ``where_wrap_phase`` write the ghosts into ``np.empty`` arrays, multiply
+every lambda term by its c_j (1.0 and -1.0 too), multiply every derivative
+term by its power (1.0 at j = 1), return an array of zeros for a spec
+without omega1, and wrap out of place; and
 ``csv_writer_branch_csv`` formats every value on its own
 and writes through ``csv.writer``.  ``concatenated_chain_rhs``,
 ``plain_rk4_step`` and ``masked_rotation_deviation`` are the plain
@@ -128,6 +129,16 @@ def empty_point_terms(spec, state, eps, bc):
     phi_ext[1:-1], phi_ext[-1] = state.phi, 0.0
     return (r_ext, np.exp(1j * phi_ext), spec.lam(state.r, state.mu)
             + 1j * (spec.omega(state.r, state.mu, eps) - state.rho))
+
+
+def multiplied_lam(spec, r, mu):
+    """``NonlinearitySpec.lam``, every power multiplied by its c_j, 1.0 and -1.0 too."""
+    r2 = r * r
+    out = spec.mu_coefficient * mu
+    for j, cj in enumerate(spec.coeffs):
+        if cj:
+            out = out + cj * (r2 if j == 1 else r2**j)
+    return out
 
 
 def loop_lam_r(spec, r, mu):

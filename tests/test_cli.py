@@ -534,6 +534,39 @@ def test_verify_fails_a_row_whose_residual_overflows(tmp_path, capsys):
     assert not check["pass"] and check["max_residual"] is None
 
 
+def test_verify_checks_residuals_in_stacked_chunks(tmp_path, monkeypatch):
+    # the rows go through a few stacked residuals, not one call each, and
+    # the report has the bytes of a run with one-row chunks
+    path = write_config(tmp_path, base_config(tmp_path, N=10))
+    assert main(["continue", "--config", path]) == 0
+    csv_path = tmp_path / "out" / "test-run" / "branch.csv"
+    rows = read_branch_csv(csv_path, 10)
+    system = load_config(base_config(tmp_path, N=10)).system()
+    calls, residual = [], continuation.residual
+
+    def counted(spec, c, state, *args):
+        calls.append(state.x.shape)
+        return residual(spec, c, state, *args)
+
+    monkeypatch.setattr(continuation, "residual", counted)
+    assert main(["verify", "--config", path, str(csv_path)]) == 0
+    report = (csv_path.parent / "verify.json").read_bytes()
+    chunk = cli.RESIDUAL_ENTRIES // 21
+    n_chunks = -(-len(rows) // chunk)
+    assert n_chunks < 5 < len(rows)
+    assert [shape[0] for shape in calls[:n_chunks]] == \
+        [chunk] * (n_chunks - 1) + [len(rows) - chunk * (n_chunks - 1)]
+    assert len(calls) - n_chunks <= 5 * 21  # the samples' re-tightening
+    assert json.loads(report)["residual_check"]["max_residual"] == \
+        max(system.residual_norm(r["state"]) for r in rows)
+
+    monkeypatch.setattr(cli, "RESIDUAL_ENTRIES", 1)  # one row per call
+    calls.clear()
+    assert main(["verify", "--config", path, str(csv_path)]) == 0
+    assert [shape[0] for shape in calls[:len(rows)]] == [1] * len(rows)
+    assert (csv_path.parent / "verify.json").read_bytes() == report
+
+
 def test_verify_fails_a_sample_whose_residual_overflows(tmp_path, capsys):
     # r_1 = 1e200 on a sampled row: its re-tightening names the overflow
     path = write_config(tmp_path, base_config(tmp_path, N=10))

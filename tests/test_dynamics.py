@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from locsync import dynamics
+from locsync.cli import MAX_N
 from locsync.asymptotics import SeedAnsatz, build_seed
 from locsync.continuation import LatticeSystem, newton_correct
 from locsync.dynamics import (
+    BLOCK_ENTRIES,
+    block_steps,
     chain_rhs,
     integrate,
     linearization_spectrum,
@@ -12,7 +17,7 @@ from locsync.dynamics import (
     unfold_state,
 )
 from locsync.lattice import BoundaryKind, CouplingKind, PolarState, polar_to_complex
-from locsync.model import bistable_roots
+from locsync.model import NonlinearitySpec, bistable_roots
 from reference import (
     concatenated_chain_rhs,
     masked_rotation_deviation,
@@ -301,6 +306,152 @@ def test_fixed_state_with_rotation_runs_every_step(quintic, monkeypatch):
     assert dev.tobytes() == ref_dev.tobytes()
     assert completed.tolist() == ref_completed.tolist() == [True, True]
     assert dev[0] == pytest.approx(2 * abs(z0[0][0]) * np.sin(0.3 * n_steps * dt / 2))
+
+
+def test_block_steps_double_from_one_up_to_the_entry_budget():
+    # one row of the unfolded N=10 chain: 1, 2, 4, ..., then the budget's cap
+    cap = BLOCK_ENTRIES // 20 - 1
+    assert 256 < cap < 1024
+    assert [block_steps(2**i, 1, 20) for i in range(12)] == \
+        [1, 2, 4, 8, 16, 32, 64, 128, 256] + [min(512, cap)] + [cap] * 2
+    for rows, n in [(5, 20), (7, 40), (1, 6), (2, 2 * MAX_N)]:
+        for grown in (1, 2, 64, 1 << 20):
+            steps = block_steps(grown, rows, n)
+            assert 1 <= steps <= grown
+            # the buffer holds the block's start and its steps
+            assert steps == 1 or (steps + 1) * rows * n <= BLOCK_ENTRIES
+    # verify's rows of the unfolded N=10 chain: at most 256 KiB of complex
+    for rows in range(1, 6):
+        assert (block_steps(1 << 20, rows, 20) + 1) * rows * 20 * 16 <= 256 * 1024
+    assert block_steps(1 << 20, 1, 2 * MAX_N) == 1  # at least one step
+
+
+def _blocked_run(monkeypatch, spec, c, z0, eps, mu, rho, n_steps, dt):
+    """``rotation_deviation`` under cli's errstate with every warning an error,
+    checked byte for byte against ``masked_rotation_deviation``.  Returns
+    ``(deviation, completed, blocks, calls)``: the steps of each block in
+    order and the number of ``chain_rhs`` calls."""
+    blocks, kernel = [], dynamics._rk4_steps
+
+    def spy(spec, c, block, *args):
+        blocks.append(len(block) - 1)
+        assert block.nbytes <= BLOCK_ENTRIES * 16 or len(block) == 2
+        return kernel(spec, c, block, *args)
+
+    monkeypatch.setattr(dynamics, "_rk4_steps", spy)
+    calls = _count_chain_rhs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev, completed = rotation_deviation(spec, c, z0, eps, mu, rho, n_steps, dt)
+            ref_dev, ref_completed = masked_rotation_deviation(
+                spec, c, z0, eps, mu, rho, n_steps, dt)
+    assert dev.tobytes() == ref_dev.tobytes()
+    assert completed.tolist() == ref_completed.tolist()
+    assert sum(blocks) * 4 == len(calls)
+    return dev, completed, blocks, len(calls)
+
+
+def _inside_a_block(step, blocks):
+    """Whether 1-based ``step`` is neither the first nor the last of its block."""
+    start = np.cumsum([0] + blocks)  # each block's steps are start + 1 .. start + len
+    i = np.searchsorted(start, step) - 1
+    return start[i] + 1 < step < start[i + 1]
+
+
+def _first_unchanged_step(spec, c, z, mu, eps, dt):
+    for k in range(1, 1000):
+        z, prev = plain_rk4_step(spec, c, z, mu, eps, dt), z
+        if z.tobytes() == prev.tobytes():
+            return k
+    raise AssertionError("no unchanged step")
+
+
+def test_rows_leave_across_doubled_blocks_and_the_cap(quintic, monkeypatch):
+    # rows that leave at 1, 2, 3, 255, 256, 257 and 700 steps: each leaves at
+    # a block boundary, so no block passes a row's last step, and the last
+    # blocks of the 700-step row run at the entry budget's cap
+    c, eps, dt = CouplingKind.dissipative(), 0.05, 0.01
+    rng = np.random.default_rng(11)
+    n_steps = [1, 2, 3, 255, 256, 257, 700]
+    z0 = 0.5 * rng.uniform(0.5, 1.0, (7, 40)) * np.exp(1j * rng.uniform(-1, 1, (7, 40)))
+    rho = rng.uniform(-1.0, 1.0, 7)
+    dev, completed, blocks, calls = _blocked_run(
+        monkeypatch, quintic, c, z0, eps, np.full(7, 0.5), rho, n_steps, dt)
+    assert completed.all() and dev.all()
+    assert calls == 4 * 700
+    assert block_steps(1 << 20, 4, 40) in blocks and block_steps(1 << 20, 1, 40) in blocks
+    ends = np.cumsum(blocks)
+    assert set(n_steps) <= set(ends.tolist())
+
+
+def test_at_rest_row_unchanged_inside_a_block(quintic, monkeypatch):
+    # a tiny state decays at a large step until RK4 returns it unchanged
+    # (here at exact zero); that step falls inside a doubled block, whose
+    # later steps are computed and discarded
+    c, eps, dt, mu = CouplingKind.dissipative(), 0.05, 3.2, 0.5
+    rng = np.random.default_rng(1)
+    tiny = 1e-300 * (rng.uniform(0.5, 1, 6) + 1j * rng.uniform(0.5, 1, 6))
+    fixed = _first_unchanged_step(quintic, c, tiny, mu, eps, dt)
+    dev, completed, blocks, calls = _blocked_run(
+        monkeypatch, quintic, c, [tiny], eps, [mu], [0.0], [500], dt)
+    assert _inside_a_block(fixed, blocks)
+    assert calls == 4 * sum(blocks) and sum(blocks) < 2 * fixed  # left in its block
+    assert completed.tolist() == [True] and dev[0] > 0.0
+    # beside a rotating row that runs all its steps
+    other = 0.3 * np.exp(1j * rng.uniform(-1, 1, 6))
+    dev, completed, blocks, calls = _blocked_run(
+        monkeypatch, quintic, c, [tiny, other], eps, [mu, mu], [0.0, 0.4], [500, 90], dt)
+    assert calls == 4 * 90 and completed.all()
+
+
+def test_row_turning_non_finite_inside_a_block(quintic, monkeypatch):
+    # mu = -10 grows a tiny state until it blows up at step 12, inside the
+    # block of steps 8..15; the rows beside it go on to their ends
+    c, eps, dt = CouplingKind.dissipative(), 0.0, 0.3
+    blow = np.full(6, 1e-12 + 0j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = integrate(quintic, c, blow, eps, -10.0, 40 * dt, dt)
+    assert not traj.completed and len(traj.times) == 12  # steps 0..11 are finite
+    rng = np.random.default_rng(4)
+    calm = 0.3 * rng.uniform(0.5, 1.0, (2, 6)) * np.exp(1j * rng.uniform(-1, 1, (2, 6)))
+    dev, completed, blocks, calls = _blocked_run(
+        monkeypatch, quintic, c, [blow, *calm], eps, [-10.0, 0.5, 0.5],
+        [0.0, 0.2, 0.0], [40, 40, 40], dt)
+    assert completed.tolist() == [False, True, True]
+    assert _inside_a_block(12, blocks) and calls == 4 * 40
+    assert np.isfinite(dev).all()
+
+
+def test_rotating_row_whose_deviation_overflows_while_z_stays_finite(monkeypatch):
+    # lambda = -1e-3 at every amplitude keeps |z| ~ 1.26e308 finite, while
+    # |z - exp(i rho t) z0| passes the largest double once the rotation has
+    # turned a quarter: the deviation is inf and the row runs to its end
+    spec = NonlinearitySpec("decay", (-1e-3,))
+    assert spec.real_field
+    c, eps, dt = CouplingKind.dissipative(), 0.05, 1e-3
+    big = np.full(6, 8.9e307 + 8.9e307j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = integrate(spec, c, big, eps, 0.5, 40 * dt, dt)
+    assert traj.completed and np.isfinite(traj.z).all()
+    rho = np.pi / (11 * dt)  # the target is -z0 at step 11, inside a block
+    small = 0.3 * np.exp(1j * np.linspace(-1, 1, 6))
+    dev, completed, blocks, calls = _blocked_run(
+        monkeypatch, spec, c, [big, small], eps, [0.5, 0.5], [rho, 0.7], [40, 40], dt)
+    assert completed.tolist() == [True, True]
+    assert dev[0] == np.inf and np.isfinite(dev[1])
+    assert calls == 4 * 40
+
+
+def test_one_step_blocks_at_the_largest_chain(quintic, monkeypatch):
+    # the unfolded chain of N = MAX_N: one row's two states already pass the
+    # entry budget, so every block holds its start and one step
+    c, eps, dt, n = CouplingKind.dissipative(), 0.05, 1e-3, 2 * MAX_N
+    rng = np.random.default_rng(2)
+    z0 = 0.5 * rng.uniform(0.5, 1.0, (2, n)) * np.exp(1j * rng.uniform(-1, 1, (2, n)))
+    dev, completed, blocks, calls = _blocked_run(
+        monkeypatch, quintic, c, z0, eps, [0.5, 0.6], [0.3, 0.0], [3, 5], dt)
+    assert blocks == [1] * 5 and completed.all() and dev.all()
 
 
 def test_empty_batch(quintic):

@@ -11,7 +11,7 @@ from locsync.model import (
     builtin_spec,
     rest_state_roots,
 )
-from reference import array_omega_r, loop_lam_r
+from reference import array_omega_r, loop_lam_r, multiplied_lam
 
 
 def test_quintic_saddle_node_root(quintic):
@@ -178,6 +178,59 @@ def test_lam_r_and_omega_r_bitwise_equal_to_reference(spec):
             got = spec.lam_r(r, 0.5) + 1j * spec.omega_r(r, 0.5, eps)
             want = loop_lam_r(spec, r, 0.5) + 1j * array_omega_r(spec, r, 0.5, eps)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+_EDGE_R = np.array([0.0, -0.0, 1.0, -1.0, 1e-160, 1e-300, 5e-324, 1e154, 1e200,
+                    np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("spec", [
+    builtin_spec("quintic"),
+    builtin_spec("hbm"),
+    NonlinearitySpec("unit", (1.0, -1.0, 1.0, -1.0), mu_coefficient=1.0),
+    NonlinearitySpec("sextic", (0.5, -1.0, 0.25, 0.125), mu_coefficient=-1.0),
+    NonlinearitySpec("falling", (0.0, -1.0, -1.0), mu_coefficient=-1.0),
+], ids=lambda spec: spec.name)
+def test_lam_bitwise_equal_to_multiplied_coefficients(spec):
+    # out - p for c_j = -1 and out + p for c_j = +1 are out + c_j p, bit for
+    # bit, at signed zeros, subnormals, overflow, inf and NaN
+    rng = np.random.default_rng(4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in (rng.uniform(0.0, 2.0, 33), rng.standard_normal(17), _EDGE_R, 0.7, -0.0):
+            for mu in (0.5, 0.0, -0.0, -1.0, np.array([[0.3], [-0.0]])):
+                assert np.asarray(spec.lam(r, mu)).tobytes() == \
+                    np.asarray(multiplied_lam(spec, r, mu)).tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    builtin_spec("quintic"),
+    builtin_spec("hbm"),
+    NonlinearitySpec("constant", (-1e-3,)),
+    NonlinearitySpec("falling", (0.0, -1.0, -1.0), mu_coefficient=-1.0),
+    NonlinearitySpec("negative_zero_omega", (0.0, -1.0), mu_coefficient=-1.0, omega0=-0.0),
+    builtin_spec("quintic_rotating"),
+    builtin_spec("quintic").with_omega1((0.0, 0.3)),
+], ids=lambda spec: spec.name)
+def test_real_field_is_lambda_plus_0j_bit_for_bit(spec):
+    # f Z with f = lambda equals f Z with f = lambda + i omega wherever
+    # real_field is set; where lambda can be -0.0 (every c_j <= 0 after a zero
+    # c_0, here at r = 0 and mu = +0.0) adding 0j turns it into +0.0 and the
+    # product's signed zeros differ, so the flag is unset
+    parts = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e300, np.inf, np.nan]
+    z = np.array([[re, im] for re in parts for im in parts]).view(complex).ravel()
+    expected = {"quintic": True, "hbm": True, "constant": True, "falling": False,
+                "negative_zero_omega": False, "quintic_rotating": False}
+    assert spec.real_field == expected.get(spec.name, False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.abs(z)
+        for mu in (0.5, 0.0, -0.0, 1e-300):
+            lam = spec.lam(m, mu)
+            promoted = (lam + 1j * spec.omega(m, mu, 0.01)) * z
+            if spec.real_field:
+                assert (lam * z).tobytes() == promoted.tobytes()
+        if spec.name == "falling":
+            lam = spec.lam(m, 0.0)
+            assert (lam * z).tobytes() != ((lam + 0j) * z).tobytes()
 
 
 @pytest.mark.parametrize("c", [1.0, 5.0, -0.7, 0.123456789])

@@ -79,6 +79,28 @@ def test_abort_on_blowup(quintic):
     assert np.all(np.isfinite(traj.z))
 
 
+@pytest.mark.parametrize("start, dt, first_bad", [
+    (1e-3, 0.3, 4),  # the first step of the block of steps 4..7
+    (1e-6, 0.3, 7),  # its last step
+    (1e-12, 0.3, 12),  # inside the block of steps 8..15
+])
+def test_integrate_stops_at_the_first_non_finite_step(quintic, start, dt, first_bad):
+    # mu = -10 grows a small state until it blows up; the trajectory holds
+    # the plain steps before the first non-finite one, bit for bit
+    c, z = CouplingKind.dissipative(), np.full(3, start + 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate(quintic, c, z, 0.0, -10.0, 40 * dt, dt)
+            steps = [z]
+            while np.isfinite(steps[-1]).all():
+                steps.append(plain_rk4_step(quintic, c, steps[-1], -10.0, 0.0, dt))
+    assert len(steps) - 1 == first_bad
+    assert not traj.completed and len(traj.times) == first_bad
+    assert traj.z.tobytes() == np.array(steps[:-1]).tobytes()
+    assert traj.times.tobytes() == (dt * np.arange(first_bad)).tobytes()
+
+
 def test_gauge_consistency(quintic_rotating):
     rng = np.random.default_rng(5)
     z0 = rng.normal(0, 0.5, 4) + 1j * rng.normal(0, 0.5, 4)

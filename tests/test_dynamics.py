@@ -465,6 +465,17 @@ def test_rotating_row_whose_deviation_overflows_while_z_stays_finite(monkeypatch
     assert calls == 4 * 40
 
 
+def test_all_fixed_batch_takes_one_block_of_one_step(quintic, monkeypatch):
+    # rows at rho = 0 that the first step returns unchanged: one block of one
+    # step, four chain_rhs calls, however long the run was asked to be
+    c = CouplingKind.dissipative()
+    z0 = [_rest_row(quintic), np.zeros(6)]
+    dev, completed, blocks, calls = _blocked_run(
+        monkeypatch, quintic, c, z0, 0.05, [0.5, 0.5], [0.0, -0.0], [700, 700], 1e-3)
+    assert blocks == [1] and calls == 4
+    assert completed.all() and not dev.any()
+
+
 def test_one_step_blocks_at_the_largest_chain(quintic, monkeypatch):
     # the unfolded chain of N = MAX_N: one row's two states already pass the
     # entry budget, so every block holds its start and one step

@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -246,7 +247,7 @@ def write_branch_csv(branch: continuation.Branch, n: int, path: Path) -> None:
         fh.write(",".join(branch_csv_header(n)) + "\r\n")
         for step, p in enumerate(branch.points):
             st = p.state
-            fh.write(row % (step, p.arclength, st.mu, st.rho, np.linalg.norm(st.r),
+            fh.write(row % (step, p.arclength, st.mu, st.rho, math.sqrt(st.r.dot(st.r)),
                             *st.r.tolist(), *st.phi.tolist(), p.is_fold, p.newton_iters))
 
 
@@ -318,21 +319,16 @@ def _corrected_seed(rc: RunConfig):
 
 
 def _branch(rc: RunConfig, walk):
-    """``continue`` on ``rc`` up to its branch, as a generator of its walks'
-    correction requests: the seed corrected and the run directory made, then
-    a run that closes, +1 first, is the whole isola; else both runs merged.
-    ``walk`` is ``continuation.walk`` in a batch, ``_alone`` in a run of its
-    own.  Returns (start time, branch)."""
+    """``continue`` on ``rc`` up to its branch, as a walk: the seed corrected
+    and the run directory made, then the branch through the seed, both runs
+    in lockstep (``continuation.BOTH``): a run that closes onto its own start
+    is the whole isola, two runs that meet are the loop they close, else
+    both runs are merged.  ``walk`` is ``continuation.walk`` in a batch,
+    ``_alone`` in a run of its own.  Returns (start time, branch)."""
     t0 = time.perf_counter()
     system, _, corrected = _corrected_seed(rc)
     _make_dir(rc.run_dir())
-    plus = yield from walk(system, corrected, +1, rc.cont)
-    if plus.closure == continuation.CLOSED_ISOLA:
-        return t0, plus
-    minus = yield from walk(system, corrected, -1, rc.cont)
-    if minus.closure == continuation.CLOSED_ISOLA:
-        return t0, minus
-    return t0, continuation.merge_branches(minus, plus)
+    return t0, (yield from walk(system, corrected, continuation.BOTH, rc.cont))
 
 
 def _alone(system, seed, direction, cont):
@@ -372,7 +368,12 @@ def cmd_continue(rc: RunConfig, walked=None) -> int:
           f"points={len(branch.points)}")
     for mu in branch.open_ends:
         print(f"{rc.run_id}: branch ended open at mu={mu!r}", file=sys.stderr)
-    return 1 if branch.closure == continuation.OPEN else 0
+    # t_mu changes sign an even number of times around a closed loop
+    odd = branch.closure == continuation.CLOSED_ISOLA and len(branch.folds) % 2
+    if odd:
+        print(f"{rc.run_id}: closed isola with an odd fold count, {len(branch.folds)}",
+              file=sys.stderr)
+    return 1 if branch.closure == continuation.OPEN or odd else 0
 
 
 def cmd_seed(rc: RunConfig) -> int:

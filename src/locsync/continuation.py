@@ -12,16 +12,21 @@ stack of rows, each with its own border row: one Newton iterate is one
 pass over the stack, the corrector's own copy, with shared point terms, one
 residual, one Jacobian and one linear solve, rows equilibrated in place; a
 row leaves when it converges or fails, and each row keeps the bits of a
-stack of one.  The walk, its closing landing and fold refinement are
-generators that yield their correction requests; walk_batch runs the
-requests of many walks of one system through one stacked correction, and
-continue_branch and detect_folds are batches of one.  Folds are turning
-points of mu, found by sign changes of the tangent's mu component and
-refined by a safeguarded secant (Illinois regula falsi) in arclength, each
-trial with a fresh tangent and Newton started from the interpolated bracket
-ends; a fold is flagged is_fold.  An isola closes with one more walk step,
-onto the start point's hyperplane; a run that closes is never merged.
-Identical inputs give bitwise-identical branches, batched or not.
+stack of one.  A run (the walk in one direction, its closing landing, fold
+refinement) is a generator that yields its correction requests one at a
+time; _lockstep drives runs in rounds, and walk_batch runs the rounds of
+many walks of one system through one stacked correction.  continue_branch
+and detect_folds are batches of one.  Folds are turning points of mu, found
+by sign changes of the tangent's mu component and refined by a safeguarded
+secant (Illinois regula falsi) in arclength, each trial with a fresh
+tangent and Newton started from the interpolated bracket ends; a fold is
+flagged is_fold.  A run closes with one more walk step, the closing
+landing, onto the hyperplane of a target within CLOSURE_TOL: its own start
+point, or the other run's latest point.  The branch through a seed (BOTH)
+walks its two runs in lockstep: a run that returns to its start is the
+whole isola; two runs that meet are one loop from the seed round to it;
+else both runs are merged.  Identical inputs give bitwise-identical
+branches, batched or not.
 """
 from __future__ import annotations
 
@@ -58,6 +63,7 @@ __all__ = [
     "continue_branch",
     "walk",
     "walk_batch",
+    "BOTH",
     "batch_rows",
     "detect_folds",
     "merge_branches",
@@ -67,10 +73,11 @@ CLOSED_ISOLA = "closed_isola"
 OPEN = "open"
 WINDOW_EXIT = "window_exit"
 STEP_LIMIT = "step_limit"
+BOTH = 0  # continue_branch's and walk's direction for both runs, in lockstep
 
 # Fixed parts of the method, not inputs to a run: the smallest step before a
 # walk ends open, the corrector's tolerance and iteration cap, the closing
-# landing's distance to the start point, the fold refinement's bound on t_mu.
+# landing's distance to its target, the fold refinement's bound on t_mu.
 DS_MIN = 1e-7
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 12
@@ -424,10 +431,14 @@ class Branch:
         return np.array([p.state.mu for p in self.points])
 
 
-# The walk and fold refinement are generators: each bordered correction is a
-# request (start vector, Bordered) it yields, and ``walk_batch`` sends back
-# the _NewtonOutcome or throws in its NoConvergence / SingularJacobian.  So a
-# batch of walks shares one stacked corrector and reads as one walk does.
+# A run (the walk in one direction, fold refinement) is a generator: each
+# bordered correction is a request (start vector, Bordered) it yields, and it
+# is sent back the _NewtonOutcome or thrown its NoConvergence /
+# SingularJacobian.  _lockstep drives runs in rounds, one request of each live
+# run per round, and a walk is a generator of such rounds: the list of its
+# requests it yields, and the list of replies it is sent.  ``walk_batch``
+# runs the rounds of many walks through one stacked corrector, so a batch of
+# walks reads as one walk does.
 BATCH_ENTRIES = 1 << 18  # entries of a batch's stacked bordered matrices: 2 MiB
 
 
@@ -438,19 +449,20 @@ def batch_rows(n: int) -> int:
 
 
 def walk_batch(system: LatticeSystem, walks: list) -> list:
-    """Run the generators ``walks`` of one system and N to their ends.
+    """Run the walks ``walks`` of one system and N, generators of request
+    lists, to their ends.
 
-    The pending requests of all live walks go through one stacked
-    _newton_solve, batch_rows(N) rows at a time, and each reply goes back
-    to its walk alone.  Entry i of the result is walk i's return value, or
-    the exception it raised.
+    Each round, the requests of all live walks go through one stacked
+    _newton_solve, batch_rows(N) rows at a time; once every chunk is solved,
+    each walk is sent its own replies, in walk order.  So a walk's progress
+    does not depend on what else is in the batch.  Entry i of the result is
+    walk i's return value, or the exception it raised.
     """
-    results, pending = [None] * len(walks), []  # pending: (walk, request), oldest first
+    results, pending = [None] * len(walks), {}  # pending: walk -> its round's requests
 
-    def advance(i, reply):
+    def advance(i, replies):
         try:
-            pending.append((i, walks[i].throw(reply) if isinstance(reply, Exception)
-                            else walks[i].send(reply)))
+            pending[i] = walks[i].send(replies)
         except StopIteration as stop:
             results[i] = stop.value
         except Exception as err:  # this walk's failure, not the batch's
@@ -458,30 +470,64 @@ def walk_batch(system: LatticeSystem, walks: list) -> list:
 
     for i in range(len(walks)):
         advance(i, None)
-    rows = batch_rows(pending[0][1][0].size // 2) if pending else 1
+    rows = batch_rows(next(iter(pending.values()))[0][0].size // 2) if pending else 1
     while pending:
-        chunk = pending[:rows]
-        del pending[:len(chunk)]
-        x_prev, tangent, ds = zip(*(border for _, (_, border) in chunk))
-        replies = _newton_solve(system, np.array([x for _, (x, _) in chunk]),
-                                Bordered(np.array(x_prev), np.array(tangent), list(ds)),
-                                NEWTON_TOL, NEWTON_MAX_ITER)
-        for (i, _), reply in zip(chunk, replies):
-            advance(i, reply)
+        live = list(pending.items())
+        pending.clear()
+        requests, replies = [request for _, round_ in live for request in round_], []
+        for lo in range(0, len(requests), rows):
+            chunk = requests[lo:lo + rows]
+            x_prev, tangent, ds = zip(*(border for _, border in chunk))
+            replies += _newton_solve(system, np.array([x for x, _ in chunk]),
+                                     Bordered(np.array(x_prev), np.array(tangent), list(ds)),
+                                     NEWTON_TOL, NEWTON_MAX_ITER)
+        for i, round_ in live:
+            advance(i, replies[:len(round_)])
+            del replies[:len(round_)]
     return results
 
 
-def _walk_one(system: LatticeSystem, steps):
-    """The return value of the generator ``steps`` run as a batch of one."""
-    result, = walk_batch(system, [steps])
+def _lockstep(runs: list, stop=lambda end: False):
+    """Drive ``runs`` in rounds, as a walk: each round yields the list of the
+    live runs' requests, in run order, and sends each run its reply in that
+    order.  The first run whose return value meets ``stop`` drops the runs
+    still live, their replies unsent.  Returns each run's return value, None
+    for a run dropped; an exception a run raises propagates."""
+    ends, live, replies = [None] * len(runs), range(len(runs)), [None] * len(runs)
+    while True:
+        requests, still = [], []
+        for i, reply in zip(live, replies):
+            try:
+                requests.append(runs[i].throw(reply) if isinstance(reply, Exception)
+                                else runs[i].send(reply))
+                still.append(i)
+            except StopIteration as end:
+                ends[i] = end.value
+                if stop(end.value):
+                    for run in runs:
+                        run.close()
+                    return ends
+        if not requests:
+            return ends
+        live, replies = still, (yield requests)
+
+
+def _batch_of_one(system: LatticeSystem, walk):
+    """The return value of the walk ``walk`` run as a batch of one."""
+    result, = walk_batch(system, [walk])
     if isinstance(result, Exception):
         raise result
     return result
 
 
+def _walk_one(system: LatticeSystem, steps):
+    """The return value of the run ``steps`` as a batch of one."""
+    return _batch_of_one(system, _lockstep([steps]))[0]
+
+
 def _attempt_step(system, x_prev, tangent, ds, guess=None):
-    """One bordered step from ``x_prev`` (a generator of its one request):
-    the corrected outcome with the landing's solid mask."""
+    """One bordered step from ``x_prev`` (a run of its one request): the
+    corrected outcome with the landing's solid mask."""
     predictor = x_prev + ds * tangent
     outcome = yield (predictor if guess is None else guess), Bordered(x_prev, tangent, ds)
     # Reject corrector landings far from the predictor: those are jumps onto
@@ -503,25 +549,27 @@ def continue_branch(
     direction: int,
     config: ContinuationConfig,
 ) -> Branch:
-    """Trace the branch through ``seed`` in one direction, folds included.
+    """Trace the branch through ``seed``, folds included: the one run in
+    ``direction`` +1 or -1, or for BOTH both runs in lockstep (see _runs).
 
-    Terminates on mu leaving the window, the step limit, isola closure
-    (return to the start point within CLOSURE_TOL after arclength
-    > 10 ds_init), or an unresolvable corrector failure ("open").  Raises
-    ContinuationError when the seed's residual exceeds NEWTON_TOL or is not
-    finite.  This is ``walk`` as a batch of one, its steps and its
-    ``detect_folds`` each a call of its own.
+    A run terminates on mu leaving the window, the step limit, closure (a
+    landing within CLOSURE_TOL of its own start point after arclength
+    > 10 ds_init, or of the other run's latest point), or an unresolvable
+    corrector failure ("open").  Raises ContinuationError when the seed's
+    residual exceeds NEWTON_TOL or is not finite.  This is ``walk`` as a
+    batch of one, with a ``detect_folds`` call per run.
     """
-    branch = _walk_one(system, _steps(system, seed, direction, config))
-    return _with_folds(branch, detect_folds(branch, system, config))
+    runs = _batch_of_one(system, _runs(system, seed, direction, config))
+    return _joined([_with_folds(run, detect_folds(run, system, config)) for run in runs])
 
 
 def walk(system: LatticeSystem, seed: PolarState, direction: int,
          config: ContinuationConfig):
-    """``continue_branch`` as a generator of correction requests, one member
-    of a ``walk_batch``; it returns the branch."""
-    branch = yield from _steps(system, seed, direction, config)
-    return _with_folds(branch, (yield from _fold_steps(branch, system, config)))
+    """``continue_branch`` as a walk, one member of a ``walk_batch``; it
+    returns the branch.  Its runs' fold refinements run in lockstep too."""
+    runs = yield from _runs(system, seed, direction, config)
+    folds = yield from _lockstep([_fold_steps(run, system, config) for run in runs])
+    return _joined([_with_folds(run, f) for run, f in zip(runs, folds)])
 
 
 def _with_folds(branch: Branch, folds: list[BranchPoint]) -> Branch:
@@ -530,9 +578,53 @@ def _with_folds(branch: Branch, folds: list[BranchPoint]) -> Branch:
     return branch
 
 
-def _steps(system, seed, direction, config):
+def _runs(system, seed, direction, config):
+    """The runs through ``seed`` without their folds, as a walk: for +1 or
+    -1 that one run.  For BOTH, the +1 and -1 runs in lockstep: a run that
+    closes onto its own start point alone, the other dropped; two runs that
+    meet, each cut at its side of the junction (the landing, or the point it
+    landed on), both closed; else both runs as they ended."""
+    if direction != BOTH:
+        (branch, _), = yield from _lockstep([_steps(system, seed, direction, config)])
+        return [branch]
+    plus, minus = [], []
+    ends = yield from _lockstep(
+        [_steps(system, seed, +1, config, plus, minus),
+         _steps(system, seed, -1, config, minus, plus)],
+        stop=lambda end: end[0].closure == CLOSED_ISOLA)
+    for landed, other, end in ((0, minus, ends[0]), (1, plus, ends[1])):
+        if end is not None and end[0].closure == CLOSED_ISOLA:
+            branch, met = end
+            if met is None:
+                return [branch]
+            cut = Branch(other[:met + 1], CLOSED_ISOLA)
+            return [branch, cut] if landed == 0 else [cut, branch]
+    return [branch for branch, _ in ends]
+
+
+def _joined(runs: list) -> Branch:
+    """The branch of ``_runs``' runs, folds included.  A met pair is one
+    loop from the seed round to it: the +1 run up to its side of the
+    junction, then the -1 run back to the seed, its tangents flipped, its
+    side of the junction dropped.  Two runs that did not meet are merged."""
+    if len(runs) == 1:
+        return runs[0]
+    plus, minus = runs
+    if plus.closure != CLOSED_ISOLA:
+        return merge_branches(minus, plus)
+    *back, junction = minus.points  # a fold never sorts after its bracket's end
+    offset = plus.points[-1].arclength + junction.arclength
+    return Branch(plus.points + [
+        BranchPoint(p.state, offset - p.arclength, -p.tangent, p.is_fold, p.newton_iters,
+                    p.refined) for p in reversed(back)], CLOSED_ISOLA)
+
+
+def _steps(system, seed, direction, config, points=None, other=()):
     """The walk through ``seed`` up to its termination, closing landing
-    included; it returns the branch without its folds."""
+    included, appending to ``points``.  ``other`` is the other run's points,
+    whose latest point is a closure target once it has left the seed.
+    Returns (the branch without its folds, met): met is the index in
+    ``other`` of the point the run closed onto, else None."""
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads NaN
@@ -543,7 +635,8 @@ def _steps(system, seed, direction, config):
     ref = np.zeros(seed.x.size)
     ref[-1] = direction  # a seed's border row: the mu axis, signed
     tangent = branch_tangent(system, seed, ref)
-    points = [BranchPoint(seed.copy(), 0.0, tangent, False, 0)]
+    points = [] if points is None else points
+    points.append(BranchPoint(seed.copy(), 0.0, tangent, False, 0))
     x_start = x_prev = points[0].state.x
     solid_start = _solid_mask(seed)
     arclength = 0.0
@@ -595,21 +688,39 @@ def _steps(system, seed, direction, config):
             break
 
         if arclength > 10.0 * config.ds_init:
-            gap = _norm((x_new - x_start)[solid_start])
-            if gap < max(2.0 * ds, 2.0 * config.ds_init):
-                try:  # the closing landing: one step onto the start point's hyperplane
-                    landing = yield from _attempt_step(
-                        system, x_new, new_tangent, float(np.dot(x_start - x_new, new_tangent)))
-                except (NoConvergence, SingularJacobian):
-                    continue
-                if _norm((landing.state.x - x_start)[solid_start]) < CLOSURE_TOL:
-                    arclength += _norm(landing.state.x - x_new)
-                    points.append(BranchPoint(landing.state, arclength, new_tangent,
-                                              False, landing.iterations))
-                    termination = CLOSED_ISOLA
-                    break
+            targets = [(x_start, solid_start, None)]  # the start point first
+            if len(other) > 1:  # the other run's front, measured on this point's mask
+                targets.append((other[-1].state.x, outcome.solid, len(other) - 1))
+            gate = max(2.0 * ds, 2.0 * config.ds_init)
+            for x_target, solid, met in targets:  # mu is solid: a far mu skips the norm
+                if (abs(new_state.mu - x_target.item(-1)) < gate
+                        and _norm((x_new - x_target)[solid]) < gate):
+                    landing = yield from _landing(system, points[-1], x_target, solid)
+                    if landing is not None:
+                        points.append(landing)
+                        return Branch(points, CLOSED_ISOLA), met
 
-    return Branch(points, termination, (points[-1].mu,) if termination == OPEN else ())
+    return Branch(points, termination, (points[-1].mu,) if termination == OPEN else ()), None
+
+
+def _landing(system, last: BranchPoint, x_target, solid):
+    """The closing landing, one walk step from the walk's ``last`` point onto
+    the hyperplane of ``x_target``: its point, with its own tangent, if it
+    lands within CLOSURE_TOL of ``x_target`` on ``solid``, else None."""
+    x_last, tangent = last.state.x, last.tangent
+    try:
+        landing = yield from _attempt_step(system, x_last, tangent,
+                                           float(np.dot(x_target - x_last, tangent)))
+    except (NoConvergence, SingularJacobian):
+        return None
+    if not _norm((landing.state.x - x_target)[solid]) < CLOSURE_TOL:
+        return None
+    try:  # a fold between the last step and the landing is bracketed
+        tangent = branch_tangent(system, landing.state, tangent)
+    except SingularJacobian:
+        pass  # the last step's tangent
+    return BranchPoint(landing.state, last.arclength + _norm(landing.state.x - x_last),
+                       tangent, False, landing.iterations)
 
 
 def _bracket_guess(lo: list, hi: list, s: float) -> np.ndarray:

@@ -1213,7 +1213,7 @@ def test_k_sweep_isolas(tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "stack-sweep.json").read_text())
     assert summary["exit_codes"] == [0, 3]
     out, err = capsys.readouterr()
-    assert out == "stack-k4: closure=closed_isola folds=4 points=120\n"
+    assert out == "stack-k4: closure=closed_isola folds=4 points=123\n"
     assert err == ("stack-k5: seed correction failed at mu=0.51 (k=5, template "
                    "conservative): Newton did not reach tol=1e-10 within 12 iterations\n")
 
@@ -1267,6 +1267,70 @@ def test_closed_minus_run_is_not_merged(tmp_path):
     assert summary["closure"] == "closed_isola"
     assert summary["n_folds"] == 4
     assert all(f["refined"] for f in summary["folds"])
+
+
+def _isola_stack(tmp_path, **overrides):
+    """The shipped isola stack config without its sweep, writing below tmp_path."""
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" /
+                      "isola_stack.json").read_text(encoding="utf-8"))
+    del cfg["sweep"]
+    cfg.update(output_dir=str(tmp_path / "out"), **overrides)
+    return cfg
+
+
+def test_isola_runs_meet_or_one_closes_onto_its_start(tmp_path):
+    # At eps 0.01 the k = 3 isola's two runs meet: one loop that starts and
+    # ends at the seed, arclength increasing.  At eps 1e-3 its +1 run closes
+    # onto its own start before the -1 run, which jumps sheets, meets it.
+    path = write_config(tmp_path, _isola_stack(tmp_path, run_id="met", seed={"k": 3, "mu": 0.5}))
+    assert main(["continue", "--config", path]) == 0
+    rows = read_branch_csv(tmp_path / "out" / "met" / "branch.csv", 10)
+    assert rows[0]["state"].x.tobytes() == rows[-1]["state"].x.tobytes()
+    assert all(a["arclength"] <= b["arclength"] for a, b in zip(rows, rows[1:]))
+    assert main(["continue", "--config", path, "--eps", "1e-3", "--run-id", "start"]) == 0
+    summary = json.loads((tmp_path / "out" / "start" / "summary.json").read_text())
+    assert summary["closure"] == "closed_isola" and summary["n_folds"] == 4
+    assert all(f["refined"] for f in summary["folds"])
+
+
+def test_closed_isola_with_an_odd_fold_count_exits_1(tmp_path, capsys):
+    # t_mu changes sign an even number of times around a closed loop; at eps
+    # 1e-4 the k = 5 isola closes with 11 folds
+    cfg = _isola_stack(tmp_path, eps=1e-4, seed={"k": 5, "mu": 0.5})
+    assert main(["continue", "--config", write_config(tmp_path, cfg)]) == 1
+    summary = json.loads((tmp_path / "out" / "isola-stack" / "summary.json").read_text())
+    assert summary["closure"] == "closed_isola" and summary["n_folds"] == 11
+    assert capsys.readouterr().err == "isola-stack: closed isola with an odd fold count, 11\n"
+    cfg["sweep"] = {"parameter": "k", "values": [5]}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
+    summary = json.loads((tmp_path / "out" / "isola-stack-sweep.json").read_text())
+    assert summary["exit_codes"] == [1]
+    assert capsys.readouterr().err == ("isola-stack-k5: closed isola with an odd fold "
+                                       "count, 11\n")
+
+
+@pytest.mark.parametrize("config, overrides", [
+    ("snaking_offsite.json", {}), ("snaking_onsite.json", {}),
+    ("snaking_offsite.json", {"N": 32, "seed": {"k": 1, "pattern": ["minus"], "mu": 0.45}}),
+    ("snaking_offsite.json", {"N": 32, "seed": {"k": 1, "pattern": ["minus"], "mu": 0.57}})])
+def test_open_branch_walked_in_lockstep_is_both_runs_merged(tmp_path, config, overrides):
+    # the shipped snakes and the N = 32 snake at two seeds: the runs never
+    # meet, and the branch is merge_branches of the two runs walked alone
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" /
+                      config).read_text(encoding="utf-8"))
+    rc = load_config({**cfg, **overrides})
+    system, _, seed = cli._corrected_seed(rc)
+    both = continuation.continue_branch(system, seed, continuation.BOTH, rc.cont)
+    merged = continuation.merge_branches(
+        continuation.continue_branch(system, seed, -1, rc.cont),
+        continuation.continue_branch(system, seed, +1, rc.cont))
+    assert both.closure == merged.closure != "closed_isola"
+    assert both.open_ends == merged.open_ends and len(both.points) == len(merged.points)
+    for p, q in zip(both.points, merged.points):
+        assert p.state.x.tobytes() == q.state.x.tobytes()
+        assert p.tangent.tobytes() == q.tangent.tobytes()
+        assert (p.arclength, p.is_fold, p.newton_iters, p.refined) == \
+            (q.arclength, q.is_fold, q.newton_iters, q.refined)
 
 
 def test_non_bistable_model_is_a_config_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from locsync import continuation
 from locsync.asymptotics import SeedAnsatz, build_seed
 from locsync.continuation import (
+    BOTH,
     CLOSED_ISOLA,
     FOLD_REFINE_TOL,
     NEWTON_MAX_ITER,
@@ -747,6 +748,56 @@ def test_closing_landing_is_a_walk_step(quintic, monkeypatch):
     branch, _, _ = run_small_isola(quintic)
     assert branch.closure == CLOSED_ISOLA
     assert inside and not outside
+
+
+def test_closing_landing_carries_its_own_tangent(small_isola):
+    # not the tangent of the step before it, so that a fold between the last
+    # step and the landing is bracketed
+    branch, _, system = small_isola
+    walk = [p for p in branch.points if not p.is_fold]
+    assert np.array_equal(walk[-1].tangent,
+                          branch_tangent(system, walk[-1].state, walk[-2].tangent))
+    assert not np.array_equal(walk[-1].tangent, walk[-2].tangent)
+
+
+def same_branch(a, b):
+    """Whether two branches hold the same bits, point by point."""
+    return (a.closure == b.closure and a.open_ends == b.open_ends
+            and len(a.points) == len(b.points)
+            and all(p.state.x.tobytes() == q.state.x.tobytes()
+                    and p.tangent.tobytes() == q.tangent.tobytes()
+                    and np.float64(p.arclength).tobytes() == np.float64(q.arclength).tobytes()
+                    and (p.is_fold, p.newton_iters, p.refined)
+                    == (q.is_fold, q.newton_iters, q.refined)
+                    for p, q in zip(a.points, b.points)))
+
+
+def test_plus_run_alone_when_the_minus_corrector_fails_at_once(quintic, monkeypatch):
+    # every correction of the -1 run fails: it halves ds at the seed down to
+    # DS_MIN and ends open, and the +1 run closes onto its own start, bit for
+    # bit as it does alone
+    alone, cfg, system = run_small_isola(quintic)
+    seed = alone.points[0].state
+    real, failed = continuation._steps, []
+
+    def failing(run):
+        request = next(run)
+        while True:
+            yield request
+            failed.append(request)
+            try:
+                request = run.throw(NoConvergence("forced"))
+            except StopIteration as end:
+                return end.value
+
+    def steps(system, seed, direction, config, *fronts):
+        run = real(system, seed, direction, config, *fronts)
+        return failing(run) if direction == -1 else run
+
+    monkeypatch.setattr(continuation, "_steps", steps)
+    both = continue_branch(system, seed, BOTH, cfg)
+    assert len(failed) == 17  # 0.01 halved below DS_MIN = 1e-7
+    assert alone.closure == CLOSED_ISOLA and same_branch(both, alone)
 
 
 def test_isola_disjointness_small(quintic):

@@ -10,6 +10,10 @@ result failed; any other failure is raised, and ``_run`` alone maps it to
 its exit code and one stderr line: 2 for bad input (``config error: ...``,
 or a ``CommandError``'s message as given), 3 for a continuation error (the
 run id, seed and cause).
+
+``continue`` has one prologue (start time, corrected seed, run directory);
+then a standalone run makes one ``continuation.continue_branch`` call, and
+every sweep group, of one job or many, is one ``walk_batch`` of ``_branch``.
 """
 from __future__ import annotations
 
@@ -318,31 +322,30 @@ def _corrected_seed(rc: RunConfig):
     return system, seed, corrected
 
 
-def _branch(rc: RunConfig, walk):
-    """``continue`` on ``rc`` up to its branch, as a walk: the seed corrected
-    and the run directory made, then the branch through the seed, both runs
-    in lockstep (``continuation.BOTH``): a run that closes onto its own start
-    is the whole isola, two runs that meet are the loop they close, else
-    both runs are merged.  ``walk`` is ``continuation.walk`` in a batch,
-    ``_alone`` in a run of its own.  Returns (start time, branch)."""
+def _prologue(rc: RunConfig):
+    """What ``continue`` does before its walk: the start time, the system
+    and the corrected seed, with the run directory made."""
     t0 = time.perf_counter()
     system, _, corrected = _corrected_seed(rc)
     _make_dir(rc.run_dir())
-    return t0, (yield from walk(system, corrected, continuation.BOTH, rc.cont))
+    return t0, system, corrected
 
 
-def _alone(system, seed, direction, cont):
-    """``continuation.walk`` as one ``continue_branch`` call, a batch of one
-    that a profiler sees as such; it yields no request."""
-    return continuation.continue_branch(system, seed, direction, cont)
-    yield  # a generator, as ``walk`` is
+def _branch(rc: RunConfig):
+    """``continue`` on ``rc`` up to its branch, as a member of a ``walk_batch``:
+    the prologue, then both runs through the seed in lockstep (``BOTH``): a
+    run that closes onto its own start is the whole isola, two runs that meet
+    are the loop they close, else both are merged.  Returns (start time, branch)."""
+    t0, system, corrected = _prologue(rc)
+    return t0, (yield from continuation.walk(system, corrected, continuation.BOTH, rc.cont))
 
 
 def cmd_continue(rc: RunConfig, walked=None) -> int:
-    """``walked`` is what ``_branch`` returned for ``rc`` in a batched sweep,
-    or the exception it raised; without it the walks run here, alone."""
+    """``walked`` is what ``_branch`` returned for ``rc`` in a sweep, or the
+    exception it raised; without it the branch is one ``continue_branch`` call."""
     if walked is None:
-        walked, = continuation.walk_batch(rc.system(), [_branch(rc, _alone)])
+        t0, system, corrected = _prologue(rc)
+        walked = t0, continuation.continue_branch(system, corrected, continuation.BOTH, rc.cont)
     if isinstance(walked, Exception):
         raise walked
     t0, branch = walked
@@ -569,19 +572,16 @@ def _run(command, rc: RunConfig, *args) -> int:
         return 3
 
 
-def _run_job(job: RunConfig, *walked) -> tuple[int, str, str]:
+def _run_job(job: RunConfig, walked) -> tuple[int, str, str]:
     """``continue`` on ``job``: its exit code and the text it printed to stdout and stderr."""
     with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
-        return _run(cmd_continue, job, *walked), out.getvalue(), err.getvalue()
+        return _run(cmd_continue, job, walked), out.getvalue(), err.getvalue()
 
 
 def _run_group(jobs: list) -> list:
-    """``_run_job`` on each of ``jobs``, which share one system and N.  A
-    group of one is ``continue`` itself; a larger group walks as one batch."""
-    if len(jobs) == 1:
-        return [_run_job(jobs[0])]
-    walked = continuation.walk_batch(jobs[0].system(),
-                                     [_branch(job, continuation.walk) for job in jobs])
+    """``_run_job`` on each of ``jobs``, which share one system and N and
+    walk as one batch, a group of one included."""
+    walked = continuation.walk_batch(jobs[0].system(), [_branch(job) for job in jobs])
     return [_run_job(job, w) for job, w in zip(jobs, walked)]
 
 

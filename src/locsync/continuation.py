@@ -16,17 +16,18 @@ stack of one.  A run (the walk in one direction, its closing landing, fold
 refinement) is a generator that yields its correction requests one at a
 time; _lockstep drives runs in rounds, and walk_batch runs the rounds of
 many walks of one system through one stacked correction.  continue_branch
-and detect_folds are batches of one.  Folds are turning points of mu, found
-by sign changes of the tangent's mu component and refined by a safeguarded
-secant (Illinois regula falsi) in arclength, each trial with a fresh
-tangent and Newton started from the interpolated bracket ends; a fold is
-flagged is_fold.  A run closes with one more walk step, the closing
-landing, onto the hyperplane of a target within CLOSURE_TOL: its own start
-point, or the other run's latest point.  The branch through a seed (BOTH)
-walks its two runs in lockstep: a run that returns to its start is the
-whole isola; two runs that meet are one loop from the seed round to it;
-else both runs are merged.  Identical inputs give bitwise-identical
-branches, batched or not.
+and detect_folds are batches of one: a standalone ``continue`` calls
+continue_branch, and each sweep group runs walk through walk_batch.  Folds
+are turning points of mu, found by sign changes of the tangent's mu
+component and refined by a safeguarded secant (Illinois regula falsi) in
+arclength, each trial with a fresh tangent and Newton started from the
+interpolated bracket ends; a fold is flagged is_fold.  A run closes with
+one more walk step, the closing landing, onto the hyperplane of a target
+within CLOSURE_TOL: its own start point, or the other run's latest point.
+The branch through a seed (BOTH) walks its two runs in lockstep: a run
+that returns to its start is the whole isola; two runs that meet are one
+loop from the seed round to it; else both runs are merged.  Identical
+inputs give bitwise-identical branches, batched or not.
 """
 from __future__ import annotations
 
@@ -106,11 +107,11 @@ class LatticeSystem:
     eps: float
     bc: BoundaryKind
 
-    def residual(self, state: PolarState, terms=None) -> np.ndarray:
-        return residual(self.spec, self.coupling, state, self.eps, self.bc, terms)
+    def residual(self, state: PolarState) -> np.ndarray:
+        return residual(self.spec, self.coupling, state, self.eps, self.bc)
 
-    def jacobian(self, state: PolarState, terms=None, border=None) -> np.ndarray:
-        return jacobian(self.spec, self.coupling, state, self.eps, self.bc, terms, border)
+    def jacobian(self, state: PolarState, border=None) -> np.ndarray:
+        return jacobian(self.spec, self.coupling, state, self.eps, self.bc, border=border)
 
     def residual_norm(self, state: PolarState) -> float:
         return float(np.max(np.abs(self.residual(state))))
@@ -520,11 +521,6 @@ def _batch_of_one(system: LatticeSystem, walk):
     return result
 
 
-def _walk_one(system: LatticeSystem, steps):
-    """The return value of the run ``steps`` as a batch of one."""
-    return _batch_of_one(system, _lockstep([steps]))[0]
-
-
 def _attempt_step(system, x_prev, tangent, ds, guess=None):
     """One bordered step from ``x_prev`` (a run of its one request): the
     corrected outcome with the landing's solid mask."""
@@ -747,7 +743,7 @@ def detect_folds(
 ) -> list[BranchPoint]:
     """Locate folds by regula falsi on arclength between sign-change
     brackets: ``_fold_steps`` as a batch of one."""
-    return _walk_one(system, _fold_steps(branch, system, config))
+    return _batch_of_one(system, _lockstep([_fold_steps(branch, system, config)]))[0]
 
 
 def _fold_steps(branch: Branch, system: LatticeSystem, config: ContinuationConfig):

@@ -239,8 +239,8 @@ def jacobian(
     # the scatter, which would turn their -0.0 at r_n = 0 into 0.0.  A flat
     # index of the (2N, 2N + 1) plan is the same entry of the bordered matrix.
     rows, stack = 2 * n + (border is not None), r.size // n
-    plan = _stencil_plan(n, bc.mirror) if stack == 1 else _stacked_plan(n, bc.mirror, stack, rows)
-    J = np.bincount(plan, values.view(float).ravel(), stack * rows * (2 * n + 1))
+    J = np.bincount(_stacked_plan(n, bc.mirror, stack, rows), values.view(float).ravel(),
+                    stack * rows * (2 * n + 1))
     J = J.reshape(r.shape[1:] + (rows, 2 * n + 1))
     np.negative(state.r, out=J[..., 1:2 * n:2, 2 * n - 1])
     np.multiply(spec.mu_coefficient, state.r, out=J[..., 0:2 * n:2, 2 * n])  # omega has no mu

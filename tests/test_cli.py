@@ -951,11 +951,11 @@ def test_sweep_prints_in_list_order_when_a_later_job_ends_first(tmp_path, capsys
                                                                 monkeypatch):
     # with two workers, k = 1 and 3 form one group and k = 2 the other; the
     # first group ends last, and the output still comes in list order
-    def branch(rc, walk):
+    def branch(rc):
         return rc
         yield  # a walk that needs no correction
 
-    def job(rc, walked=None):
+    def job(rc, walked):
         if rc.ansatz.k == 1:
             time.sleep(0.3)
         print(f"{rc.run_id}: ran")
@@ -1033,7 +1033,7 @@ def test_batch_row_cap_holds_one_row_at_large_n(tmp_path, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_job_that_raises_surfaces_and_leaves_no_child(tmp_path, capsys, monkeypatch,
                                                             workers):
-    def job(rc):
+    def job(rc, walked):
         if rc.eps == 0.01:
             raise RuntimeError(f"{rc.run_id} failed")
         print(f"{rc.run_id}: ran")
@@ -1135,7 +1135,7 @@ def test_continue_output_dir_that_cannot_be_made_exits_2_before_the_walk(
 
 def test_sweep_output_dir_that_cannot_be_made_exits_2_before_any_run(
         tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(continuation, "continue_branch", _not_run)
+    monkeypatch.setattr(continuation, "walk", _not_run)  # every sweep job's walk
     blocker = tmp_path / "a-file"
     blocker.write_text("", encoding="utf-8")
     cfg = base_config(tmp_path, output_dir=str(blocker))

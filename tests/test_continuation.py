@@ -65,7 +65,8 @@ def solve_one(system, x, border, tol, max_iter):
 
 def step_one(system, x_prev, tangent, ds, guess=None):
     """One ``_attempt_step`` run as a batch of one."""
-    return continuation._walk_one(system, _attempt_step(system, x_prev, tangent, ds, guess))
+    return continuation._batch_of_one(
+        system, continuation._lockstep([_attempt_step(system, x_prev, tangent, ds, guess)]))[0]
 
 
 @pytest.fixture(scope="module")

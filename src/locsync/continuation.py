@@ -26,7 +26,8 @@ one more walk step, the closing landing, onto the hyperplane of a target
 within CLOSURE_TOL: its own start point, or the other run's latest point.
 The branch through a seed (BOTH) walks its two runs in lockstep: a run
 that returns to its start is the whole isola; two runs that meet are one
-loop from the seed round to it; else both runs are merged.  Identical
+loop from the seed round to it, in the +1 direction, as is a -1 run that
+returns to its start; else both runs are merged.  Identical
 inputs give bitwise-identical branches, batched or not.
 """
 from __future__ import annotations
@@ -576,10 +577,11 @@ def _with_folds(branch: Branch, folds: list[BranchPoint]) -> Branch:
 
 def _runs(system, seed, direction, config):
     """The runs through ``seed`` without their folds, as a walk: for +1 or
-    -1 that one run.  For BOTH, the +1 and -1 runs in lockstep: a run that
-    closes onto its own start point alone, the other dropped; two runs that
-    meet, each cut at its side of the junction (the landing, or the point it
-    landed on), both closed; else both runs as they ended."""
+    -1 that one run.  For BOTH, the +1 and -1 runs in lockstep: a +1 run
+    that closes onto its own start point alone, the other dropped; two runs
+    that meet, each cut at its side of the junction (the landing, or the
+    point it landed on), both closed, where a -1 run closed onto its own
+    start meets the +1 run's seed point; else both runs as they ended."""
     if direction != BOTH:
         (branch, _), = yield from _lockstep([_steps(system, seed, direction, config)])
         return [branch]
@@ -591,9 +593,9 @@ def _runs(system, seed, direction, config):
     for landed, other, end in ((0, minus, ends[0]), (1, plus, ends[1])):
         if end is not None and end[0].closure == CLOSED_ISOLA:
             branch, met = end
-            if met is None:
+            if met is None and landed == 0:
                 return [branch]
-            cut = Branch(other[:met + 1], CLOSED_ISOLA)
+            cut = Branch(other[:1 if met is None else met + 1], CLOSED_ISOLA)
             return [branch, cut] if landed == 0 else [cut, branch]
     return [branch for branch, _ in ends]
 

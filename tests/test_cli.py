@@ -1280,17 +1280,39 @@ def _isola_stack(tmp_path, **overrides):
 
 def test_isola_runs_meet_or_one_closes_onto_its_start(tmp_path):
     # At eps 0.01 the k = 3 isola's two runs meet: one loop that starts and
-    # ends at the seed, arclength increasing.  At eps 1e-3 its +1 run closes
-    # onto its own start before the -1 run, which jumps sheets, meets it.
+    # ends at the seed, arclength increasing.  At eps 1e-3 its -1 run closes
+    # onto its own start first, and is written as a met loop is.
     path = write_config(tmp_path, _isola_stack(tmp_path, run_id="met", seed={"k": 3, "mu": 0.5}))
     assert main(["continue", "--config", path]) == 0
-    rows = read_branch_csv(tmp_path / "out" / "met" / "branch.csv", 10)
-    assert rows[0]["state"].x.tobytes() == rows[-1]["state"].x.tobytes()
-    assert all(a["arclength"] <= b["arclength"] for a, b in zip(rows, rows[1:]))
     assert main(["continue", "--config", path, "--eps", "1e-3", "--run-id", "start"]) == 0
+    for run in ("met", "start"):
+        rows = read_branch_csv(tmp_path / "out" / run / "branch.csv", 10)
+        assert rows[0]["state"].x.tobytes() == rows[-1]["state"].x.tobytes()
+        assert all(a["arclength"] <= b["arclength"] for a, b in zip(rows, rows[1:]))
     summary = json.loads((tmp_path / "out" / "start" / "summary.json").read_text())
     assert summary["closure"] == "closed_isola" and summary["n_folds"] == 4
     assert all(f["refined"] for f in summary["folds"])
+
+
+def test_every_closed_isola_is_written_in_plus_order(tmp_path):
+    # whichever run closes, an isola is written from the seed in the +1
+    # direction, its folds upper, lower, upper, lower; at eps 1e-3 the k = 3
+    # and k = 5 isolas close by their -1 run alone, and k = 2 by meeting
+    cfg = _isola_stack(tmp_path)
+    cfg["sweep"] = {"parameter": "k", "values": list(range(1, 9)), "workers": 1}
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", path]) == 0
+    cfg["sweep"]["values"] = [2, 3, 5]
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", path, "--eps", "1e-3", "--run-id", "small"]) == 0
+    folds = {}
+    for run in [f"isola-stack-k{k}" for k in range(1, 9)] + ["small-k2", "small-k3", "small-k5"]:
+        rows = read_branch_csv(tmp_path / "out" / run / "branch.csv", 10)
+        assert rows[1]["state"].mu > rows[0]["state"].mu, run
+        folds[run] = [row["state"].mu for row in rows if row["is_fold"]]
+        assert [mu > 0.5 for mu in folds[run]] == [True, False, True, False], run
+    for run in ("small-k3", "small-k5"):
+        assert np.allclose(folds[run], folds["small-k2"], rtol=0, atol=1e-3), run
 
 
 def test_closed_isola_with_an_odd_fold_count_exits_1(tmp_path, capsys):

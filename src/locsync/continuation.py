@@ -24,11 +24,11 @@ arclength, each trial with a fresh tangent and Newton started from the
 interpolated bracket ends; a fold is flagged is_fold.  A run closes with
 one more walk step, the closing landing, onto the hyperplane of a target
 within CLOSURE_TOL: its own start point, or the other run's latest point.
-The branch through a seed (BOTH) walks its two runs in lockstep: a run
+The branch through a seed (BOTH) walks its two runs in lockstep: a +1 run
 that returns to its start is the whole isola; two runs that meet are one
 loop from the seed round to it, in the +1 direction, as is a -1 run that
-returns to its start; else both runs are merged.  Identical
-inputs give bitwise-identical branches, batched or not.
+returns to its start; else both runs are merged.  Identical inputs give
+bitwise-identical branches, batched or not.
 """
 from __future__ import annotations
 

@@ -18,6 +18,7 @@ every sweep group, of one job or many, is one ``walk_batch`` of ``_branch``.
 from __future__ import annotations
 
 import argparse
+import array
 import csv
 import functools
 import io
@@ -256,32 +257,38 @@ def write_branch_csv(branch: continuation.Branch, n: int, path: Path) -> None:
 
 
 def read_branch_csv(path: Path, n: int) -> list[dict]:
-    """Parse branch rows back into states, streamed; a file that is missing,
-    unreadable or bad raises CommandError (exit 2)."""
+    """Parse branch rows back into states; a file that is missing,
+    unreadable or bad raises CommandError (exit 2).
+
+    Each row's cells go into one float table as the file is read, and each
+    state is a view into one packed (rows, 2N + 1) array; the step,
+    is_fold, newton_iters and state cells are checked for finiteness once.
+    The first bad row is named as a row-by-row parse names it, before
+    whatever fails after it.
+    """
     header = branch_csv_header(n)
-    rows = []
+    values, steps, stop = array.array("d"), [], None
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             if next(reader, None) != header:
                 raise CommandError(f"unexpected branch.csv header in {path}")
-            for line in reader:
-                if len(line) != len(header):
-                    raise CommandError(f"corrupted branch.csv row: {line[:3]}...")
-                try:
-                    vals = [float(v) for v in line]
-                    rows.append({
-                        "step": int(vals[0]),
-                        "arclength": vals[1],
-                        "r_l2": vals[4],
-                        "is_fold": bool(int(vals[-2])),
-                        "newton_iters": int(vals[-1]),
-                        "state": PolarState(vals[5:5 + n], vals[5 + n:5 + 2 * n - 1],
-                                            vals[3], vals[2]),
-                    })
-                except (ValueError, OverflowError) as err:
-                    raise CommandError(
-                        f"corrupted branch.csv row at step {line[0]}: {err}") from err
+            try:
+                for line in reader:
+                    if len(line) != len(header):
+                        raise CommandError(f"corrupted branch.csv row: {line[:3]}...")
+                    try:
+                        values.extend(map(float, line))
+                    except ValueError as err:
+                        raise CommandError(
+                            f"corrupted branch.csv row at step {line[0]}: {err}") from err
+                    steps.append(line[0])
+            except (CommandError, OSError, UnicodeDecodeError, csv.Error) as err:
+                stop = err  # a bad row among those before it comes first
+        table = np.frombuffer(values)[:len(steps) * len(header)]
+        rows = _branch_rows(table.reshape(len(steps), len(header)), steps, n)
+        if stop is not None:
+            raise stop
     except FileNotFoundError:
         raise CommandError(f"branch file not found: {path}") from None
     except (OSError, UnicodeDecodeError, csv.Error) as err:
@@ -290,6 +297,24 @@ def read_branch_csv(path: Path, n: int) -> list[dict]:
     if not rows:
         raise CommandError(f"no branch rows in {path}")
     return rows
+
+
+def _branch_rows(table: np.ndarray, steps: list[str], n: int) -> list[dict]:
+    """The dicts of the rows of ``table``, whose step cells read ``steps``."""
+    packed = np.r_[5:4 + 2 * n, 3, 2]  # the columns of r, phi, rho and mu
+    bad = ~np.isfinite(table[:, np.r_[0, -2, -1, packed]]).all(axis=1)
+    if bad.any():  # int() of the step, is_fold and newton_iters, then the state
+        i = bad.argmax()
+        try:
+            int(table[i, 0].item()), int(table[i, -2].item()), int(table[i, -1].item())
+            PolarState.from_packed(table[i, packed])
+        except (ValueError, OverflowError) as err:
+            raise CommandError(f"corrupted branch.csv row at step {steps[i]}: {err}") from err
+    states = PolarState.rows(table.take(packed, axis=1))  # C order: each row contiguous
+    step, arclength, r_l2, is_fold, iters = table[:, [0, 1, 4, -2, -1]].T.tolist()
+    return [{"step": int(k), "arclength": s, "r_l2": l2, "is_fold": bool(int(fold)),
+             "newton_iters": int(it), "state": state}
+            for k, s, l2, fold, it, state in zip(step, arclength, r_l2, is_fold, iters, states)]
 
 
 def _state_dict(state: PolarState) -> dict:

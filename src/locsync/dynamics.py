@@ -6,12 +6,17 @@ steady states are relative equilibria: rigid rotations
 Z_n(t) = exp(i rho t) z_n.  The linearization spectrum of the co-rotating
 field is a diagnostic.
 
-``chain_rhs`` is the only vector field; ``integrate`` and
-``rotation_deviation`` share one RK4 kernel, which fills a block of steps
-and calls it by module name at every stage.  A run steps in blocks of
-1, 2, 4, ... steps, each at most what BLOCK_ENTRIES holds, so a row that
-stops after one step costs one step and a long run stays in bounded memory.
-``rotation_deviation`` steps only the rows whose answer can still change.
+``chain_rhs`` is the only vector field, built by ``_field`` at one mu and
+eps; ``integrate`` and ``rotation_deviation`` share one RK4 kernel, which
+builds that field once per block of steps and calls it at every stage.
+The field hoists what its stages share: lambda's mu term a*mu, eps c as one
+complex scalar and the clip index; ``NonlinearitySpec.lam_sum`` adds
+lambda's nonzero terms to that mu term, as ``lam`` does.  A run steps in
+blocks of 1, 2, 4, ... steps, each at most what BLOCK_ENTRIES holds, so a
+row that stops after one step costs one step and a long run stays in
+bounded memory.
+``rotation_deviation`` steps only the rows whose answer can still change;
+a lone live row steps as itself, a 1-D array at its scalar mu.
 Once per block, whole-block operations find each row's deviations, its
 first non-finite step and, at rho = 0, its first step that returns it bit
 for bit unchanged; the row's run is cut there, as a step-by-step run would
@@ -73,6 +78,31 @@ def _clip_index(n: int) -> np.ndarray:
     return index
 
 
+def _field(spec: NonlinearitySpec, c: CouplingKind, mu, eps: float, n: int):
+    """The vector field of ``chain_rhs`` at one ``mu`` and ``eps`` on ``n``
+    nodes, as a function of z alone.  What every stage shares is built once:
+    the mu term a*mu of lambda and eps c, both as arrays (0-d for a scalar),
+    and the clip index.  Every stage then runs the same elementwise
+    operations in the same order, so a row's bits do not depend on its
+    batch or on the shape it is handed in."""
+    mu_term = np.asarray(spec.mu_coefficient * mu)
+    ec = np.array(eps * complex(c.c_re, c.c_im))
+    index = _clip_index(n)
+    lam_sum = spec.lam_sum
+    omega = None if spec.real_field else spec.omega
+
+    def field(z):
+        m = np.abs(z)
+        fval = lam_sum(mu_term, m * m)
+        if omega is not None:
+            fval = fval + 1j * omega(m, mu, eps)
+        padded = z.take(index, axis=-1, mode="clip")
+        lap = padded[..., 2:] - _TWO * z + padded[..., :-2]
+        return fval * z + ec * lap
+
+    return field
+
+
 def chain_rhs(
     spec: NonlinearitySpec,
     c: CouplingKind,
@@ -86,13 +116,7 @@ def chain_rhs(
     ``z`` may be a batch of shape (..., n), with ``mu`` a scalar or an
     array of shape (..., 1); each row is computed exactly as on its own.
     """
-    m = np.abs(z)
-    fval = spec.lam(m, mu)
-    if not spec.real_field:
-        fval = fval + 1j * spec.omega(m, mu, eps)
-    padded = z.take(_clip_index(z.shape[-1]), axis=-1, mode="clip")
-    lap = padded[..., 2:] - _TWO * z + padded[..., :-2]
-    return fval * z + eps * complex(c.c_re, c.c_im) * lap
+    return _field(spec, c, mu, eps, z.shape[-1])(z)
 
 
 BLOCK_ENTRIES = 1 << 13  # complex entries of one RK4 block buffer: 128 KiB
@@ -105,15 +129,16 @@ def block_steps(grown: int, rows: int, n: int) -> int:
     return max(1, min(grown, BLOCK_ENTRIES // (rows * n) - 1))
 
 
-def _rk4_steps(spec, c, block, mu, eps, dt):
-    """Fill ``block[1:]`` with classical RK4 steps of size ``dt`` from ``block[0]``."""
+def _rk4_steps(field, block, dt):
+    """Fill ``block[1:]`` with classical RK4 steps of ``field`` of size ``dt``
+    from ``block[0]``."""
     # the scalars as complex 0-d arrays: the same factors, converted once
     half, full, sixth = (np.array(v, dtype=complex) for v in (0.5 * dt, dt, dt / 6.0))
     for z, out in zip(block[:-1], block[1:]):
-        k1 = chain_rhs(spec, c, z, mu, eps)
-        k2 = chain_rhs(spec, c, z + half * k1, mu, eps)
-        k3 = chain_rhs(spec, c, z + half * k2, mu, eps)
-        k4 = chain_rhs(spec, c, z + full * k3, mu, eps)
+        k1 = field(z)
+        k2 = field(z + half * k1)
+        k3 = field(z + half * k2)
+        k4 = field(z + full * k3)
         np.add(z, sixth * (k1 + _TWO * k2 + _TWO * k3 + k4), out=out)
 
 
@@ -143,9 +168,10 @@ def integrate(
     n_steps = int(round(horizon / dt))
     traj = np.empty((n_steps + 1, z0.size), dtype=complex)
     traj[0], k, grown = z0, 0, 1
+    field = _field(spec, c, mu, eps, z0.size)
     while k < n_steps:
         steps = min(block_steps(grown, 1, z0.size), n_steps - k)
-        _rk4_steps(spec, c, traj[k: k + steps + 1], mu, eps, dt)
+        _rk4_steps(field, traj[k: k + steps + 1], dt)
         stop = _first(~np.isfinite(traj[k + 1: k + steps + 1]).all(axis=1))
         if stop < steps:
             end = k + 1 + stop
@@ -163,7 +189,10 @@ def _block(spec, c, z, z0, eps, mu, rho, k, steps, dt):
     """
     block = np.empty((steps + 1,) + z.shape, dtype=complex)
     block[0] = z
-    _rk4_steps(spec, c, block, mu, eps, dt)
+    if len(z) == 1:  # a lone row steps as itself, 1-D at its scalar mu
+        _rk4_steps(_field(spec, c, mu.reshape(()), eps, z.shape[1]), block[:, 0], dt)
+    else:
+        _rk4_steps(_field(spec, c, mu, eps, z.shape[1]), block, dt)
     z_k, bits = block[1:], block.view(np.int64)
     broke = _first(~np.isfinite(z_k).all(axis=2))
     rest = _first((bits[1:] == bits[:-1]).all(axis=2) & (rho == 0.0))

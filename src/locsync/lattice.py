@@ -103,9 +103,19 @@ class PolarState:
         shared, not copied."""
         return cls.__new__(cls)._share(x)
 
+    @classmethod
+    def rows(cls, x: np.ndarray) -> list["PolarState"]:
+        """One state per row of the float stack ``x``, each a view into it;
+        the stack is checked once."""
+        cls.from_packed(x)
+        return [cls.__new__(cls)._view(row) for row in x]
+
     def _share(self, x: np.ndarray) -> "PolarState":
         if not np.isfinite(x).all():
             raise LatticeError("non-finite entries in state")
+        return self._view(x)
+
+    def _view(self, x: np.ndarray) -> "PolarState":
         n = x.shape[-1] // 2
         self.x, self.r, self.phi = x, x[..., :n], x[..., n: 2 * n - 1]
         return self

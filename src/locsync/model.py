@@ -9,6 +9,10 @@ with omega1 a polynomial in r; without an omega1 part omega is the scalar
 omega0.  Both are stored as coefficients, and a spec is built one way, from
 its coefficients; this module is the only one that evaluates them, and it
 takes the roots of lambda from its coefficients as a polynomial in r^2.
+A spec lists lambda's nonzero terms once, in ``lam_terms``.  ``lam_sum``
+adds them to a given mu term a*mu: the one evaluation of lambda, behind
+``lam`` and the RK4 stage, which holds a*mu fixed.  ``lam_r`` walks the
+same terms.
 ``bistable_roots`` returns the pair (r_minus, r_plus) and raises
 ``ModelError`` unless lambda(., mu) has exactly two positive roots.
 """
@@ -49,6 +53,8 @@ class NonlinearitySpec:
     Every method broadcasts over numpy arrays in r; with no omega1 part,
     ``omega`` is the scalar omega0, and with a constant or no omega1 ``omega_r`` is 0.0.
 
+    ``lam_terms`` is derived, not compared: the nonzero (j, c_j), in order.
+
     ``real_field`` is derived, not compared: f = lambda + i omega may be
     taken as lambda, with the same bits in f Z.  That needs omega = 0.0 and
     a lambda that is never -0.0, which adding 0j would turn into +0.0.  A
@@ -62,6 +68,7 @@ class NonlinearitySpec:
     mu_coefficient: float = 0.0
     omega0: float = 0.0
     omega1_coeffs: tuple[float, ...] = ()
+    lam_terms: tuple[tuple[int, float], ...] = field(init=False, repr=False, compare=False)
     real_field: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -72,27 +79,31 @@ class NonlinearitySpec:
         # a nonzero c_j is what gives lam the shape of r
         if not any(self.coeffs):
             raise ModelError(f"{self.name}: every lambda coefficient c_j is zero")
+        object.__setattr__(self, "lam_terms",
+                           tuple((j, cj) for j, cj in enumerate(self.coeffs) if cj))
         never_negative_zero = self.coeffs[0] != 0.0 or max(self.coeffs[1:], default=0.0) > 0.0
         object.__setattr__(self, "real_field", not self.omega1_coeffs
                            and self.omega0 == 0.0 and never_negative_zero)
 
     def lam(self, r, mu):
-        # mu term first, then c_j r2^j in order, r2 itself for j = 1: this
-        # reproduces the quintic's closed form -mu + 2 r^2 - r^4 bit for bit.
-        # A c_j of -1 or +1 subtracts or adds the power: out - p is out + (-1.0 * p)
-        r2 = r * r
-        out = self.mu_coefficient * mu
-        for j, cj in enumerate(self.coeffs):
-            if cj:
-                p = r2 if j == 1 else r2**j
-                out = out - p if cj == -1.0 else out + (p if cj == 1.0 else cj * p)
+        return self.lam_sum(self.mu_coefficient * mu, r * r)
+
+    def lam_sum(self, mu_term, r2):
+        """lambda from its mu term a*mu and r2 = r^2: the mu term first, then
+        c_j r2^j in order, r2 itself for j = 1.  This reproduces the quintic's
+        closed form -mu + 2 r^2 - r^4 bit for bit; a c_j of -1 or +1
+        subtracts or adds the power: out - p is out + (-1.0 * p)."""
+        out = mu_term
+        for j, cj in self.lam_terms:
+            p = r2 if j == 1 else r2**j
+            out = out - p if cj == -1.0 else out + (p if cj == 1.0 else cj * p)
         return out
 
     def lam_r(self, r, mu):
         r2 = r * r
         out = 0.0 * r
-        for j, cj in enumerate(self.coeffs[1:], start=1):
-            if cj:  # r2**1 = r2 exactly, without calling pow; j = 1 has no power
+        for j, cj in self.lam_terms:
+            if j:  # r2**1 = r2 exactly, without calling pow; j = 1 has no power
                 term = (2 * j * cj) * r
                 out = out + (term if j == 1 else term * (r2 if j == 2 else r2 ** (j - 1)))
         return out

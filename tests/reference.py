@@ -13,9 +13,10 @@ out of place; ``empty_point_terms``, ``multiplied_lam``, ``loop_lam_r``, ``array
 and ``where_wrap_phase`` write the ghosts into ``np.empty`` arrays, multiply
 every lambda term by its c_j (1.0 and -1.0 too), multiply every derivative
 term by its power (1.0 at j = 1), return an array of zeros for a spec
-without omega1, and wrap out of place; and
+without omega1, and wrap out of place;
 ``csv_writer_branch_csv`` formats every value on its own
-and writes through ``csv.writer``.  ``concatenated_chain_rhs``,
+and writes through ``csv.writer``; and ``row_by_row_branch_csv`` parses
+``branch.csv`` one row at a time, each row its own ``PolarState``.  ``concatenated_chain_rhs``,
 ``plain_rk4_step`` and ``masked_rotation_deviation`` are the plain
 time-domain check: the vector field with ``np.full`` frequencies and a
 concatenated ghost chain, and every RK4 step through the full finite/live
@@ -246,6 +247,26 @@ def csv_writer_branch_csv(branch, n: int, path) -> None:
             row += [fmt(v) for v in st.phi]
             row += ["1" if p.is_fold else "0", str(p.newton_iters)]
             writer.writerow(row)
+
+
+def row_by_row_branch_csv(path, n: int) -> list[dict]:
+    """``cli.read_branch_csv`` on a good file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == branch_csv_header(n)
+        rows = []
+        for line in reader:
+            vals = [float(v) for v in line]
+            rows.append({
+                "step": int(vals[0]),
+                "arclength": vals[1],
+                "r_l2": vals[4],
+                "is_fold": bool(int(vals[-2])),
+                "newton_iters": int(vals[-1]),
+                "state": PolarState(vals[5:5 + n], vals[5 + n:5 + 2 * n - 1],
+                                    vals[3], vals[2]),
+            })
+    return rows
 
 
 def concatenated_chain_rhs(spec: NonlinearitySpec, c, z, mu, eps):

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -23,7 +24,7 @@ from locsync.cli import (
     write_branch_csv,
 )
 from locsync.lattice import LatticeError, PolarState
-from reference import csv_writer_branch_csv
+from reference import csv_writer_branch_csv, row_by_row_branch_csv
 
 
 def base_config(tmp_path, **overrides):
@@ -485,12 +486,110 @@ def test_exit_code_corrupted_csv(tmp_path, capsys):
         "field larger than field limit (131072)\n"
     assert not (tmp_path / "out").exists()
     main(["continue", "--config", path])
-    run_dir = tmp_path / "out" / "test-run"
-    csv_path = run_dir / "branch.csv"
-    lines = csv_path.read_text().splitlines()
-    lines[2] = lines[2].rsplit(",", 3)[0] + ",oops,0,1"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert main(["verify", "--config", path, str(csv_path)]) == 2
+    good = (tmp_path / "out" / "test-run" / "branch.csv").read_bytes()
+    lines = good.split(b"\r\n")
+    assert lines[-1] == b"" and len(lines) > 40
+
+    def edit(data, row, line):
+        rows = data.split(b"\r\n")
+        rows[row] = line(rows[row])
+        return b"\r\n".join(rows)
+
+    def cell(data, row, col, value):
+        return edit(data, row, lambda line: b",".join(
+            value if i == col % len(line.split(b",")) else v
+            for i, v in enumerate(line.split(b","))))
+
+    def decoded(path):
+        """What stops reading ``path`` line by line, if anything does."""
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                list(fh)
+        except UnicodeDecodeError as err:
+            return str(err)
+
+    def row_error(row, why):
+        return f"corrupted branch.csv row at step {lines[row].split(b',')[0].decode()}: {why}"
+
+    head = [v.decode() for v in lines[5].split(b",")[:3]]
+    r_1 = branch_csv_header(4).index("r_1")
+    late = len(good) - 100  # a byte in the file's last read, past every row before it
+    cases = {
+        "header": (b"x" + good, "unexpected branch.csv header in {}"),
+        "empty": (b"", "unexpected branch.csv header in {}"),
+        "header-only": (lines[0] + b"\r\n", "no branch rows in {}"),
+        "short": (edit(good, 5, lambda line: line.rsplit(b",", 1)[0]),
+                  f"corrupted branch.csv row: {head}..."),
+        "long": (edit(good, 5, lambda line: line + b",1"), f"corrupted branch.csv row: {head}..."),
+        "oops": (cell(good, 7, -2, b"oops"),
+                 row_error(7, "could not convert string to float: 'oops'")),
+        "inf-r": (cell(good, 9, r_1, b"inf"), row_error(9, "non-finite entries in state")),
+        "nan-rho": (cell(good, 9, 3, b"nan"), row_error(9, "non-finite entries in state")),
+        "nan-step": (cell(good, 4, 0, b"nan"),
+                     "corrupted branch.csv row at step nan: cannot convert float NaN to integer"),
+        "inf-fold": (cell(good, 4, -2, b"inf"),
+                     row_error(4, "cannot convert float infinity to integer")),
+        "nan-iters": (cell(good, 6, -1, b"nan"),
+                      row_error(6, "cannot convert float NaN to integer")),
+        "non-utf8": (good[:1000] + b"\xff" + good[1001:],
+                     "cannot read branch file {}: 'utf-8' codec can't decode byte 0xff in "
+                     "position 1000: invalid start byte"),
+        # past the first read, after every row before it is parsed: the position
+        # is the one reading the file line by line names
+        "non-utf8-late": (good[:late] + b"\xff" + good[late + 1:],
+                          "cannot read branch file {}: {decoded}"),
+        "oversized": (cell(good, 3, r_1, b"9" * 200_000),
+                      "cannot read branch file {}: field larger than field limit (131072)"),
+        # a bad row is named before whatever fails after it
+        "oops-then-short": (edit(cell(good, 7, r_1, b"oops"), 12,
+                                 lambda line: line.rsplit(b",", 1)[0]),
+                            row_error(7, "could not convert string to float: 'oops'")),
+        "inf-then-non-utf8": (cell(good[:late] + b"\xff" + good[late + 1:], 8, r_1, b"inf"),
+                              row_error(8, "non-finite entries in state")),
+        "nan-iters-then-inf-r": (cell(cell(good, 6, -1, b"nan"), 9, r_1, b"inf"),
+                                 row_error(6, "cannot convert float NaN to integer")),
+        "inf-r-then-oops": (cell(cell(good, 6, r_1, b"inf"), 9, 1, b"oops"),
+                            row_error(6, "non-finite entries in state")),
+    }
+    for name, (data, want) in cases.items():
+        csv_path = tmp_path / f"{name}.csv"
+        csv_path.write_bytes(data)
+        assert main(["verify", "--config", path, "--output-dir", str(tmp_path / name),
+                     str(csv_path)]) == 2, name
+        assert capsys.readouterr().err == want.format(
+            csv_path, decoded=decoded(csv_path)) + "\n", name
+        assert not (tmp_path / name).exists(), name
+    # a non-finite arclength or r_l2 is read as given
+    csv_path = tmp_path / "non-finite-scalars.csv"
+    csv_path.write_bytes(cell(cell(good, 6, 1, b"inf"), 7, 4, b"nan"))
+    rows = read_branch_csv(csv_path, 4)
+    assert rows[5]["arclength"] == np.inf and np.isnan(rows[6]["r_l2"])
+
+
+@pytest.mark.parametrize("config, seed_mu", [
+    ("snaking_offsite.json", None), ("snaking_onsite.json", None),
+    # the input of the bench's verify workload at --seed 3
+    ("snaking_offsite.json", 0.4 + 0.2 * random.Random(3).random())])
+def test_branch_csv_read_as_one_table_has_the_row_parse_bits(tmp_path, config, seed_mu):
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / config).read_text(
+        encoding="utf-8"))
+    cfg["output_dir"] = str(tmp_path)
+    if seed_mu is not None:
+        cfg["seed"]["mu"] = seed_mu
+    assert main(["continue", "--config", write_config(tmp_path, cfg)]) == 0
+    csv_path = tmp_path / cfg["run_id"] / "branch.csv"
+    rows, want = read_branch_csv(csv_path, 10), row_by_row_branch_csv(csv_path, 10)
+    assert len(rows) == len(want) > 100
+    table = rows[0]["state"].x.base  # every state a row of one packed table, in C order
+    assert table.shape == (len(rows), 21) and table.flags.c_contiguous
+    for row, ref in zip(rows, want):
+        assert row.keys() == ref.keys() and row["state"].x.base is table
+        assert row["state"].x.tobytes() == ref["state"].x.tobytes()
+        assert row["state"].r.tobytes() == ref["state"].r.tobytes()
+        assert row["state"].phi.tobytes() == ref["state"].phi.tobytes()
+        for key in ("step", "arclength", "r_l2", "is_fold", "newton_iters"):
+            assert type(row[key]) is type(ref[key]), key
+            assert repr(row[key]) == repr(ref[key]), key  # repr round-trips a finite float
 
 
 def test_verify_rejects_non_finite_branch_row(tmp_path, capsys):

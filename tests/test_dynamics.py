@@ -287,15 +287,21 @@ def test_rk4_bitwise_equal_to_reference(request, model, coupling):
     assert traj.completed and len(traj.times) == 31
 
 
-def _count_chain_rhs(monkeypatch):
+def _count_stages(monkeypatch):
+    """Count the RK4 stages: the calls of every field ``dynamics._field`` builds."""
     calls = []
-    chain = dynamics.chain_rhs
+    build = dynamics._field
 
-    def counted(*args):
-        calls.append(1)
-        return chain(*args)
+    def counted_field(*args):
+        field = build(*args)
 
-    monkeypatch.setattr(dynamics, "chain_rhs", counted)
+        def counted(z):
+            calls.append(1)
+            return field(z)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_field", counted_field)
     return calls
 
 
@@ -306,7 +312,7 @@ def test_fixed_rows_leave_after_one_step(quintic, monkeypatch):
     z0, mu, rho = [_rest_row(quintic), np.zeros(6)], [0.5, 0.5], [0.0, -0.0]
     assert all(plain_rk4_step(quintic, c, z, 0.5, eps, dt).tobytes() == z.tobytes()
                for z in np.array(z0, dtype=complex))
-    calls = _count_chain_rhs(monkeypatch)
+    calls = _count_stages(monkeypatch)
     dev, completed = rotation_deviation(quintic, c, z0, eps, mu, rho, [10_000] * 2, dt)
     assert len(calls) == 4
     ref_dev, ref_completed = masked_rotation_deviation(
@@ -320,7 +326,7 @@ def test_fixed_state_with_rotation_runs_every_step(quintic, monkeypatch):
     # so it cannot leave early, while the zero state at rest next to it does
     c, eps, dt, n_steps = CouplingKind.dissipative(), 0.05, 1e-3, 50
     z0, mu, rho = [_rest_row(quintic), np.zeros(6)], [0.5, 0.5], [0.3, 0.0]
-    calls = _count_chain_rhs(monkeypatch)
+    calls = _count_stages(monkeypatch)
     dev, completed = rotation_deviation(quintic, c, z0, eps, mu, rho, [n_steps] * 2, dt)
     assert len(calls) == 4 * n_steps
     ref_dev, ref_completed = masked_rotation_deviation(
@@ -352,16 +358,16 @@ def _blocked_run(monkeypatch, spec, c, z0, eps, mu, rho, n_steps, dt):
     """``rotation_deviation`` under cli's errstate with every warning an error,
     checked byte for byte against ``masked_rotation_deviation``.  Returns
     ``(deviation, completed, blocks, calls)``: the steps of each block in
-    order and the number of ``chain_rhs`` calls."""
+    order and the number of RK4 stages."""
     blocks, kernel = [], dynamics._rk4_steps
 
-    def spy(spec, c, block, *args):
+    def spy(field, block, dt):
         blocks.append(len(block) - 1)
         assert block.nbytes <= BLOCK_ENTRIES * 16 or len(block) == 2
-        return kernel(spec, c, block, *args)
+        return kernel(field, block, dt)
 
     monkeypatch.setattr(dynamics, "_rk4_steps", spy)
-    calls = _count_chain_rhs(monkeypatch)
+    calls = _count_stages(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -465,9 +471,43 @@ def test_rotating_row_whose_deviation_overflows_while_z_stays_finite(monkeypatch
     assert calls == 4 * 40
 
 
+@pytest.mark.parametrize("case", ["quintic", "quintic_rotating+omega1", "hbm", "on_site"])
+def test_lone_row_steps_one_dimensional_bit_for_bit(request, monkeypatch, case):
+    # verify's shape: five rows, four of them fixed after step 1, so the
+    # drifting row steps alone, as a 1-D row, from the second block on;
+    # with an omega1 part (not a real field), coefficients that are not
+    # +-1, and the unfolded on-site chain of 2N - 1 nodes
+    name, _, omega1 = case.partition("+")
+    spec = request.getfixturevalue("quintic" if case == "on_site" else name)
+    if omega1:
+        spec = spec.with_omega1((0.1, 0.3))
+    bc = BoundaryKind.ON_SITE if case == "on_site" else BoundaryKind.OFF_SITE
+    c, eps, n = CouplingKind(np.cos(0.7), np.sin(0.7)), 0.01, 10
+    rng = np.random.default_rng(5)
+    r_plus = bistable_roots(spec, 0.5).r_plus
+    dt = 0.05 / abs(r_plus * spec.lam_r(r_plus, 0.5))  # well inside RK4's stability region
+    drifting = unfold_state(PolarState(r_plus * rng.uniform(0.2, 1.0, n),
+                                       rng.uniform(-0.3, 0.3, n - 1), 0.0, 0.5), bc)
+    assert drifting.size == 2 * n - bc.mirror
+    z0 = [np.zeros(drifting.size)] * 4 + [drifting]
+    shapes, kernel = [], dynamics._rk4_steps
+
+    def spy(field, block, dt):
+        shapes.append(block.shape[1:])
+        return kernel(field, block, dt)
+
+    monkeypatch.setattr(dynamics, "_rk4_steps", spy)
+    dev, completed, blocks, calls = _blocked_run(
+        monkeypatch, spec, c, z0, eps, [0.5, 0.4, 0.6, 0.5, 0.5],
+        [0.0, -0.0, 0.0, 0.0, 0.4], [300] * 5, dt)
+    assert completed.all() and dev.tolist()[:4] == [0.0] * 4 and dev[4] > 0.0
+    assert blocks[0] == 1 and sum(blocks) == 300 and calls == 4 * 300
+    assert shapes == [(5, drifting.size)] + [(drifting.size,)] * (len(blocks) - 1)
+
+
 def test_all_fixed_batch_takes_one_block_of_one_step(quintic, monkeypatch):
     # rows at rho = 0 that the first step returns unchanged: one block of one
-    # step, four chain_rhs calls, however long the run was asked to be
+    # step, four stages, however long the run was asked to be
     c = CouplingKind.dissipative()
     z0 = [_rest_row(quintic), np.zeros(6)]
     dev, completed, blocks, calls = _blocked_run(

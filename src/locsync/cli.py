@@ -12,8 +12,8 @@ or a ``CommandError``'s message as given), 3 for a continuation error (the
 run id, seed and cause).
 
 ``continue`` has one prologue (start time, corrected seed, run directory);
-then a standalone run makes one ``continuation.continue_branch`` call, and
-every sweep group, of one job or many, is one ``walk_batch`` of ``_branch``.
+then one ``continuation.continue_branch`` call alone, or a sweep group's one
+``walk_batch`` of ``_branch``, walks the seed's +1 and -1 runs in lockstep.
 """
 from __future__ import annotations
 
@@ -358,11 +358,11 @@ def _prologue(rc: RunConfig):
 
 def _branch(rc: RunConfig):
     """``continue`` on ``rc`` up to its branch, as a member of a ``walk_batch``:
-    the prologue, then both runs through the seed in lockstep (``BOTH``): a
-    run that closes onto its own start is the whole isola, two runs that meet
-    are the loop they close, else both are merged.  Returns (start time, branch)."""
+    the prologue, then ``continuation.walk``, the seed's +1 and -1 runs in
+    lockstep (a run closed onto its own start is the whole isola, two runs
+    that meet are their loop, else both are merged).  Returns (start time, branch)."""
     t0, system, corrected = _prologue(rc)
-    return t0, (yield from continuation.walk(system, corrected, continuation.BOTH, rc.cont))
+    return t0, (yield from continuation.walk(system, corrected, rc.cont))
 
 
 def cmd_continue(rc: RunConfig, walked=None) -> int:
@@ -370,7 +370,7 @@ def cmd_continue(rc: RunConfig, walked=None) -> int:
     exception it raised; without it the branch is one ``continue_branch`` call."""
     if walked is None:
         t0, system, corrected = _prologue(rc)
-        walked = t0, continuation.continue_branch(system, corrected, continuation.BOTH, rc.cont)
+        walked = t0, continuation.continue_branch(system, corrected, rc.cont)
     if isinstance(walked, Exception):
         raise walked
     t0, branch = walked

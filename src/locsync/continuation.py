@@ -3,35 +3,37 @@
 The corrector solves the bordered system [J; t_prev] with the hyperplane
 constraint <x - x_prev, t_prev> = ds, flips negative amplitudes once it has
 converged and then zeroes dead tail phases (dead at NEWTON_TOL; at eps = 0
-every phase).  The predictor steps along the tangent of the same border
-row, [J; t_prev] t = e_last, masked to the landing's solid coordinates: the
-unpinned column of the corrector's last solve, else branch_tangent (the
-dead phases pinned inside its solve), else the secant.  Fixed-mu correction
-is the same iteration without the border row.  The corrector works on a
-stack of rows, each with its own border row: one Newton iterate is one
-pass over the stack, the corrector's own copy, with shared point terms, one
-residual, one Jacobian and one linear solve, rows equilibrated in place; a
-row leaves when it converges or fails, and each row keeps the bits of a
-stack of one.  A run (the walk in one direction, its closing landing, fold
-refinement) is a generator that yields its correction requests one at a
-time; _lockstep drives runs in rounds, and walk_batch runs the rounds of
-many walks of one system through one stacked correction.  continue_branch
-and detect_folds are batches of one: a standalone ``continue`` calls
-continue_branch, and each sweep group runs walk through walk_batch.  Folds
-are turning points of mu, found by sign changes of the tangent's mu
-component and refined by a safeguarded secant (Illinois regula falsi) in
-arclength, each trial with a fresh tangent and Newton started from the
-interpolated bracket ends; a fold is flagged is_fold.  A run closes with
-one more walk step, the closing landing, onto the hyperplane of a target
-within CLOSURE_TOL: its own start point, or the other run's latest point.
-The branch through a seed (BOTH) walks its two runs in lockstep: a +1 run
-that returns to its start is the whole isola; two runs that meet are one
-loop from the seed round to it, in the +1 direction, as is a -1 run that
-returns to its start; else both runs are merged.  Identical inputs give
-bitwise-identical branches, batched or not.
+every phase).  The predictor steps along the tangent of the same border row,
+[J; t_prev] t = e_last, masked to the landing's solid coordinates: the
+unpinned column of the corrector's last solve, else branch_tangent (the dead
+phases pinned inside its solve), else the secant.  Fixed-mu correction is
+the same iteration without the border row.  The corrector works on a stack
+of rows, each with its own border row: one Newton iterate is one pass over
+the stack, the corrector's own copy, with shared point terms, one residual,
+one Jacobian and one linear solve, rows equilibrated in place; a row leaves
+when it converges or fails, and each row keeps the bits of a stack of one.
+Every generator of the walk (a run: the walk in one direction, its closing
+landing, fold refinement; a walk; a batch) yields a list of correction
+requests per round and is sent the list of replies, a row's error as its
+entry; _attempt_step alone makes a request and raises a failed reply.
+_lockstep runs generators as one, and _solved answers each round through the
+stacked corrector: continue_branch, detect_folds and walk_batch are _solved
+over the runs through a seed, one fold refinement, and the lockstep of many
+walks (a sweep group's).  Folds are turning points of mu, found by sign
+changes of the tangent's mu component and refined by a safeguarded secant
+(Illinois regula falsi) in arclength, each trial with a fresh tangent and
+Newton started from the interpolated bracket ends; a fold is flagged
+is_fold.  A run closes with one more walk step, the closing landing, onto
+the hyperplane of a target within CLOSURE_TOL: its own start point, or the
+other run's latest point.  The branch through a seed walks its +1 and -1
+runs in lockstep: a +1 run that returns to its start is the whole isola; two
+runs that meet are one loop from the seed round to it, in the +1 direction,
+as is a -1 run that returns to its start; else both runs are merged.
+Identical inputs give bitwise-identical branches, batched or not.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
@@ -65,7 +67,6 @@ __all__ = [
     "continue_branch",
     "walk",
     "walk_batch",
-    "BOTH",
     "batch_rows",
     "detect_folds",
     "merge_branches",
@@ -75,7 +76,6 @@ CLOSED_ISOLA = "closed_isola"
 OPEN = "open"
 WINDOW_EXIT = "window_exit"
 STEP_LIMIT = "step_limit"
-BOTH = 0  # continue_branch's and walk's direction for both runs, in lockstep
 
 # Fixed parts of the method, not inputs to a run: the smallest step before a
 # walk ends open, the corrector's tolerance and iteration cap, the closing
@@ -433,14 +433,11 @@ class Branch:
         return np.array([p.state.mu for p in self.points])
 
 
-# A run (the walk in one direction, fold refinement) is a generator: each
-# bordered correction is a request (start vector, Bordered) it yields, and it
-# is sent back the _NewtonOutcome or thrown its NoConvergence /
-# SingularJacobian.  _lockstep drives runs in rounds, one request of each live
-# run per round, and a walk is a generator of such rounds: the list of its
-# requests it yields, and the list of replies it is sent.  ``walk_batch``
-# runs the rounds of many walks through one stacked corrector, so a batch of
-# walks reads as one walk does.
+# Every generator of the walk speaks one protocol: each round it yields the
+# list of its correction requests, (start vector, Bordered) each, and it is
+# sent the list of replies, a _NewtonOutcome or the error that ended the row.
+# _attempt_step alone yields a request and raises a failed reply; _lockstep
+# combines generators into one, and _solved answers each round.
 BATCH_ENTRIES = 1 << 18  # entries of a batch's stacked bordered matrices: 2 MiB
 
 
@@ -450,83 +447,80 @@ def batch_rows(n: int) -> int:
     return max(1, BATCH_ENTRIES // (2 * n + 1) ** 2)
 
 
-def walk_batch(system: LatticeSystem, walks: list) -> list:
-    """Run the walks ``walks`` of one system and N, generators of request
-    lists, to their ends.
-
-    Each round, the requests of all live walks go through one stacked
-    _newton_solve, batch_rows(N) rows at a time; once every chunk is solved,
-    each walk is sent its own replies, in walk order.  So a walk's progress
-    does not depend on what else is in the batch.  Entry i of the result is
-    walk i's return value, or the exception it raised.
-    """
-    results, pending = [None] * len(walks), {}  # pending: walk -> its round's requests
-
-    def advance(i, replies):
+def _solved(system: LatticeSystem, walk):
+    """The return value of ``walk``, run to its end: each round's requests
+    go through _newton_solve, batch_rows(N) rows at a time, and once every
+    chunk is solved the walk is sent the replies in request order."""
+    replies = None
+    while True:
         try:
-            pending[i] = walks[i].send(replies)
-        except StopIteration as stop:
-            results[i] = stop.value
-        except Exception as err:  # this walk's failure, not the batch's
-            results[i] = err
-
-    for i in range(len(walks)):
-        advance(i, None)
-    rows = batch_rows(next(iter(pending.values()))[0][0].size // 2) if pending else 1
-    while pending:
-        live = list(pending.items())
-        pending.clear()
-        requests, replies = [request for _, round_ in live for request in round_], []
+            requests = walk.send(replies)
+        except StopIteration as end:
+            return end.value
+        rows, replies = batch_rows(requests[0][0].size // 2), []
         for lo in range(0, len(requests), rows):
             chunk = requests[lo:lo + rows]
             x_prev, tangent, ds = zip(*(border for _, border in chunk))
             replies += _newton_solve(system, np.array([x for x, _ in chunk]),
                                      Bordered(np.array(x_prev), np.array(tangent), list(ds)),
                                      NEWTON_TOL, NEWTON_MAX_ITER)
-        for i, round_ in live:
-            advance(i, replies[:len(round_)])
-            del replies[:len(round_)]
-    return results
 
 
-def _lockstep(runs: list, stop=lambda end: False):
-    """Drive ``runs`` in rounds, as a walk: each round yields the list of the
-    live runs' requests, in run order, and sends each run its reply in that
-    order.  The first run whose return value meets ``stop`` drops the runs
-    still live, their replies unsent.  Returns each run's return value, None
-    for a run dropped; an exception a run raises propagates."""
-    ends, live, replies = [None] * len(runs), range(len(runs)), [None] * len(runs)
+def walk_batch(system: LatticeSystem, walks: list) -> list:
+    """Run the walks ``walks`` of one system and N to their ends, in
+    lockstep: each round, the requests of all live walks go through one
+    _solved round.  A walk's progress does not depend on what else is in the
+    batch.  Entry i of the result is walk i's return value, or the
+    exception it raised: one walk's failure is not the batch's."""
+    return _solved(system, _lockstep([_caught(walk) for walk in walks]))
+
+
+def _caught(walk):
+    """``walk``, returning the exception it raises instead of raising it."""
+    try:
+        return (yield from walk)
+    except Exception as err:
+        return err
+
+
+def _lockstep(walks: list, stop=lambda end: False):
+    """``walks`` in rounds, as one walk: each round yields the live members'
+    request lists joined in member order, and sends each member its own
+    slice of the replies.  The first member whose return value meets
+    ``stop`` closes the members still live.  Returns each member's return
+    value, None for a member closed; an exception a member raises
+    propagates."""
+    ends, live, replies = [None] * len(walks), range(len(walks)), [None] * len(walks)
     while True:
-        requests, still = [], []
+        requests, still = [], []  # still: each live member and its request count
         for i, reply in zip(live, replies):
             try:
-                requests.append(runs[i].throw(reply) if isinstance(reply, Exception)
-                                else runs[i].send(reply))
-                still.append(i)
+                asked = walks[i].send(reply)
             except StopIteration as end:
                 ends[i] = end.value
                 if stop(end.value):
-                    for run in runs:
-                        run.close()
+                    for member in walks:
+                        member.close()
                     return ends
-        if not requests:
+            else:
+                requests += asked
+                still.append((i, len(asked)))
+        if not still:
             return ends
-        live, replies = still, (yield requests)
-
-
-def _batch_of_one(system: LatticeSystem, walk):
-    """The return value of the walk ``walk`` run as a batch of one."""
-    result, = walk_batch(system, [walk])
-    if isinstance(result, Exception):
-        raise result
-    return result
+        answers = iter((yield requests))
+        live = [i for i, _ in still]
+        replies = [list(itertools.islice(answers, count)) for _, count in still]
 
 
 def _attempt_step(system, x_prev, tangent, ds, guess=None):
-    """One bordered step from ``x_prev`` (a run of its one request): the
-    corrected outcome with the landing's solid mask."""
+    """One bordered step from ``x_prev``, a walk of its one request: the
+    corrected outcome with the landing's solid mask.  Raises the reply's
+    error (NoConvergence, SingularJacobian, LatticeError) or the drift
+    guard's NoConvergence."""
     predictor = x_prev + ds * tangent
-    outcome = yield (predictor if guess is None else guess), Bordered(x_prev, tangent, ds)
+    outcome, = yield [((predictor if guess is None else guess), Bordered(x_prev, tangent, ds))]
+    if isinstance(outcome, Exception):
+        raise outcome
     # Reject corrector landings far from the predictor: those are jumps onto
     # another solution sheet (worst case the trivial r=0 line), not steps
     # along the branch.  Halving ds then also adapts to fold curvature.
@@ -540,31 +534,25 @@ def _attempt_step(system, x_prev, tangent, ds, guess=None):
     return outcome._replace(solid=solid)
 
 
-def continue_branch(
-    system: LatticeSystem,
-    seed: PolarState,
-    direction: int,
-    config: ContinuationConfig,
-) -> Branch:
-    """Trace the branch through ``seed``, folds included: the one run in
-    ``direction`` +1 or -1, or for BOTH both runs in lockstep (see _runs).
+def continue_branch(system: LatticeSystem, seed: PolarState,
+                    config: ContinuationConfig) -> Branch:
+    """Trace the branch through ``seed``, folds included: its +1 and -1 runs
+    in lockstep (see _runs), then a ``detect_folds`` call per run.
 
     A run terminates on mu leaving the window, the step limit, closure (a
     landing within CLOSURE_TOL of its own start point after arclength
     > 10 ds_init, or of the other run's latest point), or an unresolvable
     corrector failure ("open").  Raises ContinuationError when the seed's
-    residual exceeds NEWTON_TOL or is not finite.  This is ``walk`` as a
-    batch of one, with a ``detect_folds`` call per run.
+    residual exceeds NEWTON_TOL or is not finite.
     """
-    runs = _batch_of_one(system, _runs(system, seed, direction, config))
+    runs = _solved(system, _runs(system, seed, config))
     return _joined([_with_folds(run, detect_folds(run, system, config)) for run in runs])
 
 
-def walk(system: LatticeSystem, seed: PolarState, direction: int,
-         config: ContinuationConfig):
+def walk(system: LatticeSystem, seed: PolarState, config: ContinuationConfig):
     """``continue_branch`` as a walk, one member of a ``walk_batch``; it
     returns the branch.  Its runs' fold refinements run in lockstep too."""
-    runs = yield from _runs(system, seed, direction, config)
+    runs = yield from _runs(system, seed, config)
     folds = yield from _lockstep([_fold_steps(run, system, config) for run in runs])
     return _joined([_with_folds(run, f) for run, f in zip(runs, folds)])
 
@@ -575,16 +563,13 @@ def _with_folds(branch: Branch, folds: list[BranchPoint]) -> Branch:
     return branch
 
 
-def _runs(system, seed, direction, config):
-    """The runs through ``seed`` without their folds, as a walk: for +1 or
-    -1 that one run.  For BOTH, the +1 and -1 runs in lockstep: a +1 run
-    that closes onto its own start point alone, the other dropped; two runs
-    that meet, each cut at its side of the junction (the landing, or the
-    point it landed on), both closed, where a -1 run closed onto its own
-    start meets the +1 run's seed point; else both runs as they ended."""
-    if direction != BOTH:
-        (branch, _), = yield from _lockstep([_steps(system, seed, direction, config)])
-        return [branch]
+def _runs(system, seed, config):
+    """The runs through ``seed`` without their folds, as a walk: the +1 and
+    -1 runs in lockstep.  A +1 run that closes onto its own start point
+    alone, the other dropped; two runs that meet, each cut at its side of
+    the junction (the landing, or the point it landed on), both closed,
+    where a -1 run closed onto its own start meets the +1 run's seed point;
+    else both runs as they ended."""
     plus, minus = [], []
     ends = yield from _lockstep(
         [_steps(system, seed, +1, config, plus, minus),
@@ -617,14 +602,13 @@ def _joined(runs: list) -> Branch:
                     p.refined) for p in reversed(back)], CLOSED_ISOLA)
 
 
-def _steps(system, seed, direction, config, points=None, other=()):
-    """The walk through ``seed`` up to its termination, closing landing
-    included, appending to ``points``.  ``other`` is the other run's points,
-    whose latest point is a closure target once it has left the seed.
-    Returns (the branch without its folds, met): met is the index in
-    ``other`` of the point the run closed onto, else None."""
-    if direction not in (-1, 1):
-        raise ValueError("direction must be +1 or -1")
+def _steps(system, seed, direction, config, points, other):
+    """The run through ``seed`` in ``direction`` +1 or -1 up to its
+    termination, closing landing included, appending to the empty list
+    ``points``.  ``other`` is the other run's points, whose latest point is a
+    closure target once it has left the seed.  Returns (the branch without
+    its folds, met): met is the index in ``other`` of the point the run
+    closed onto, else None."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads NaN
         res0 = system.residual_norm(seed)
     if not res0 <= NEWTON_TOL:
@@ -633,7 +617,6 @@ def _steps(system, seed, direction, config, points=None, other=()):
     ref = np.zeros(seed.x.size)
     ref[-1] = direction  # a seed's border row: the mu axis, signed
     tangent = branch_tangent(system, seed, ref)
-    points = [] if points is None else points
     points.append(BranchPoint(seed.copy(), 0.0, tangent, False, 0))
     x_start = x_prev = points[0].state.x
     solid_start = _solid_mask(seed)
@@ -744,12 +727,12 @@ def detect_folds(
     config: ContinuationConfig,
 ) -> list[BranchPoint]:
     """Locate folds by regula falsi on arclength between sign-change
-    brackets: ``_fold_steps`` as a batch of one."""
-    return _batch_of_one(system, _lockstep([_fold_steps(branch, system, config)]))[0]
+    brackets: ``_fold_steps`` run through ``_solved``."""
+    return _solved(system, _fold_steps(branch, system, config))
 
 
 def _fold_steps(branch: Branch, system: LatticeSystem, config: ContinuationConfig):
-    """The fold refinement of ``detect_folds``, a generator of its requests.
+    """The fold refinement of ``detect_folds``, as a walk.
 
     Each trial re-corrects a bordered step from the left bracket point, at
     the secant root of the tangent's mu component (the midpoint if that

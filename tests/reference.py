@@ -13,7 +13,9 @@ out of place; ``empty_point_terms``, ``multiplied_lam``, ``loop_lam_r``, ``array
 and ``where_wrap_phase`` write the ghosts into ``np.empty`` arrays, multiply
 every lambda term by its c_j (1.0 and -1.0 too), multiply every derivative
 term by its power (1.0 at j = 1), return an array of zeros for a spec
-without omega1, and wrap out of place;
+without omega1, and wrap out of place; ``walked_alone`` walks one run
+through a seed, the one direction that ``continue_branch`` pairs with the
+other in lockstep;
 ``csv_writer_branch_csv`` formats every value on its own
 and writes through ``csv.writer``; and ``row_by_row_branch_csv`` parses
 ``branch.csv`` one row at a time, each row its own ``PolarState``.  ``concatenated_chain_rhs``,
@@ -28,6 +30,7 @@ from typing import Literal
 
 import numpy as np
 
+from locsync import continuation
 from locsync.asymptotics import AsymptoticsError
 from locsync.cli import branch_csv_header
 from locsync.continuation import (
@@ -229,6 +232,15 @@ def stacked_tangent(system, state, ref):
         raise SingularJacobian(str(err)) from err
     t[n + j] = 0.0
     return _solid_unit(t, _solid_mask(state))
+
+
+def walked_alone(system, seed, direction, config):
+    """The run through ``seed`` in ``direction`` +1 or -1 walked alone, with
+    its folds: one ``_steps`` run through the solve loop, then its
+    ``detect_folds``.  With no other run it closes only onto its own start."""
+    branch, _ = continuation._solved(
+        system, continuation._steps(system, seed, direction, config, [], []))
+    return continuation._with_folds(branch, continuation.detect_folds(branch, system, config))
 
 
 def csv_writer_branch_csv(branch, n: int, path) -> None:

@@ -1,13 +1,13 @@
 import dataclasses
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from locsync import continuation
+from locsync import cli, continuation
 from locsync.asymptotics import SeedAnsatz, build_seed
 from locsync.continuation import (
-    BOTH,
     CLOSED_ISOLA,
     FOLD_REFINE_TOL,
     NEWTON_MAX_ITER,
@@ -39,7 +39,7 @@ from locsync.continuation import (
 )
 from locsync.lattice import BoundaryKind, CouplingKind, LatticeError, PolarState
 from locsync.model import bistable_roots
-from reference import stacked_newton, stacked_tangent
+from reference import stacked_newton, stacked_tangent, walked_alone
 
 
 EPS = 0.01
@@ -64,9 +64,8 @@ def solve_one(system, x, border, tol, max_iter):
 
 
 def step_one(system, x_prev, tangent, ds, guess=None):
-    """One ``_attempt_step`` run as a batch of one."""
-    return continuation._batch_of_one(
-        system, continuation._lockstep([_attempt_step(system, x_prev, tangent, ds, guess)]))[0]
+    """One ``_attempt_step`` run through the solve loop."""
+    return continuation._solved(system, _attempt_step(system, x_prev, tangent, ds, guess))
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +74,7 @@ def dissipative_system(quintic):
 
 
 def run_small_snake(quintic, system, n=4):
-    """N-node snaking branch, both directions merged."""
+    """N-node snaking branch, both runs in lockstep: the two runs merged."""
     ansatz = SeedAnsatz(1, ("minus",), "in_phase", BoundaryKind.OFF_SITE, n)
     seed = newton_correct(
         system,
@@ -83,9 +82,7 @@ def run_small_snake(quintic, system, n=4):
     )
     cfg = ContinuationConfig(ds_init=0.01, ds_max=0.05,
                              mu_window=(3 * EPS, 1 - 0.15 * EPS))
-    up = continue_branch(system, seed, +1, cfg)
-    down = continue_branch(system, seed, -1, cfg)
-    return merge_branches(down, up), cfg, seed
+    return continue_branch(system, seed, cfg), cfg, seed
 
 
 def run_small_isola(quintic):
@@ -95,7 +92,7 @@ def run_small_isola(quintic):
         system, build_seed(quintic, 0.5, EPS, ansatz, CouplingKind.conservative())
     )
     cfg = ContinuationConfig(ds_init=0.01, ds_max=0.05)
-    return continue_branch(system, seed, +1, cfg), cfg, system
+    return walked_alone(system, seed, +1, cfg), cfg, system
 
 
 @pytest.fixture(scope="module")
@@ -434,7 +431,7 @@ def test_tangents_pin_the_phases_the_corrector_pins(quintic):
     assert dead.any()
     pinned = branch_tangent(system, seed, mu_axis(seed, +1))
     assert np.all(pinned[seed.n + np.flatnonzero(dead)] == 0.0)
-    branch = continue_branch(system, seed, +1, cfg)
+    branch = walked_alone(system, seed, +1, cfg)
     assert branch.points[0].tangent.tobytes() == pinned.tobytes()
     walk = [p for p in branch.points if not p.is_fold]
     refined = [p for p in branch.folds if p.refined]
@@ -481,7 +478,7 @@ def test_secant_fallback_lies_on_the_solid_coordinates(quintic, monkeypatch):
 
     monkeypatch.setattr(continuation, "_newton_solve", no_column)
     monkeypatch.setattr(continuation, "branch_tangent", seed_only)
-    branch = continue_branch(system, seed, +1, ContinuationConfig(max_steps=40))
+    branch = walked_alone(system, seed, +1, ContinuationConfig(max_steps=40))
     walk = [p for p in branch.points if not p.is_fold][1:]
     assert branch.closure == STEP_LIMIT and len(walk) == 40
     assert not all(_solid_mask(p.state).all() for p in walk)  # tail phases to drop
@@ -498,7 +495,7 @@ def test_secant_fallback_lies_on_the_solid_coordinates(quintic, monkeypatch):
 
     assert not _solid_mask(seed)[2 * seed.n - 2]  # phi[-1]: outside the mask
     monkeypatch.setattr(continuation, "_attempt_step", tail_only)
-    branch = continue_branch(system, seed, +1, ContinuationConfig(max_steps=40))
+    branch = walked_alone(system, seed, +1, ContinuationConfig(max_steps=40))
     assert branch.closure == OPEN and len(branch.points) == 1
 
 
@@ -525,7 +522,7 @@ def test_continue_branch_seed_precondition(quintic, dissipative_system):
     overflowing.x[0] = 1e200
     for bad, shown in ((off_branch, ""), (overflowing, "nan ")):
         with pytest.raises(ContinuationError, match=f"seed residual {shown}"):
-            continue_branch(dissipative_system, bad, +1, ContinuationConfig())
+            continue_branch(dissipative_system, bad, ContinuationConfig())
 
 
 def test_step_limit_two_points(quintic, dissipative_system):
@@ -534,8 +531,7 @@ def test_step_limit_two_points(quintic, dissipative_system):
         dissipative_system,
         build_seed(quintic, 0.5, EPS, ansatz, CouplingKind.dissipative()),
     )
-    branch = continue_branch(dissipative_system, seed, +1,
-                             ContinuationConfig(max_steps=1))
+    branch = walked_alone(dissipative_system, seed, +1, ContinuationConfig(max_steps=1))
     assert branch.closure == STEP_LIMIT
     assert len([p for p in branch.points if not p.is_fold]) == 2
 
@@ -586,8 +582,8 @@ def test_determinism_bitwise(quintic, dissipative_system):
                                              CouplingKind.dissipative()))
     cfg = ContinuationConfig(ds_init=0.01, ds_max=0.05,
                              mu_window=(3 * EPS, 1 - 0.15 * EPS))
-    b1 = continue_branch(system, seed, +1, cfg)
-    b2 = continue_branch(system, seed, +1, cfg)
+    b1 = continue_branch(system, seed, cfg)
+    b2 = continue_branch(system, seed, cfg)
     assert len(b1.points) == len(b2.points)
     for p, q in zip(b1.points, b2.points):
         assert np.array_equal(p.state.x, q.state.x)
@@ -782,12 +778,12 @@ def test_plus_run_alone_when_the_minus_corrector_fails_at_once(quintic, monkeypa
     real, failed = continuation._steps, []
 
     def failing(run):
-        request = next(run)
+        requests = next(run)
         while True:
-            yield request
-            failed.append(request)
+            yield requests
+            failed.extend(requests)
             try:
-                request = run.throw(NoConvergence("forced"))
+                requests = run.send([NoConvergence("forced")] * len(requests))
             except StopIteration as end:
                 return end.value
 
@@ -796,9 +792,58 @@ def test_plus_run_alone_when_the_minus_corrector_fails_at_once(quintic, monkeypa
         return failing(run) if direction == -1 else run
 
     monkeypatch.setattr(continuation, "_steps", steps)
-    both = continue_branch(system, seed, BOTH, cfg)
+    both = continue_branch(system, seed, cfg)
     assert len(failed) == 17  # 0.01 halved below DS_MIN = 1e-7
     assert alone.closure == CLOSED_ISOLA and same_branch(both, alone)
+
+
+def test_walk_batch_hands_each_walk_its_own_end(quintic):
+    # three walks of one system in one batch: the k = 2 isola, a walk from the
+    # uncorrected asymptotic seed, whose residual precondition fails at once,
+    # and the k = 3 isola.  The failure is that walk's entry, not the batch's,
+    # and each isola is the bits of its continue_branch alone.
+    c, bc = CouplingKind.conservative(), BoundaryKind.ON_SITE
+    system = LatticeSystem(quintic, c, EPS, bc)
+    cfg = ContinuationConfig(ds_init=0.01, ds_max=0.05)
+    raw = {k: build_seed(quintic, 0.5, EPS, SeedAnsatz(k, ("plus",) * k, "conservative", bc, 6), c)
+           for k in (2, 3)}
+    seeds = [newton_correct(system, raw[2]), raw[2], newton_correct(system, raw[3])]
+    got = continuation.walk_batch(system, [continuation.walk(system, s, cfg) for s in seeds])
+    with pytest.raises(ContinuationError) as alone:
+        continue_branch(system, raw[2], cfg)
+    assert type(got[1]) is ContinuationError and str(got[1]) == str(alone.value)
+    assert str(got[1]).startswith("seed residual")
+    for branch, seed in ((got[0], seeds[0]), (got[2], seeds[2])):
+        assert branch.closure == CLOSED_ISOLA and len(branch.folds) == 4
+        assert same_branch(branch, continue_branch(system, seed, cfg))
+
+
+def test_lockstep_sends_each_member_its_slice_and_stop_closes_the_rest():
+    # members yield request lists of their own lengths; each is sent its own
+    # slice of the replies, and the member whose end meets stop closes the
+    # members still live, whose ends stay None
+    log, closed = [], []
+
+    def member(name, rounds):
+        try:
+            for r in range(rounds):
+                replies = yield [f"{name}{r}.{j}" for j in range(r + 1)]
+                log.append((name, replies))
+            return name
+        finally:
+            closed.append(name)
+
+    members = [member("a", 1), member("b", 2), member("c", 4)]
+    lockstep = continuation._lockstep(members, stop=lambda end: end == "b")
+    requests = next(lockstep)
+    assert requests == ["a0.0", "b0.0", "c0.0"]
+    requests = lockstep.send([r.upper() for r in requests])
+    assert requests == ["b1.0", "b1.1", "c1.0", "c1.1"]  # a has ended
+    with pytest.raises(StopIteration) as end:
+        lockstep.send([r.upper() for r in requests])
+    assert end.value.value == ["a", "b", None]
+    assert log == [("a", ["A0.0"]), ("b", ["B0.0"]), ("c", ["C0.0"]), ("b", ["B1.0", "B1.1"])]
+    assert closed == ["a", "b", "c"] and all(m.gi_frame is None for m in members)
 
 
 def test_isola_disjointness_small(quintic):
@@ -815,7 +860,7 @@ def test_isola_disjointness_small(quintic):
         ansatz = SeedAnsatz(k, ("plus",) * k, "conservative", BoundaryKind.ON_SITE, 6)
         seed = newton_correct(system, build_seed(quintic, 0.5, EPS, ansatz,
                                                  CouplingKind.conservative()))
-        branches.append(continue_branch(system, seed, +1, cfg))
+        branches.append(continue_branch(system, seed, cfg))
     full = [
         np.array([np.concatenate([p.state.r, p.state.phi]) for p in b.points])
         for b in branches
@@ -871,7 +916,7 @@ def test_corrector_outcome_carries_the_packed_state(quintic, dissipative_system,
 
 
 def test_tracer_call_sites_are_looked_up_at_call_time(quintic, dissipative_system,
-                                                      monkeypatch):
+                                                      monkeypatch, tmp_path):
     # The bench tracer wraps continuation.residual, continuation.jacobian and
     # np.linalg.solve; a refactor that inlined them would read 0 there.
     calls = dict.fromkeys(("residual", "jacobian", "solve"), 0)
@@ -889,3 +934,33 @@ def test_tracer_call_sites_are_looked_up_at_call_time(quintic, dissipative_syste
     assert len(branch.folds) == 6
     assert calls["residual"] > calls["jacobian"] > 0
     assert calls["solve"] == calls["jacobian"]  # every Jacobian is solved once
+    # It also wraps continuation.continue_branch, continuation.detect_folds and
+    # continuation.branch_tangent, and counts the tangents under detect_folds
+    # as fold trials: ``continue`` makes one continue_branch call, which calls
+    # detect_folds once per run, each reaching branch_tangent.
+    calls.update(continue_branch=0, detect_folds=0, trials=0)
+    depth = [0]
+
+    def inside(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            depth[0] += name == "detect_folds"
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[0] -= name == "detect_folds"
+        return wrapper
+
+    def tangent(original):
+        def wrapper(*args, **kwargs):
+            calls["trials"] += depth[0] > 0
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("continue_branch", "detect_folds"):
+        monkeypatch.setattr(continuation, name, inside(name, getattr(continuation, name)))
+    monkeypatch.setattr(continuation, "branch_tangent", tangent(continuation.branch_tangent))
+    config = Path(__file__).resolve().parents[1] / "configs" / "snaking_offsite.json"
+    assert cli.main(["continue", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
+    assert calls["continue_branch"] == 1 and calls["detect_folds"] == 2  # the +1 and -1 runs
+    assert calls["trials"] > 0

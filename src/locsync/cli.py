@@ -14,6 +14,11 @@ run id, seed and cause).
 ``continue`` has one prologue (start time, corrected seed, run directory);
 then one ``continuation.continue_branch`` call alone, or a sweep group's one
 ``walk_batch`` of ``_branch``, walks the seed's +1 and -1 runs in lockstep.
+
+``sweep`` deals its groups round-robin into min(workers, jobs, usable CPUs)
+shares.  This process walks share 0; one ``os.fork`` child per other share
+walks it and pickles its results back through a pipe, and is reaped before
+the sweep prints, writes or raises anything.
 """
 from __future__ import annotations
 
@@ -25,9 +30,10 @@ import io
 import json
 import math
 import os
+import pickle
 import sys
 import time
-from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NoReturn
@@ -610,6 +616,35 @@ def _run_group(jobs: list) -> list:
     return [_run_job(job, w) for job, w in zip(jobs, walked)]
 
 
+def _run_share(groups: list) -> list:
+    """``_run_group`` on each of ``groups`` in order: its results, or the
+    exception it raised, and the next group runs either way."""
+    done = []
+    for group in groups:
+        try:
+            done.append(_run_group(group))
+        except Exception as err:  # raised in group order once every share is done
+            done.append(err)
+    return done
+
+
+def _fork_share(groups: list) -> tuple[int, int]:
+    """A forked child that pickles ``_run_share(groups)`` into a pipe and
+    exits 0: its pid and the pipe's read end."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:  # the child never returns into the caller, nor flushes stdio it inherited
+        with open(w, "wb") as pipe:
+            pipe.write(pickle.dumps(_run_share(groups)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _groups(jobs: list, size: int) -> list:
     """Job indices in groups: the jobs that share one system and N, dealt
     round-robin into at most ``size`` groups."""
@@ -622,8 +657,10 @@ def _groups(jobs: list, size: int) -> list:
 
 def cmd_sweep(rc: RunConfig) -> int:
     """``continue`` per sweep value, in groups that share one system and N,
-    on min(workers, jobs, usable CPUs) forked processes.  Each group walks
-    as one batch; output is printed and written in list order."""
+    on size = min(workers, jobs, usable CPUs) processes: the groups are dealt
+    round-robin into size shares, this process walks share 0 and one forked
+    child each other share.  Each group walks as one batch; output is printed
+    and written in list order."""
     sweep = rc.raw.get("sweep")
     if sweep is None:
         raise CommandError("config has no 'sweep' section")
@@ -647,24 +684,38 @@ def cmd_sweep(rc: RunConfig) -> int:
     for path in [rc.output_dir] + [job.run_dir() for job in configs]:
         _make_dir(path)
 
-    import multiprocessing  # here, not at the top: about 25 ms of every command's start-up
-    from concurrent.futures import ProcessPoolExecutor
-    # a pool only where usable CPUs are known (Linux): no fork on Windows, unsafe on macOS
+    # children only where usable CPUs are known (Linux): no fork on Windows, unsafe on macOS
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     size = min(int(sweep.get("workers", cpus)), len(configs), cpus)
     groups = _groups(configs, size)
+    shares = [[[configs[i] for i in group] for group in groups[p::size]] for p in range(size)]
+    done, children = [None] * len(groups), []
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(share))
+        done[::size] = _run_share(shares[0])
+    finally:  # every child is read to its end and reaped, whatever this process's share raised
+        replies = []
+        for pid, r in children:
+            with open(r, "rb") as pipe:
+                replies.append((pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for p, (reply, status) in enumerate(replies, 1):
+        if status != 0:
+            run_ids = ", ".join(job.run_id for group in shares[p] for job in group)
+            raise RuntimeError(f"the sweep process of {run_ids} exited with status "
+                               f"{status} and no reply")
+        done[p::size] = pickle.loads(reply)
     results, shown = [None] * len(configs), 0
-    with (ProcessPoolExecutor(size, multiprocessing.get_context("fork")) if size > 1
-          else nullcontext()) as pool:
-        for group, done in zip(groups, (pool.map if size > 1 else map)(
-                _run_group, [[configs[i] for i in group] for group in groups])):
-            for i, result in zip(group, done):
-                results[i] = result
-            while shown < len(results) and results[shown] is not None:  # list order
-                _, out, err = results[shown]
-                print(out, end="")
-                print(err, end="", file=sys.stderr)
-                shown += 1
+    for group, group_done in zip(groups, done):  # group order: a failed group raises
+        if isinstance(group_done, Exception):
+            raise group_done
+        for i, result in zip(group, group_done):
+            results[i] = result
+        while shown < len(results) and results[shown] is not None:  # list order
+            _, out, err = results[shown]
+            print(out, end="")
+            print(err, end="", file=sys.stderr)
+            shown += 1
     codes = [code for code, _, _ in results]
     summary = {
         "run_id": rc.run_id,

@@ -597,9 +597,14 @@ def _joined(runs: list) -> Branch:
         return merge_branches(minus, plus)
     *back, junction = minus.points  # a fold never sorts after its bracket's end
     offset = plus.points[-1].arclength + junction.arclength
-    return Branch(plus.points + [
-        BranchPoint(p.state, offset - p.arclength, -p.tangent, p.is_fold, p.newton_iters,
-                    p.refined) for p in reversed(back)], CLOSED_ISOLA)
+    return Branch(plus.points + _reversed(back, offset), CLOSED_ISOLA)
+
+
+def _reversed(points: list, offset: float) -> list:
+    """A -1 run's ``points`` walked back to its seed: arclength ``offset``
+    less each point's, tangents flipped to follow the traversal."""
+    return [BranchPoint(p.state, offset - p.arclength, -p.tangent, p.is_fold, p.newton_iters,
+                        p.refined) for p in reversed(points)]
 
 
 def _steps(system, seed, direction, config, points, other):
@@ -798,11 +803,9 @@ def merge_branches(minus: Branch, plus: Branch) -> Branch:
     open over step_limit over window_exit, so a failed end is never hidden.
     """
     offset = minus.points[-1].arclength
-    # the minus run's tangents flip so orientation follows the merged traversal
-    points = [BranchPoint(p.state, offset - p.arclength, -p.tangent, p.is_fold,
-                          p.newton_iters, p.refined) for p in reversed(minus.points)]
-    points += [BranchPoint(p.state, offset + p.arclength, p.tangent, p.is_fold,
-                           p.newton_iters, p.refined) for p in plus.points[1:]]
+    points = _reversed(minus.points, offset) + [
+        BranchPoint(p.state, offset + p.arclength, p.tangent, p.is_fold, p.newton_iters,
+                    p.refined) for p in plus.points[1:]]
     reasons = {minus.closure, plus.closure}
     closure = next((c for c in (OPEN, STEP_LIMIT, WINDOW_EXIT) if c in reasons), OPEN)
     return Branch(points, closure, minus.open_ends + plus.open_ends)

@@ -1,6 +1,4 @@
-import concurrent.futures
 import json
-import multiprocessing
 import os
 import pickle
 import random
@@ -237,7 +235,7 @@ def test_configs_load_with_only_stdlib_and_numpy():
             "            raise ModuleNotFoundError(f'blocked: {name}')\n"
             "sys.meta_path.insert(0, Only)\n"
             "from locsync.cli import load_config\n"
-            # the sweep pool's modules are imported by sweep alone
+            # no command imports these (sweep forks its children directly)
             "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
             "assert not loaded, loaded\n"
             f"for p in sorted(pathlib.Path({str(root / 'configs')!r}).glob('*.json')):\n"
@@ -245,6 +243,25 @@ def test_configs_load_with_only_stdlib_and_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sweep_imports_neither_multiprocessing_nor_concurrent_futures(tmp_path):
+    # a sweep of two processes, run through cli.main in a fresh interpreter
+    root = Path(__file__).resolve().parents[1]
+    cfg = _k_sweep(tmp_path, [1, 2], workers=2)
+    cfg["continuation"]["max_steps"] = 5
+    code = ("import sys\n"
+            "from locsync import cli\n"
+            "assert cli.main(['sweep', '--config', sys.argv[1]]) == 0\n"
+            "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", code, write_config(tmp_path, cfg)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith("test-run-k1: ")
+    assert json.loads((tmp_path / "out" / "test-run-sweep.json").read_text())["exit_codes"] \
+        == [0, 0]
 
 
 @pytest.mark.parametrize("flag, section", [("--k", "seed"), ("--max-steps", "continuation")])
@@ -980,8 +997,14 @@ def _run_outputs(out: Path) -> dict:
 
 
 def _two_cpus(pid):
-    """Usable CPUs as the sweep reads them: two, so workers: 2 forks a pool."""
+    """Usable CPUs as the sweep reads them: two, so workers: 2 forks a child."""
     return {0, 1}
+
+
+def _no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -992,7 +1015,7 @@ def test_cmd_sweep(tmp_path, capsys, monkeypatch, workers):
     cfg["continuation"]["max_steps"] = 40
     path = write_config(tmp_path, cfg)
     assert main(["sweep", "--config", path]) == 0
-    assert multiprocessing.active_children() == []
+    _no_child_left()
     summary = json.loads(
         (tmp_path / "out" / "test-run-sweep.json").read_text()
     )
@@ -1009,25 +1032,6 @@ def test_cmd_sweep(tmp_path, capsys, monkeypatch, workers):
     assert _run_outputs(tmp_path / "out") == _run_outputs(tmp_path / "serial")
 
 
-class _SizeRecorder:
-    """Stands in for ProcessPoolExecutor: records the size asked for and runs
-    the jobs in-process, so no process is started whatever the size."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers, mp_context):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
-
-
 def _k_sweep(tmp_path, values, **sweep):
     """A k sweep of conservative on-site N=10 isolas: every job shares one system and N."""
     cfg = base_config(tmp_path, N=10, coupling="conservative", boundary="on_site",
@@ -1036,37 +1040,51 @@ def _k_sweep(tmp_path, values, **sweep):
     return cfg
 
 
-@pytest.mark.parametrize("workers, cpus, sizes", [
-    (10**18, 64, [5]), (None, 64, [5]), (2, 64, [2]), (10**18, 2, [2]),
-    (1, 64, []), (None, 1, [])])
-def test_sweep_pool_size_is_capped_by_jobs_and_cpus(tmp_path, capsys, monkeypatch,
-                                                    workers, cpus, sizes):
-    # a fork pool starts every one of its processes at the first submit; the
+@pytest.mark.parametrize("workers, cpus, size", [
+    (10**18, 64, 5), (None, 64, 5), (2, 64, 2), (10**18, 2, 2), (1, 64, 1), (None, 1, 1)])
+def test_sweep_size_is_capped_by_jobs_and_cpus(tmp_path, capsys, monkeypatch, workers, cpus,
+                                               size):
+    # a sweep of size processes is this one and size - 1 forked children; the
     # jobs of a k sweep share one system and N and are dealt round-robin into
-    # one group per process, while the jobs of an eps sweep share none
-    monkeypatch.setattr(_SizeRecorder, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SizeRecorder)
+    # one group per process, while the jobs of an eps sweep share none, and
+    # their groups are dealt round-robin to the processes
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    def group(jobs):  # each job's stderr names its group and the process that ran it
+        ran = [job.ansatz.k if job.eps == 0.01 else job.eps for job in jobs]
+        return [(0, f"{job.run_id}: ran\n", f"{ran} {os.getpid()}\n") for job in jobs]
+
+    def groups(err):
+        """Each group that ran, in group order, and the share it was dealt:
+        the index of the first group its process ran."""
+        ran = [line.rpartition(" ") for line in dict.fromkeys(err.splitlines())]
+        pids = [int(pid) for _, _, pid in ran]
+        assert pids[0] == os.getpid()  # this process walks share 0
+        return [seen for seen, _, _ in ran], [pids.index(pid) for pid in pids]
+
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    seen = []
-
-    def group(jobs):
-        seen.append([job.ansatz.k if job.eps == 0.01 else job.eps for job in jobs])
-        return [(0, f"{job.run_id}: ran\n", "") for job in jobs]
-
     monkeypatch.setattr(cli, "_run_group", group)
     cfg = _k_sweep(tmp_path, [1, 2, 3, 4, 5])
     if workers is not None:
         cfg["sweep"]["workers"] = workers
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
-    size = sizes[0] if sizes else 1
-    assert _SizeRecorder.sizes == sizes
-    assert seen == [[1, 2, 3, 4, 5][g::size] for g in range(size)]  # round-robin
-    assert capsys.readouterr().out.splitlines() == [f"test-run-k{k}: ran" for k in range(1, 6)]
+    assert len(forks) == size - 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"test-run-k{k}: ran" for k in range(1, 6)]  # list order
+    assert groups(err) == ([str([1, 2, 3, 4, 5][g::size]) for g in range(size)],  # round-robin
+                           list(range(size)))
     cfg["sweep"].update(parameter="eps", values=[0.02, 0.015, 0.03])
-    seen.clear()
+    forks.clear()
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
-    assert seen == [[0.02], [0.015], [0.03]]
-    assert multiprocessing.active_children() == []
+    assert len(forks) == min(size, 3) - 1
+    assert groups(capsys.readouterr().err) == (["[0.02]", "[0.015]", "[0.03]"],
+                                               [g % min(size, 3) for g in range(3)])
+    _no_child_left()
 
 
 def test_sweep_prints_in_list_order_when_a_later_job_ends_first(tmp_path, capsys,
@@ -1089,7 +1107,7 @@ def test_sweep_prints_in_list_order_when_a_later_job_ends_first(tmp_path, capsys
     monkeypatch.setattr(os, "sched_getaffinity", _two_cpus, raising=False)
     cfg = _k_sweep(tmp_path, [1, 2, 3], workers=2)
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
-    assert multiprocessing.active_children() == []
+    _no_child_left()
     runs = ["test-run-k1", "test-run-k2", "test-run-k3"]
     out, err = capsys.readouterr()
     assert out == "".join(f"{run}: ran\n" for run in runs)
@@ -1112,7 +1130,7 @@ def test_batched_sweep_writes_the_bytes_of_single_runs(tmp_path, monkeypatch, wo
         cfg.setdefault("sweep", {}).update(sweep, workers=workers)
         assert main(["sweep", "--config", write_config(tmp_path, cfg), "--output-dir",
                      str(tmp_path / name / "sweep")]) == 0
-        assert multiprocessing.active_children() == []
+        _no_child_left()
         parameter, values = cfg["sweep"]["parameter"], cfg.pop("sweep")["values"]
         single = write_config(tmp_path, cfg, "single.json")
         for value in values:
@@ -1172,9 +1190,66 @@ def test_sweep_job_that_raises_surfaces_and_leaves_no_child(tmp_path, capsys, mo
     cfg["sweep"] = {"parameter": "eps", "values": [0.02, 0.01, 0.015], "workers": workers}
     with pytest.raises(RuntimeError, match="^test-run-eps0.01 failed$"):
         main(["sweep", "--config", write_config(tmp_path, cfg)])
-    assert multiprocessing.active_children() == []
+    _no_child_left()
     # as in a serial loop: the jobs before it printed, and no summary is written
     assert capsys.readouterr().out == "test-run-eps0.02: ran\n"
+    assert not (tmp_path / "out" / "test-run-sweep.json").exists()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_sweep_error_in_this_process_waits_for_every_child(tmp_path, capsys, monkeypatch,
+                                                           error):
+    # k = 1 is this process's share and fails at once, while the child's k = 2
+    # still runs: the sweep waits for the child's end and reaps it, then raises
+    def branch(rc):
+        return rc
+        yield  # a walk that needs no correction
+
+    def job(rc, walked):
+        if rc.ansatz.k == 1:
+            raise error(f"{rc.run_id} failed")
+        time.sleep(0.3)
+        (tmp_path / f"{rc.run_id}.done").touch()
+        print(f"{rc.run_id}: ran")
+        return 0
+
+    monkeypatch.setattr(cli, "_branch", branch)
+    monkeypatch.setattr(cli, "cmd_continue", job)
+    monkeypatch.setattr(os, "sched_getaffinity", _two_cpus, raising=False)
+    cfg = _k_sweep(tmp_path, [1, 2], workers=2)
+    with pytest.raises(error, match="^test-run-k1 failed$"):
+        main(["sweep", "--config", write_config(tmp_path, cfg)])
+    _no_child_left()
+    assert (tmp_path / "test-run-k2.done").exists()
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out" / "test-run-sweep.json").exists()
+
+
+def test_sweep_child_that_dies_without_a_reply_is_named(tmp_path, capsys, monkeypatch):
+    # the child's share is the group of k = 2 and 4; its k = 2 job ends the
+    # child with exit status 3 before it replies
+    parent = os.getpid()
+
+    def branch(rc):
+        return rc
+        yield  # a walk that needs no correction
+
+    def job(rc, walked):
+        if rc.ansatz.k == 2:
+            assert os.getpid() != parent, "k = 2 ran in this process"
+            os._exit(3)
+        print(f"{rc.run_id}: ran")
+        return 0
+
+    monkeypatch.setattr(cli, "_branch", branch)
+    monkeypatch.setattr(cli, "cmd_continue", job)
+    monkeypatch.setattr(os, "sched_getaffinity", _two_cpus, raising=False)
+    cfg = _k_sweep(tmp_path, [1, 2, 3, 4], workers=2)
+    with pytest.raises(RuntimeError, match="^the sweep process of test-run-k2, test-run-k4 "
+                                           "exited with status 3 and no reply$"):
+        main(["sweep", "--config", write_config(tmp_path, cfg)])
+    _no_child_left()
+    assert capsys.readouterr().out == ""
     assert not (tmp_path / "out" / "test-run-sweep.json").exists()
 
 
